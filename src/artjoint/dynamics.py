@@ -29,7 +29,7 @@ from enum import Enum
 from typing import Callable, Iterable
 
 from .assets import ConstantStiffness, FixedTarget, JointSpec, StiffnessProfile, TargetPolicy
-from .errors import NonPositiveDtError
+from .errors import NonPositiveDtError, UnstableDtError
 
 DT_MAX = 0.01  # stability guard for the explicit part of the stepper
 
@@ -148,11 +148,12 @@ def effort_breakdown(spec: JointSpec, state: JointState, f_ext: float) -> tuple[
     return EffortBreakdown(tau_drive=tau, f_ext=f_ext, f_friction=f_friction, net=(tau + f_ext) + f_friction), regime
 
 
-def _check_dt(dt: float) -> None:
+def check_dt(dt: float) -> None:
+    """The one timestep rule, shared by scenarios and the steppers."""
     if dt <= 0.0:
         raise NonPositiveDtError(f"dt must be > 0, got {dt}")
     if dt > DT_MAX:
-        raise ValueError(f"dt={dt} exceeds the stability guard {DT_MAX}")
+        raise UnstableDtError(f"dt={dt} exceeds the stability guard {DT_MAX}", "dt")
 
 
 def step(spec: JointSpec, state: JointState, f_ext: float, dt: float) -> JointState:
@@ -163,7 +164,7 @@ def step(spec: JointSpec, state: JointState, f_ext: float, dt: float) -> JointSt
     the velocity zeroed at a bound. The newly evaluated drive target becomes
     the next ``held_target``.
     """
-    _check_dt(dt)
+    check_dt(dt)
     _, q_target, tau = _drive_terms(spec, state)
     f_friction, regime = friction_effort(spec, state, tau, f_ext)
     if regime is Regime.STATIC:
@@ -218,7 +219,7 @@ def simulate_joint(
     state series including the initial state: ``steps_for(duration, dt) + 1``
     entries, sample ``k`` at ``t = k * dt``.
     """
-    _check_dt(dt)
+    check_dt(dt)
     n = steps_for(duration, dt)
     state = state0 if state0 is not None else initial_state(spec, q=min(max(0.0, spec.q_lower_bound), spec.q_upper_bound))
     series = [state]

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ActionOutOfBoundsError
 from .geometry import Vec3
-from .scenario import Scenario, ScenarioRuntime, _split_ref
+from .scenario import Scenario, ScenarioRuntime
 
 _NEAR_ZERO = 1e-9
 
@@ -111,14 +111,7 @@ class ManipulationEnv:
         self.config = scenario.env
         self.params = RewardParams(**dict(self.config.reward_weights))
         self._goal = self.config.goal_joint
-        goal_spec = None
-        for pl in scenario.assemblies:
-            name = _split_ref(self._goal)[0]
-            if pl.name == name:
-                goal_spec = pl.assembly.joint(_split_ref(self._goal)[1])
-        if goal_spec is None:  # load_scenario validated this; belt and braces
-            raise ValueError(f"goal joint '{self._goal}' not found")
-        self._goal_spec = goal_spec
+        self._goal_spec = scenario.joint(self._goal)
         self._markers: list[str] = []
         for pl in scenario.assemblies:
             self._markers.extend(f"{pl.name}/{m.name}" for m in pl.assembly.markers())
@@ -128,9 +121,8 @@ class ManipulationEnv:
 
     # -- plumbing -----------------------------------------------------------
 
-    def _observation(self) -> np.ndarray:
+    def _observation(self, handle: Vec3) -> np.ndarray:
         state = self.runtime.states[self._goal]
-        handle = self.runtime.marker_position(self.config.handle_marker)
         return np.array(
             [*self.effector_pos, *self.effector_vel, state.q, state.q_dot, *handle], dtype=float
         )
@@ -152,7 +144,7 @@ class ManipulationEnv:
         self.runtime = ScenarioRuntime(self.scenario)
         self.effector_pos = np.array(self.config.effector_start, dtype=float)
         self.effector_vel = np.zeros(3)
-        return self._observation()
+        return self._observation(self.runtime.marker_position(self.config.handle_marker))
 
     def step(self, action) -> tuple[np.ndarray, float, bool]:
         if self.runtime is None:
@@ -193,14 +185,5 @@ class ManipulationEnv:
         value = reward(inputs, action, self.params)
         closed = closure_fraction(state.q, self._goal_spec.q_lower_bound, self._goal_spec.q_upper_bound) == 1.0
         done = closed or self.runtime.t > self.scenario.duration
-        return self._observation(), value, done
+        return self._observation(handle), value, done
 
-
-def env_reset(env: ManipulationEnv) -> np.ndarray:
-    """Functional alias for :meth:`ManipulationEnv.reset`."""
-    return env.reset()
-
-
-def env_step(env: ManipulationEnv, action) -> tuple[np.ndarray, float, bool]:
-    """Functional alias for :meth:`ManipulationEnv.step`."""
-    return env.step(action)

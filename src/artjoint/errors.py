@@ -53,6 +53,10 @@ class NonPositiveDtError(ArtjointError):
     """Integration timestep must be strictly positive."""
 
 
+class UnstableDtError(AssetSyntaxError, ValueError):
+    """Integration timestep exceeds the stepper's stability guard."""
+
+
 class UnresolvedReferenceError(ArtjointError):
     """A behavior rule references a joint/module that no assembly provides."""
 

@@ -5,7 +5,7 @@ microwave whose door latch releases when its button is pressed, an oven door
 with a closer that snaps it shut below the release threshold, and a pedal
 trashcan whose lid slams when the pedal button fires.  Each asset has a
 matching scenario; ``trashcan_env`` adds the effector-interaction variant
-used by :class:`artjoint.EffectorEnv`.
+used by :class:`artjoint.ManipulationEnv`.
 
 Set ``ARTJOINT_FIXTURES`` to point the lookups somewhere else (useful for
 testing modified copies without reinstalling).

@@ -25,8 +25,8 @@ import numpy as np
 from . import assets as assets_mod
 from . import behaviors as bh
 from . import dynamics
-from .assets import Assembly, JointSpec, _as_bool, _as_float, _as_str, _as_vec, _check_keys, _parse_pose, _require_dict, _require_list
-from .errors import AssetSyntaxError, NonPositiveDtError, UnknownJointError
+from .assets import Assembly, JointSpec, Marker, _as_bool, _as_float, _as_str, _as_vec, _check_keys, _parse_pose, _require_dict, _require_list
+from .errors import AssetSyntaxError, UnknownJointError
 from .geometry import Pose, Vec3
 from .kinematics import find_marker, forward_kinematics
 from .trajectory import Trajectory
@@ -53,6 +53,7 @@ class PiecewiseForce:
     before ``t`` applies; zero before the first; the last value holds on."""
 
     steps: tuple[tuple[float, float], ...]
+    _times: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ts = [t for t, _ in self.steps]
@@ -60,9 +61,10 @@ class PiecewiseForce:
             raise ValueError("piecewise profile needs at least one step")
         if ts != sorted(ts) or len(set(ts)) != len(ts):
             raise ValueError("piecewise step times must be strictly increasing")
+        object.__setattr__(self, "_times", tuple(ts))
 
     def value_at(self, t: float) -> float:
-        idx = bisect.bisect_right([s[0] for s in self.steps], t) - 1
+        idx = bisect.bisect_right(self._times, t) - 1
         return self.steps[idx][1] if idx >= 0 else 0.0
 
 
@@ -110,6 +112,15 @@ class EnvConfig:
 
 @dataclass(frozen=True)
 class Scenario:
+    """Placed assemblies, force schedules, recordings, initial states and an
+    optional env block.
+
+    Construction, ``dataclasses.replace`` included, checks every invariant:
+    unique slash-free assembly names, ``duration > 0``, the
+    :func:`dynamics.check_dt` rule, env limits > 0, and that every ref
+    resolves. :meth:`joint` and :meth:`marker` are the only ref lookups.
+    """
+
     assemblies: tuple[Placement, ...]
     duration: float
     dt: float = 0.001
@@ -117,13 +128,65 @@ class Scenario:
     recordings: tuple[str, ...] = ()
     initial: Mapping[str, JointInit] = field(default_factory=dict)
     env: "EnvConfig | None" = None
+    _by_name: dict[str, Placement] = field(init=False, repr=False, compare=False)
+    _joints: dict[str, JointSpec] = field(init=False, repr=False, compare=False)
+    _markers: dict[str, tuple[Placement, Marker]] = field(init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        by_name: dict[str, Placement] = {}
+        for i, pl in enumerate(self.assemblies):
+            loc = f"assemblies[{i}].name"
+            if "/" in pl.name or not pl.name:
+                raise AssetSyntaxError(f"assembly name '{pl.name}' must be non-empty and slash-free", loc)
+            if pl.name in by_name:
+                raise AssetSyntaxError(f"duplicate assembly name '{pl.name}'", loc)
+            by_name[pl.name] = pl
+        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(
+            self, "_joints", {f"{pl.name}/{j.id}": j for pl in self.assemblies for j in pl.assembly.joints}
+        )
+        object.__setattr__(self, "_markers", {})
 
-def _split_ref(ref: str) -> tuple[str, str]:
-    if "/" not in ref:
-        raise UnknownJointError(f"reference '{ref}' must look like '<assembly>/<joint-or-marker>'")
-    name, local = ref.split("/", 1)
-    return name, local
+        if self.duration <= 0:
+            raise AssetSyntaxError(f"duration must be > 0, got {self.duration}", "duration")
+        dynamics.check_dt(self.dt)
+        for schedule in self.forces:
+            self.joint(schedule.joint)
+        for ref in self.initial:
+            self.joint(ref)
+        for ref in self.recordings:
+            if ref not in self._joints:
+                self.marker(ref)
+        if self.env is not None:
+            if self.env.action_max <= 0 or self.env.contact_radius <= 0:
+                raise AssetSyntaxError("action_max and contact_radius must be > 0", "env")
+            self.joint(self.env.goal_joint)
+            self.marker(self.env.handle_marker)
+
+    def _placement(self, ref: str) -> tuple[Placement, str]:
+        if "/" not in ref:
+            raise UnknownJointError(f"reference '{ref}' must look like '<assembly>/<joint-or-marker>'")
+        name, local = ref.split("/", 1)
+        if name not in self._by_name:
+            raise UnknownJointError(f"reference '{ref}' names unknown assembly '{name}'")
+        return self._by_name[name], local
+
+    def joint(self, ref: str) -> JointSpec:
+        """The joint ``assembly/joint`` names (:class:`UnknownJointError` if none)."""
+        spec = self._joints.get(ref)
+        if spec is None:
+            pl, local = self._placement(ref)
+            raise UnknownJointError(f"assembly '{pl.name}' has no joint '{local}' (reference '{ref}')")
+        return spec
+
+    def marker(self, ref: str) -> tuple[Placement, Marker]:
+        """The placement and marker ``assembly/marker`` names
+        (:class:`UnknownMarkerError` if none or ambiguous); memoized."""
+        hit = self._markers.get(ref)
+        if hit is None:
+            pl, local = self._placement(ref)
+            hit = self._markers[ref] = (pl, find_marker(pl.assembly, local))
+        return hit
 
 
 # --------------------------------------------------------------------------
@@ -178,7 +241,6 @@ def load_scenario(path: "str | Path") -> Scenario:
     )
 
     placements: list[Placement] = []
-    seen = set()
     for i, entry in enumerate(_require_list(root["assemblies"], "assemblies")):
         loc = f"assemblies[{i}]"
         pdata = _require_dict(entry, loc)
@@ -189,22 +251,8 @@ def load_scenario(path: "str | Path") -> Scenario:
             asset_path = p.parent / asset_path
         assembly = assets_mod.parse_asset(asset_path)
         name = _as_str(pdata["name"], f"{loc}.name") if "name" in pdata else assembly.id
-        if "/" in name or not name:
-            raise AssetSyntaxError(f"assembly name '{name}' must be non-empty and slash-free", f"{loc}.name")
-        if name in seen:
-            raise AssetSyntaxError(f"duplicate assembly name '{name}'", f"{loc}.name")
-        seen.add(name)
         world_pose = _parse_pose(pdata["world_pose"], f"{loc}.world_pose") if "world_pose" in pdata else Pose()
         placements.append(Placement(name=name, assembly=assembly, world_pose=world_pose, asset_path=str(asset_path)))
-
-    duration = _as_float(root["duration"], "duration")
-    if duration <= 0:
-        raise AssetSyntaxError(f"duration must be > 0, got {duration}", "duration")
-    dt = _as_float(root.get("dt", 0.001), "dt")
-    if dt <= 0:
-        raise NonPositiveDtError(f"scenario dt must be > 0, got {dt}")
-    if dt > dynamics.DT_MAX:
-        raise AssetSyntaxError(f"dt={dt} exceeds the stability guard {dynamics.DT_MAX}", "dt")
 
     forces: list[ForceSchedule] = []
     for i, entry in enumerate(_require_list(root.get("forces", []), "forces")):
@@ -256,54 +304,16 @@ def load_scenario(path: "str | Path") -> Scenario:
             contact_radius=_as_float(edata["contact_radius"], f"{loc}.contact_radius") if "contact_radius" in edata else 0.05,
             reward_weights=weights,
         )
-        if env.action_max <= 0 or env.contact_radius <= 0:
-            raise AssetSyntaxError("action_max and contact_radius must be > 0", loc)
 
-    scenario = Scenario(
+    return Scenario(
         assemblies=tuple(placements),
-        duration=duration,
-        dt=dt,
+        duration=_as_float(root["duration"], "duration"),
+        dt=_as_float(root.get("dt", 0.001), "dt"),
         forces=tuple(forces),
         recordings=recordings,
         initial=initial,
         env=env,
     )
-    _resolve_refs(scenario)  # fail fast on dangling references
-    return scenario
-
-
-def _resolve_refs(scenario: Scenario) -> None:
-    by_name = {pl.name: pl for pl in scenario.assemblies}
-
-    def placement_of(ref: str) -> Placement:
-        name, _ = _split_ref(ref)
-        if name not in by_name:
-            raise UnknownJointError(f"reference '{ref}' names unknown assembly '{name}'")
-        return by_name[name]
-
-    def resolve_joint(ref: str) -> JointSpec:
-        pl = placement_of(ref)
-        _, local = _split_ref(ref)
-        for j in pl.assembly.joints:
-            if j.id == local:
-                return j
-        raise UnknownJointError(f"assembly '{pl.name}' has no joint '{local}' (reference '{ref}')")
-
-    for schedule in scenario.forces:
-        resolve_joint(schedule.joint)
-    for ref in scenario.initial:
-        resolve_joint(ref)
-    for ref in scenario.recordings:
-        pl = placement_of(ref)
-        _, local = _split_ref(ref)
-        if any(j.id == local for j in pl.assembly.joints):
-            continue
-        find_marker(pl.assembly, local)  # raises UnknownMarkerError
-    if scenario.env is not None:
-        resolve_joint(scenario.env.goal_joint)
-        pl = placement_of(scenario.env.handle_marker)
-        _, local = _split_ref(scenario.env.handle_marker)
-        find_marker(pl.assembly, local)
 
 
 # --------------------------------------------------------------------------
@@ -320,19 +330,15 @@ class ScenarioRuntime:
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self.placements = {pl.name: pl for pl in scenario.assemblies}
-        self.joints: dict[str, JointSpec] = {}
+        self.joints = scenario._joints
         self.states: dict[str, dynamics.JointState] = {}
-        for pl in scenario.assemblies:
-            for joint in pl.assembly.joints:
-                ref = f"{pl.name}/{joint.id}"
-                self.joints[ref] = joint
-                init = scenario.initial.get(ref)
-                if init is None:
-                    q0 = min(max(0.0, joint.q_lower_bound), joint.q_upper_bound)
-                    self.states[ref] = dynamics.initial_state(joint, q=q0)
-                else:
-                    self.states[ref] = dynamics.initial_state(joint, q=init.q, q_dot=init.q_dot, s_open=init.s_open)
+        for ref, joint in self.joints.items():
+            init = scenario.initial.get(ref)
+            if init is None:
+                q0 = min(max(0.0, joint.q_lower_bound), joint.q_upper_bound)
+                self.states[ref] = dynamics.initial_state(joint, q=q0)
+            else:
+                self.states[ref] = dynamics.initial_state(joint, q=init.q, q_dot=init.q_dot, s_open=init.s_open)
         self.graph = bh.bind({pl.name: pl.assembly for pl in scenario.assemblies})
         self.properties: dict[str, Union[float, bool]] = {}
         self._profiles: dict[str, list[ForceProfile]] = {}
@@ -369,29 +375,22 @@ class ScenarioRuntime:
 
     # -- geometry helpers ---------------------------------------------------
 
-    def q_map(self, name: str) -> dict[str, float]:
-        pl = self.placements[name]
-        return {j.id: self.states[f"{name}/{j.id}"].q for j in pl.assembly.joints}
-
-    def assembly_poses(self, name: str) -> dict[str, Pose]:
-        return forward_kinematics(self.placements[name].assembly, self.q_map(name))
+    def assembly_poses(self, pl: Placement) -> dict[str, Pose]:
+        q = {j.id: self.states[f"{pl.name}/{j.id}"].q for j in pl.assembly.joints}
+        return forward_kinematics(pl.assembly, q)
 
     def marker_position(self, ref: str) -> Vec3:
         """World position (including the placement pose) of ``assembly/marker``."""
-        name, local = _split_ref(ref)
-        pl = self.placements[name]
-        marker = find_marker(pl.assembly, local)
-        poses = self.assembly_poses(name)
+        pl, marker = self.scenario.marker(ref)
+        poses = self.assembly_poses(pl)
         return pl.world_pose.transform_point(poses[marker.module_id].transform_point(marker.local_point))
 
     def marker_jacobian(self, ref: str) -> dict[str, Vec3]:
         """d(marker world position)/d(q_j) for every joint on the marker's
         root path: the joint's world axis for prismatic, axis × lever arm for
         revolute."""
-        name, local = _split_ref(ref)
-        pl = self.placements[name]
-        marker = find_marker(pl.assembly, local)
-        poses = self.assembly_poses(name)
+        pl, marker = self.scenario.marker(ref)
+        poses = self.assembly_poses(pl)
         point = pl.world_pose.transform_point(poses[marker.module_id].transform_point(marker.local_point))
 
         parent_joint = {j.child_module: j for j in pl.assembly.joints}
@@ -402,11 +401,11 @@ class ScenarioRuntime:
             parent_pose = pl.world_pose.compose(poses[joint.parent_module])
             axis_w = parent_pose.rotate(joint.axis)
             if joint.kind == assets_mod.PRISMATIC:
-                columns[f"{name}/{joint.id}"] = axis_w
+                columns[f"{pl.name}/{joint.id}"] = axis_w
             else:
                 anchor_w = parent_pose.transform_point(joint.anchor)
                 arm = (point[0] - anchor_w[0], point[1] - anchor_w[1], point[2] - anchor_w[2])
-                columns[f"{name}/{joint.id}"] = (
+                columns[f"{pl.name}/{joint.id}"] = (
                     axis_w[1] * arm[2] - axis_w[2] * arm[1],
                     axis_w[2] * arm[0] - axis_w[0] * arm[2],
                     axis_w[0] * arm[1] - axis_w[1] * arm[0],
@@ -421,12 +420,9 @@ class ScenarioRuntime:
 
 def _channel_layout(scenario: Scenario) -> list[tuple[str, str, str]]:
     """(channel name, kind, ref) triplets in recording order."""
-    by_name = {pl.name: pl for pl in scenario.assemblies}
     layout: list[tuple[str, str, str]] = []
     for ref in scenario.recordings:
-        name, local = _split_ref(ref)
-        pl = by_name[name]
-        if any(j.id == local for j in pl.assembly.joints):
+        if ref in scenario._joints:
             layout.append((f"{ref}.q", "joint_q", ref))
             layout.append((f"{ref}.q_dot", "joint_q_dot", ref))
         else:

@@ -136,6 +136,10 @@ def test_simulate_rejects_unstable_dt(tmp_path):
     proc = run_cli("simulate", fx.scenario_path("drawer"), "--out", tmp_path / "x.csv", "--dt", "0.02")
     assert proc.returncode == 1
     assert "stability" in proc.stderr
+    proc = run_cli("simulate", fx.scenario_path("drawer"), "--out", tmp_path / "x.csv", "--duration", "0")
+    assert proc.returncode == 1
+    assert "duration" in proc.stderr
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_simulate_multiple_scenarios_need_a_directory(tmp_path):

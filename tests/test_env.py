@@ -189,10 +189,3 @@ def test_scripted_press_and_close(env):
     assert obs[6] == 0.0  # lid slammed fully shut
     assert rewards[-1] > 10.0  # the closure term dominates at the end
     assert env.runtime.states["trashcan/lid"].s_open is False  # pedal re-latched it
-
-
-def test_env_reset_step_aliases(env):
-    obs = aj.env_reset(env)
-    obs2, r, done = aj.env_step(env, np.zeros(3))
-    assert obs.shape == obs2.shape == (11,)
-    assert not done

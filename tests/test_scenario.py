@@ -99,10 +99,12 @@ def test_unknown_force_joint_rejected(tmp_path):
         write_and_load(tmp_path, data)
 
 
-def test_unknown_assembly_in_ref_rejected(tmp_path):
+def test_unknown_assembly_in_ref_rejected(tmp_path, drawer):
     data = scenario_dict(recordings=["cupboard/slide"])
     with pytest.raises(aj.UnknownJointError, match="cupboard"):
         write_and_load(tmp_path, data)
+    with pytest.raises(aj.UnknownJointError, match="nope"):
+        simple_scenario(drawer, recordings=("nope/slide",))
 
 
 def test_unknown_marker_recording_rejected(tmp_path):
@@ -124,6 +126,14 @@ def test_dt_guards(tmp_path):
         write_and_load(tmp_path, scenario_dict(dt=0.02))
     with pytest.raises(aj.AssetSyntaxError):
         write_and_load(tmp_path, scenario_dict(duration=-1.0))
+    scenario = write_and_load(tmp_path, scenario_dict())
+    with pytest.raises(aj.AssetSyntaxError, match="stability"):
+        dataclasses.replace(scenario, dt=0.02)
+    with pytest.raises(aj.AssetSyntaxError):
+        dataclasses.replace(scenario, duration=0.0)
+    env_scenario = load("trashcan_env")
+    with pytest.raises(aj.AssetSyntaxError, match="contact_radius"):
+        dataclasses.replace(env_scenario, env=dataclasses.replace(env_scenario.env, contact_radius=-1.0))
 
 
 def test_unknown_scenario_key_rejected(tmp_path):
