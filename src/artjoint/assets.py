@@ -13,11 +13,13 @@ parent module (relative to ``base_frame`` for the root module).
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import keyword
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Union
+from typing import Any, Callable, NamedTuple, Union
 
 from . import behaviors as bh
 from .errors import (
@@ -28,7 +30,7 @@ from .errors import (
     MissingModuleError,
     NonUnitAxisError,
 )
-from .geometry import IDENTITY_POSE, Pose, Quat, Vec3, quat_norm, vec_norm
+from .geometry import IDENTITY_POSE, Pose, Vec3, quat_norm, vec_norm
 
 UNIT_TOLERANCE = 1e-9
 
@@ -349,6 +351,20 @@ def raise_on_issues(report: ValidationReport) -> None:
 # strict JSON reading helpers
 
 
+def _reject_constant(text: str):
+    raise AssetSyntaxError(f"non-finite JSON constant '{text}' is not allowed", "")
+
+
+def _decode_json(text: str, source: str) -> Any:
+    """Decode the text of an asset, scenario or fitspec file: malformed JSON
+    and the non-finite constants ``NaN``/``Infinity`` raise
+    :class:`AssetSyntaxError`."""
+    try:
+        return json.loads(text, parse_constant=_reject_constant)
+    except json.JSONDecodeError as exc:
+        raise AssetSyntaxError(str(exc), source) from None
+
+
 def _require_dict(value: Any, loc: str) -> dict:
     if not isinstance(value, dict):
         raise AssetSyntaxError(f"expected an object, got {type(value).__name__}", loc)
@@ -400,159 +416,174 @@ def _as_vec(value: Any, n: int, loc: str) -> tuple:
     return tuple(_as_float(v, f"{loc}[{i}]") for i, v in enumerate(items))
 
 
-def _parse_pose(value: Any, loc: str) -> Pose:
-    data = _require_dict(value, loc)
-    _check_keys(data, (), ("position", "orientation"), loc)
-    position: Vec3 = _as_vec(data["position"], 3, f"{loc}.position") if "position" in data else (0.0, 0.0, 0.0)
-    orientation: Quat = (
-        _as_vec(data["orientation"], 4, f"{loc}.orientation") if "orientation" in data else (1.0, 0.0, 0.0, 0.0)
-    )
-    return Pose(position=position, orientation=orientation)
+# --------------------------------------------------------------------------
+# record codec: each file record class declares its JSON shape once
+#
+# A shape lists the record's JSON keys in file order, each with a codec: a
+# reader ``(value, location) -> field value`` and a writer ``field value ->
+# JSON value``. Parsing, serialization and defaults all follow from it: a key
+# is required exactly when its dataclass field has no default, and an absent
+# optional key is not passed, so the dataclass default applies.
 
 
-def _parse_stiffness(value: Any, loc: str) -> StiffnessProfile:
-    data = _require_dict(value, loc)
-    kind = _as_str(data.get("type", ""), f"{loc}.type")
-    if kind == "constant":
-        _check_keys(data, ("type", "k"), (), loc)
-        return ConstantStiffness(k=_as_float(data["k"], f"{loc}.k"))
-    if kind == "schedule":
-        _check_keys(data, ("type", "k_high", "k_low", "k_max", "alpha", "lambda", "q_threshold"), (), loc)
-        return StiffnessSchedule(
-            k_high=_as_float(data["k_high"], f"{loc}.k_high"),
-            k_low=_as_float(data["k_low"], f"{loc}.k_low"),
-            k_max=_as_float(data["k_max"], f"{loc}.k_max"),
-            alpha=_as_float(data["alpha"], f"{loc}.alpha"),
-            lambda_=_as_float(data["lambda"], f"{loc}.lambda"),
-            q_threshold=_as_float(data["q_threshold"], f"{loc}.q_threshold"),
-        )
-    raise AssetSyntaxError(f"unknown stiffness type '{kind}'", loc)
+class _Codec(NamedTuple):
+    read: Callable[[Any, str], Any]
+    write: Callable[[Any], Any]
 
 
-def _parse_target_policy(value: Any, loc: str) -> TargetPolicy:
-    data = _require_dict(value, loc)
-    kind = _as_str(data.get("type", ""), f"{loc}.type")
-    if kind == "fixed":
-        _check_keys(data, ("type", "q_target"), (), loc)
-        return FixedTarget(q_target=_as_float(data["q_target"], f"{loc}.q_target"))
-    if kind == "latch":
-        _check_keys(data, ("type", "q_threshold"), (), loc)
-        return LatchTarget(q_threshold=_as_float(data["q_threshold"], f"{loc}.q_threshold"))
-    raise AssetSyntaxError(f"unknown target policy type '{kind}'", loc)
+def _field_name(key: str) -> str:
+    """The field a JSON key fills: the key itself, with an underscore
+    appended where it is a Python keyword (``lambda`` -> ``lambda_``)."""
+    return key + "_" if keyword.iskeyword(key) else key
 
 
-def _parse_trigger(value: Any, loc: str) -> bh.Trigger:
-    data = _require_dict(value, loc)
-    kind = _as_str(data.get("type", ""), f"{loc}.type")
-    if kind == "threshold_crossed":
-        _check_keys(data, ("type", "joint", "value", "direction"), (), loc)
-        direction = _as_str(data["direction"], f"{loc}.direction")
-        if direction not in ("rising", "falling"):
-            raise AssetSyntaxError(f"direction must be 'rising' or 'falling', got '{direction}'", f"{loc}.direction")
-        return bh.ThresholdCrossed(
-            joint=_as_str(data["joint"], f"{loc}.joint"),
-            value=_as_float(data["value"], f"{loc}.value"),
-            direction=direction,
-        )
-    if kind == "signal_received":
-        _check_keys(data, ("type", "name"), (), loc)
-        return bh.SignalReceived(name=_as_str(data["name"], f"{loc}.name"))
-    raise AssetSyntaxError(f"unknown trigger type '{kind}'", loc)
+class _Shape:
+    def __init__(self, cls: type, codecs: dict[str, _Codec]):
+        has_default = {
+            f.name: f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING
+            for f in dataclasses.fields(cls)
+        }
+        self.cls = cls
+        self.codecs = codecs
+        self.names = {key: _field_name(key) for key in codecs}
+        self.required = tuple(key for key, name in self.names.items() if not has_default[name])
+        self.optional = tuple(key for key, name in self.names.items() if has_default[name])
+
+    def args(self, data: dict, prefix: str) -> dict:
+        """Constructor arguments from the keys present in ``data`` (already
+        checked); key ``k`` is read at location ``prefix + k``."""
+        return {self.names[key]: codec.read(data[key], prefix + key) for key, codec in self.codecs.items() if key in data}
+
+    def read(self, value: Any, loc: str) -> Any:
+        data = _require_dict(value, loc)
+        _check_keys(data, self.required, self.optional, loc)
+        return self.cls(**self.args(data, f"{loc}."))
+
+    def write(self, obj: Any) -> dict:
+        return {key: codec.write(getattr(obj, self.names[key])) for key, codec in self.codecs.items()}
 
 
-def _parse_effect(value: Any, loc: str) -> bh.Effect:
-    data = _require_dict(value, loc)
-    kind = _as_str(data.get("type", ""), f"{loc}.type")
-    if kind == "set_open_state":
-        _check_keys(data, ("type", "joint", "value"), (), loc)
-        return bh.SetOpenState(joint=_as_str(data["joint"], f"{loc}.joint"), value=_as_bool(data["value"], f"{loc}.value"))
-    if kind == "set_fixed_target":
-        _check_keys(data, ("type", "joint", "q_target"), (), loc)
-        return bh.SetFixedTarget(joint=_as_str(data["joint"], f"{loc}.joint"), q_target=_as_float(data["q_target"], f"{loc}.q_target"))
-    if kind == "emit_signal":
-        _check_keys(data, ("type", "name"), (), loc)
-        return bh.EmitSignal(name=_as_str(data["name"], f"{loc}.name"))
-    if kind == "set_property":
-        _check_keys(data, ("type", "target", "key", "value"), (), loc)
-        raw = data["value"]
-        value_out: Union[float, bool]
-        if isinstance(raw, bool):
-            value_out = raw
-        else:
-            value_out = _as_float(raw, f"{loc}.value")
-        return bh.SetProperty(target=_as_str(data["target"], f"{loc}.target"), key=_as_str(data["key"], f"{loc}.key"), value=value_out)
-    raise AssetSyntaxError(f"unknown effect type '{kind}'", loc)
+_SHAPES: dict[type, _Shape] = {}
 
 
-def _parse_rule(value: Any, loc: str) -> bh.BehaviorRule:
-    data = _require_dict(value, loc)
-    _check_keys(data, ("id", "trigger", "effects"), (), loc)
-    effects = _require_list(data["effects"], f"{loc}.effects")
-    return bh.BehaviorRule(
-        id=_as_str(data["id"], f"{loc}.id"),
-        trigger=_parse_trigger(data["trigger"], f"{loc}.trigger"),
-        effects=tuple(_parse_effect(e, f"{loc}.effects[{i}]") for i, e in enumerate(effects)),
+def _declare(cls: type, codecs: dict[str, _Codec]) -> None:
+    _SHAPES[cls] = _Shape(cls, codecs)
+
+
+def _write(obj: Any) -> dict:
+    return _SHAPES[type(obj)].write(obj)
+
+
+def _plain(value: Any) -> Any:
+    return value
+
+
+def _as_flag_or_float(value: Any, loc: str) -> Union[float, bool]:
+    return value if isinstance(value, bool) else _as_float(value, loc)
+
+
+_STR = _Codec(_as_str, _plain)
+_FLOAT = _Codec(_as_float, _plain)
+_BOOL = _Codec(_as_bool, _plain)
+_VEC3 = _Codec(lambda value, loc: _as_vec(value, 3, loc), list)
+_QUAT = _Codec(lambda value, loc: _as_vec(value, 4, loc), list)
+
+
+def _record(cls: type) -> _Codec:
+    """A nested record; ``cls`` must be declared already."""
+    return _Codec(_SHAPES[cls].read, _write)
+
+
+def _list_of(item: _Codec) -> _Codec:
+    return _Codec(
+        lambda value, loc: tuple(item.read(v, f"{loc}[{i}]") for i, v in enumerate(_require_list(value, loc))),
+        lambda items: [item.write(v) for v in items],
     )
 
 
-def _parse_joint(value: Any, loc: str) -> JointSpec:
-    data = _require_dict(value, loc)
-    _check_keys(
-        data,
-        ("id", "kind", "parent_module", "child_module", "axis"),
-        (
-            "anchor",
-            "q_lower_bound",
-            "q_upper_bound",
-            "damping_D",
-            "mu_s",
-            "coulomb_floor",
-            "effective_inertia",
-            "stiffness",
-            "target_policy",
-            "target_velocity",
-        ),
-        loc,
-    )
-    kind = _as_str(data["kind"], f"{loc}.kind")
-    if kind not in JOINT_KINDS:
-        raise AssetSyntaxError(f"kind must be one of {JOINT_KINDS}, got '{kind}'", f"{loc}.kind")
+def _one_of(choices: tuple[str, ...]) -> _Codec:
+    def read(value: Any, loc: str) -> str:
+        text = _as_str(value, loc)
+        if text not in choices:
+            raise AssetSyntaxError(f"expected one of {choices}, got '{text}'", loc)
+        return text
 
-    def opt_float(key: str, default: float) -> float:
-        return _as_float(data[key], f"{loc}.{key}") if key in data else default
-
-    return JointSpec(
-        id=_as_str(data["id"], f"{loc}.id"),
-        kind=kind,
-        parent_module=_as_str(data["parent_module"], f"{loc}.parent_module"),
-        child_module=_as_str(data["child_module"], f"{loc}.child_module"),
-        axis=_as_vec(data["axis"], 3, f"{loc}.axis"),
-        anchor=_as_vec(data["anchor"], 3, f"{loc}.anchor") if "anchor" in data else (0.0, 0.0, 0.0),
-        q_lower_bound=opt_float("q_lower_bound", 0.0),
-        q_upper_bound=opt_float("q_upper_bound", 1.0),
-        damping_D=opt_float("damping_D", 0.0),
-        mu_s=opt_float("mu_s", 0.0),
-        coulomb_floor=opt_float("coulomb_floor", 0.0),
-        effective_inertia=opt_float("effective_inertia", 1.0),
-        stiffness=_parse_stiffness(data["stiffness"], f"{loc}.stiffness") if "stiffness" in data else ConstantStiffness(0.0),
-        target_policy=_parse_target_policy(data["target_policy"], f"{loc}.target_policy") if "target_policy" in data else FixedTarget(0.0),
-        target_velocity=opt_float("target_velocity", 0.0),
-    )
+    return _Codec(read, _plain)
 
 
-def _parse_module(value: Any, loc: str) -> RigidModule:
-    data = _require_dict(value, loc)
-    _check_keys(data, ("id", "mass"), ("rest_pose", "affordance_label"), loc)
-    return RigidModule(
-        id=_as_str(data["id"], f"{loc}.id"),
-        mass=_as_float(data["mass"], f"{loc}.mass"),
-        rest_pose=_parse_pose(data["rest_pose"], f"{loc}.rest_pose") if "rest_pose" in data else IDENTITY_POSE,
-        affordance_label=_as_str(data["affordance_label"], f"{loc}.affordance_label") if "affordance_label" in data else "",
-    )
+def _tagged(types: dict[str, type]) -> _Codec:
+    """A tagged union, written ``{"type": tag, ...fields}``; ``types`` maps
+    each tag to its record class."""
+    tags = {cls: tag for tag, cls in types.items()}
+
+    def read(value: Any, loc: str) -> Any:
+        data = _require_dict(value, loc)
+        tag = _as_str(data.get("type", ""), f"{loc}.type")
+        if tag not in types:
+            raise AssetSyntaxError(f"unknown type '{tag}', expected one of {list(types)}", loc)
+        return _SHAPES[types[tag]].read({k: v for k, v in data.items() if k != "type"}, loc)
+
+    return _Codec(read, lambda obj: {"type": tags[type(obj)], **_write(obj)})
 
 
-def _reject_constant(text: str):
-    raise AssetSyntaxError(f"non-finite JSON constant '{text}' is not allowed", "")
+STIFFNESS_TYPES = {"constant": ConstantStiffness, "schedule": StiffnessSchedule}
+TARGET_POLICY_TYPES = {"fixed": FixedTarget, "latch": LatchTarget}
+
+_declare(Pose, {"position": _VEC3, "orientation": _QUAT})
+_declare(Marker, {"module_id": _STR, "name": _STR, "local_point": _VEC3})
+_declare(RigidModule, {"id": _STR, "mass": _FLOAT, "rest_pose": _record(Pose), "affordance_label": _STR})
+_declare(ConstantStiffness, {"k": _FLOAT})
+_declare(
+    StiffnessSchedule,
+    {"k_high": _FLOAT, "k_low": _FLOAT, "k_max": _FLOAT, "alpha": _FLOAT, "lambda": _FLOAT, "q_threshold": _FLOAT},
+)
+_declare(FixedTarget, {"q_target": _FLOAT})
+_declare(LatchTarget, {"q_threshold": _FLOAT})
+_declare(
+    JointSpec,
+    {
+        "id": _STR,
+        "kind": _one_of(JOINT_KINDS),
+        "parent_module": _STR,
+        "child_module": _STR,
+        "axis": _VEC3,
+        "anchor": _VEC3,
+        "q_lower_bound": _FLOAT,
+        "q_upper_bound": _FLOAT,
+        "damping_D": _FLOAT,
+        "mu_s": _FLOAT,
+        "coulomb_floor": _FLOAT,
+        "effective_inertia": _FLOAT,
+        "stiffness": _tagged(STIFFNESS_TYPES),
+        "target_policy": _tagged(TARGET_POLICY_TYPES),
+        "target_velocity": _FLOAT,
+    },
+)
+_declare(bh.ThresholdCrossed, {"joint": _STR, "value": _FLOAT, "direction": _one_of(bh.DIRECTIONS)})
+_declare(bh.SignalReceived, {"name": _STR})
+_declare(bh.SetOpenState, {"joint": _STR, "value": _BOOL})
+_declare(bh.SetFixedTarget, {"joint": _STR, "q_target": _FLOAT})
+_declare(bh.EmitSignal, {"name": _STR})
+_declare(bh.SetProperty, {"target": _STR, "key": _STR, "value": _Codec(_as_flag_or_float, _plain)})
+_declare(
+    bh.BehaviorRule,
+    {"id": _STR, "trigger": _tagged(bh.TRIGGER_TYPES), "effects": _list_of(_tagged(bh.EFFECT_TYPES))},
+)
+# every key but "markers": the file keeps all markers in one top-level list,
+# which assembly_from_dict and assembly_to_dict move into and out of modules
+_declare(
+    Assembly,
+    {
+        "id": _STR,
+        "category": _STR,
+        "base_frame": _record(Pose),
+        "root_module": _STR,
+        "modules": _list_of(_record(RigidModule)),
+        "joints": _list_of(_record(JointSpec)),
+        "behaviors": _list_of(_record(bh.BehaviorRule)),
+    },
+)
+_MARKERS = _list_of(_record(Marker))
 
 
 def assembly_from_dict(data: Any, source: str = "<data>") -> Assembly:
@@ -563,49 +594,19 @@ def assembly_from_dict(data: Any, source: str = "<data>") -> Assembly:
     No other semantic validation happens here — see :func:`validate`.
     """
     root = _require_dict(data, source)
-    _check_keys(root, ("id", "root_module", "modules"), ("category", "base_frame", "joints", "behaviors", "markers"), source)
+    shape = _SHAPES[Assembly]
+    _check_keys(root, shape.required, shape.optional + ("markers",), source)
+    args = shape.args(root, "")
 
-    modules = [_parse_module(m, f"modules[{i}]") for i, m in enumerate(_require_list(root["modules"], "modules"))]
-    joints = tuple(
-        _parse_joint(j, f"joints[{i}]") for i, j in enumerate(_require_list(root.get("joints", []), "joints"))
-    )
-    behaviors = tuple(
-        _parse_rule(r, f"behaviors[{i}]") for i, r in enumerate(_require_list(root.get("behaviors", []), "behaviors"))
-    )
-
-    markers_by_module: dict[str, list[Marker]] = {m.id: [] for m in modules}
-    for i, entry in enumerate(_require_list(root.get("markers", []), "markers")):
-        loc = f"markers[{i}]"
-        mdata = _require_dict(entry, loc)
-        _check_keys(mdata, ("module_id", "name", "local_point"), (), loc)
-        marker = Marker(
-            module_id=_as_str(mdata["module_id"], f"{loc}.module_id"),
-            name=_as_str(mdata["name"], f"{loc}.name"),
-            local_point=_as_vec(mdata["local_point"], 3, f"{loc}.local_point"),
-        )
+    markers_by_module: dict[str, list[Marker]] = {m.id: [] for m in args["modules"]}
+    for i, marker in enumerate(_MARKERS.read(root.get("markers", []), "markers")):
         if marker.module_id not in markers_by_module:
-            raise MissingModuleError(f"{loc}: marker '{marker.name}' references unknown module '{marker.module_id}'")
+            raise MissingModuleError(f"markers[{i}]: marker '{marker.name}' references unknown module '{marker.module_id}'")
         markers_by_module[marker.module_id].append(marker)
-
-    modules_out = tuple(
-        RigidModule(
-            id=m.id,
-            mass=m.mass,
-            rest_pose=m.rest_pose,
-            markers=tuple(markers_by_module[m.id]),
-            affordance_label=m.affordance_label,
-        )
-        for m in modules
+    args["modules"] = tuple(
+        dataclasses.replace(m, markers=tuple(markers_by_module[m.id])) for m in args["modules"]
     )
-    return Assembly(
-        id=_as_str(root["id"], "id"),
-        root_module=_as_str(root["root_module"], "root_module"),
-        modules=modules_out,
-        joints=joints,
-        behaviors=behaviors,
-        category=_as_str(root.get("category", ""), "category"),
-        base_frame=_parse_pose(root["base_frame"], "base_frame") if "base_frame" in root else IDENTITY_POSE,
-    )
+    return Assembly(**args)
 
 
 def parse_asset_text(text: str, source: str = "<text>") -> Assembly:
@@ -616,11 +617,7 @@ def parse_asset_text(text: str, source: str = "<text>") -> Assembly:
     InvalidLimitsError, CyclicStructureError, NonUnitAxisError, or
     AssetValidationError).
     """
-    try:
-        data = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
-        raise AssetSyntaxError(str(exc), source) from exc
-    assembly = assembly_from_dict(data, source)
+    assembly = assembly_from_dict(_decode_json(text, source), source)
     raise_on_issues(validate(assembly))
     return assembly
 
@@ -635,94 +632,8 @@ def parse_asset(path: "str | Path") -> Assembly:
 # serialization
 
 
-def _pose_to_dict(pose: Pose) -> dict:
-    return {"position": list(pose.position), "orientation": list(pose.orientation)}
-
-
-def _stiffness_to_dict(st: StiffnessProfile) -> dict:
-    if isinstance(st, ConstantStiffness):
-        return {"type": "constant", "k": st.k}
-    return {
-        "type": "schedule",
-        "k_high": st.k_high,
-        "k_low": st.k_low,
-        "k_max": st.k_max,
-        "alpha": st.alpha,
-        "lambda": st.lambda_,
-        "q_threshold": st.q_threshold,
-    }
-
-
-def _target_policy_to_dict(tp: TargetPolicy) -> dict:
-    if isinstance(tp, FixedTarget):
-        return {"type": "fixed", "q_target": tp.q_target}
-    return {"type": "latch", "q_threshold": tp.q_threshold}
-
-
-def _trigger_to_dict(trigger: bh.Trigger) -> dict:
-    if isinstance(trigger, bh.ThresholdCrossed):
-        return {"type": "threshold_crossed", "joint": trigger.joint, "value": trigger.value, "direction": trigger.direction}
-    return {"type": "signal_received", "name": trigger.name}
-
-
-def _effect_to_dict(effect: bh.Effect) -> dict:
-    if isinstance(effect, bh.SetOpenState):
-        return {"type": "set_open_state", "joint": effect.joint, "value": effect.value}
-    if isinstance(effect, bh.SetFixedTarget):
-        return {"type": "set_fixed_target", "joint": effect.joint, "q_target": effect.q_target}
-    if isinstance(effect, bh.EmitSignal):
-        return {"type": "emit_signal", "name": effect.name}
-    return {"type": "set_property", "target": effect.target, "key": effect.key, "value": effect.value}
-
-
 def assembly_to_dict(assembly: Assembly) -> dict:
-    return {
-        "id": assembly.id,
-        "category": assembly.category,
-        "base_frame": _pose_to_dict(assembly.base_frame),
-        "root_module": assembly.root_module,
-        "modules": [
-            {
-                "id": m.id,
-                "mass": m.mass,
-                "rest_pose": _pose_to_dict(m.rest_pose),
-                "affordance_label": m.affordance_label,
-            }
-            for m in assembly.modules
-        ],
-        "joints": [
-            {
-                "id": j.id,
-                "kind": j.kind,
-                "parent_module": j.parent_module,
-                "child_module": j.child_module,
-                "axis": list(j.axis),
-                "anchor": list(j.anchor),
-                "q_lower_bound": j.q_lower_bound,
-                "q_upper_bound": j.q_upper_bound,
-                "damping_D": j.damping_D,
-                "mu_s": j.mu_s,
-                "coulomb_floor": j.coulomb_floor,
-                "effective_inertia": j.effective_inertia,
-                "stiffness": _stiffness_to_dict(j.stiffness),
-                "target_policy": _target_policy_to_dict(j.target_policy),
-                "target_velocity": j.target_velocity,
-            }
-            for j in assembly.joints
-        ],
-        "behaviors": [
-            {
-                "id": r.id,
-                "trigger": _trigger_to_dict(r.trigger),
-                "effects": [_effect_to_dict(e) for e in r.effects],
-            }
-            for r in assembly.behaviors
-        ],
-        "markers": [
-            {"module_id": marker.module_id, "name": marker.name, "local_point": list(marker.local_point)}
-            for marker in assembly.markers()
-        ],
-    }
+    return {**_write(assembly), "markers": _MARKERS.write(assembly.markers())}
 
 
 def serialize_asset(assembly: Assembly) -> str:

@@ -39,7 +39,7 @@ class ThresholdCrossed:
 
     joint: str
     value: float
-    direction: str  # "rising" | "falling"
+    direction: str  # one of DIRECTIONS
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,7 @@ class SignalReceived:
 
 
 Trigger = Union[ThresholdCrossed, SignalReceived]
+DIRECTIONS = ("rising", "falling")
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,16 @@ class SetProperty:
 
 Effect = Union[SetOpenState, SetFixedTarget, EmitSignal, SetProperty]
 
+# the "type" tag of each trigger and effect in asset files and event records
+TRIGGER_TYPES = {"threshold_crossed": ThresholdCrossed, "signal_received": SignalReceived}
+EFFECT_TYPES = {
+    "set_open_state": SetOpenState,
+    "set_fixed_target": SetFixedTarget,
+    "emit_signal": EmitSignal,
+    "set_property": SetProperty,
+}
+_TYPE_NAME = {cls: tag for types in (TRIGGER_TYPES, EFFECT_TYPES) for tag, cls in types.items()}
+
 
 @dataclass(frozen=True)
 class BehaviorRule:
@@ -105,7 +116,7 @@ class EventRecord:
     kind: str  # "trigger" | "effect"
     rule_id: str  # qualified "assembly/rule"
     detail: str
-    effect_type: str = ""  # e.g. "set_open_state"; empty for triggers
+    effect_type: str = ""  # a key of EFFECT_TYPES; empty for triggers
 
 
 @dataclass
@@ -224,13 +235,17 @@ def _crossed(trigger: ThresholdCrossed, prev_q: float, new_q: float) -> bool:
 
 
 def _describe(effect: Effect) -> tuple[str, str]:
+    """The effect's type name and its event-log detail."""
     if isinstance(effect, SetOpenState):
-        return "set_open_state", f"set_open_state {effect.joint} <- {effect.value}"
-    if isinstance(effect, SetFixedTarget):
-        return "set_fixed_target", f"set_fixed_target {effect.joint} <- {effect.q_target}"
-    if isinstance(effect, EmitSignal):
-        return "emit_signal", f"emit_signal {effect.name}"
-    return "set_property", f"set_property {effect.target}.{effect.key} <- {effect.value}"
+        what = f"{effect.joint} <- {effect.value}"
+    elif isinstance(effect, SetFixedTarget):
+        what = f"{effect.joint} <- {effect.q_target}"
+    elif isinstance(effect, EmitSignal):
+        what = effect.name
+    else:
+        what = f"{effect.target}.{effect.key} <- {effect.value}"
+    effect_type = _TYPE_NAME[type(effect)]
+    return effect_type, f"{effect_type} {what}"
 
 
 def evaluate(
@@ -268,7 +283,7 @@ def evaluate(
             prev = prev_states[trig.joint].q
             new = new_states[trig.joint].q
             if _crossed(trig, prev, new):
-                fire(rule, f"threshold_crossed {trig.joint} {trig.direction} {trig.value}")
+                fire(rule, f"{_TYPE_NAME[ThresholdCrossed]} {trig.joint} {trig.direction} {trig.value}")
 
     depth = 0
     while wave:
@@ -281,7 +296,7 @@ def evaluate(
         for rule in graph.rules:
             trig = rule.trigger
             if isinstance(trig, SignalReceived) and trig.name in current:
-                fire(rule, f"signal_received {trig.name}")
+                fire(rule, f"{_TYPE_NAME[SignalReceived]} {trig.name}")
     return effects, records
 
 

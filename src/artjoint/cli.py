@@ -26,16 +26,16 @@ from .assets import (
     _as_float,
     _as_str,
     _check_keys,
-    _reject_constant,
+    _decode_json,
     _require_dict,
     _require_list,
     assembly_from_dict,
     parse_asset,
     validate,
 )
-from .errors import ArtjointError, AssetSyntaxError, UnknownJointError
-from .scenario import Scenario, _parse_profile, load_scenario, run
-from .sysid import FitProblem, apply_params, fit
+from .errors import ArtjointError, UnknownJointError
+from .scenario import _FORCE_PROFILE, Scenario, load_scenario, run
+from .sysid import DEFAULT_BUDGET, FitProblem, apply_params, fit
 from .trajectory import Trajectory, average, compare, export_csv, import_csv
 
 
@@ -56,11 +56,8 @@ def _emit(args, document: dict, human_lines: "list[str]") -> None:
 
 
 def cmd_validate(args) -> int:
-    try:
-        data = json.loads(Path(args.asset).read_text(encoding="utf-8"), parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
-        raise AssetSyntaxError(str(exc), str(args.asset)) from None
-    assembly = assembly_from_dict(data, str(args.asset))
+    source = str(args.asset)
+    assembly = assembly_from_dict(_decode_json(Path(source).read_text(encoding="utf-8"), source), source)
     report = validate(assembly)
     doc = {
         "command": "validate",
@@ -164,11 +161,7 @@ def cmd_compare(args) -> int:
 
 
 def _load_fit_problem(path: Path) -> FitProblem:
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ArtjointError(f"malformed fitspec {path}: {exc}") from None
-    spec = _require_dict(data, "fitspec")
+    spec = _require_dict(_decode_json(path.read_text(encoding="utf-8"), str(path)), "fitspec")
     _check_keys(
         spec,
         ("asset", "joint", "free", "bounds", "init", "observed", "forces"),
@@ -202,7 +195,7 @@ def _load_fit_problem(path: Path) -> FitProblem:
     }
     return FitProblem(
         observed=import_csv(path.parent / _as_str(spec["observed"], "fitspec.observed")),
-        forces=_parse_profile(spec["forces"], "fitspec.forces"),
+        forces=_FORCE_PROFILE.read(spec["forces"], "fitspec.forces"),
         spec_template=template,
         free=[_as_str(name, "fitspec.free[]") for name in _require_list(spec["free"], "fitspec.free")],
         bounds=bounds,
@@ -225,10 +218,16 @@ def cmd_fit(args) -> int:
     out = Path(args.out)
     out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     doc = {"command": "fit", "fitspec": str(args.fitspec), "out": str(out), **payload}
+    if result.converged:
+        status = "converged"
+    elif result.n_evals >= DEFAULT_BUDGET:
+        status = "budget exhausted"
+    else:
+        status = "sweep limit reached"
     lines = [f"{name} = {value:.6g}" for name, value in sorted(result.params.items())]
     lines.append(
         f"residual sse {result.residual_sse:.6g} after {result.n_evals} evaluations "
-        f"({result.iterations} sweeps, {'converged' if result.converged else 'budget exhausted'})"
+        f"({result.iterations} sweeps, {status})"
     )
     lines.append(f"wrote {out}")
     _emit(args, doc, lines)

@@ -14,7 +14,6 @@ scenario always yields the same bytes when exported.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,7 +24,8 @@ import numpy as np
 from . import assets as assets_mod
 from . import behaviors as bh
 from . import dynamics
-from .assets import Assembly, JointSpec, Marker, _as_bool, _as_float, _as_str, _as_vec, _check_keys, _parse_pose, _require_dict, _require_list
+from .assets import Assembly, JointSpec, Marker, _as_float, _as_str, _as_vec, _check_keys, _decode_json, _require_dict, _require_list
+from .assets import _BOOL, _FLOAT, _SHAPES, _STR, _VEC3, _Codec, _declare, _list_of, _record, _tagged, _write
 from .errors import AssetSyntaxError, UnknownJointError
 from .geometry import Pose, Vec3
 from .kinematics import find_marker, forward_kinematics
@@ -117,8 +117,9 @@ class Scenario:
 
     Construction, ``dataclasses.replace`` included, checks every invariant:
     unique slash-free assembly names, ``duration > 0``, the
-    :func:`dynamics.check_dt` rule, env limits > 0, and that every ref
-    resolves. :meth:`joint` and :meth:`marker` are the only ref lookups.
+    :func:`dynamics.check_dt` rule, env limits > 0, initial positions within
+    their joint's limits, and that every ref resolves. :meth:`joint` and
+    :meth:`marker` are the only ref lookups.
     """
 
     assemblies: tuple[Placement, ...]
@@ -152,8 +153,10 @@ class Scenario:
         dynamics.check_dt(self.dt)
         for schedule in self.forces:
             self.joint(schedule.joint)
-        for ref in self.initial:
-            self.joint(ref)
+        for ref, init in self.initial.items():
+            lo, hi = self.joint(ref).bounds
+            if not (lo <= init.q <= hi):
+                raise AssetSyntaxError(f"initial q={init.q} outside limits [{lo}, {hi}]", f"initial['{ref}']")
         for ref in self.recordings:
             if ref not in self._joints:
                 self.marker(ref)
@@ -192,32 +195,77 @@ class Scenario:
 # --------------------------------------------------------------------------
 # loading
 
+FORCE_PROFILE_TYPES = {"constant": ConstantForce, "piecewise": PiecewiseForce}
+REWARD_WEIGHT_NAMES = ("lambda1", "lambda2", "lambda3", "lambda4")
 
-def _parse_profile(data, loc: str) -> ForceProfile:
-    pdata = _require_dict(data, loc)
-    kind = _as_str(pdata.get("type", ""), f"{loc}.type")
-    if kind == "constant":
-        _check_keys(pdata, ("type", "value"), ("t_start", "t_end"), loc)
-        return ConstantForce(
-            value=_as_float(pdata["value"], f"{loc}.value"),
-            t_start=_as_float(pdata["t_start"], f"{loc}.t_start") if "t_start" in pdata else 0.0,
-            t_end=_as_float(pdata["t_end"], f"{loc}.t_end") if "t_end" in pdata else math.inf,
-        )
-    if kind == "piecewise":
-        _check_keys(pdata, ("type", "steps"), (), loc)
-        parsed: list[tuple[float, float]] = []
-        for i, s in enumerate(_require_list(pdata["steps"], f"{loc}.steps")):
-            pair = _require_list(s, f"{loc}.steps[{i}]")
-            if len(pair) != 2:
-                raise AssetSyntaxError("each step must be a [time, value] pair", f"{loc}.steps[{i}]")
-            parsed.append(
-                (_as_float(pair[0], f"{loc}.steps[{i}][0]"), _as_float(pair[1], f"{loc}.steps[{i}][1]"))
-            )
-        try:
-            return PiecewiseForce(steps=tuple(parsed))
-        except ValueError as exc:
-            raise AssetSyntaxError(str(exc), f"{loc}.steps") from None
-    raise AssetSyntaxError(f"unknown force profile type '{kind}'", loc)
+
+def _read_steps(value, loc: str) -> tuple[tuple[float, float], ...]:
+    steps = tuple(_as_vec(step, 2, f"{loc}[{i}]") for i, step in enumerate(_require_list(value, loc)))
+    try:
+        PiecewiseForce(steps)  # its own check of the step times, reported here
+    except ValueError as exc:
+        raise AssetSyntaxError(str(exc), loc) from None
+    return steps
+
+
+def _read_initial(value, loc: str) -> dict[str, JointInit]:
+    return {ref: _SHAPES[JointInit].read(entry, f"{loc}['{ref}']") for ref, entry in _require_dict(value, loc).items()}
+
+
+def _read_weights(value, loc: str) -> dict[str, float]:
+    weights = {}
+    for key, weight in _require_dict(value, loc).items():
+        if key not in REWARD_WEIGHT_NAMES:
+            raise AssetSyntaxError(f"unknown reward weight '{key}'", loc)
+        weights[key] = _as_float(weight, f"{loc}.{key}")
+    return weights
+
+
+_FORCE_PROFILE = _tagged(FORCE_PROFILE_TYPES)
+_declare(ConstantForce, {"value": _FLOAT, "t_start": _FLOAT, "t_end": _FLOAT})
+_declare(PiecewiseForce, {"steps": _Codec(_read_steps, lambda steps: [list(step) for step in steps])})
+_declare(ForceSchedule, {"joint": _STR, "profile": _FORCE_PROFILE})
+_declare(JointInit, {"q": _FLOAT, "q_dot": _FLOAT, "s_open": _BOOL})
+_declare(
+    EnvConfig,
+    {
+        "goal_joint": _STR,
+        "handle_marker": _STR,
+        "effector_start": _VEC3,
+        "action_max": _FLOAT,
+        "contact_radius": _FLOAT,
+        "reward_weights": _Codec(_read_weights, dict),
+    },
+)
+# every key but "assemblies", which load_scenario reads itself because asset
+# paths resolve against the scenario file's directory
+_declare(
+    Scenario,
+    {
+        "duration": _FLOAT,
+        "dt": _FLOAT,
+        "forces": _list_of(_record(ForceSchedule)),
+        "recordings": _list_of(_STR),
+        "initial": _Codec(_read_initial, lambda initial: {ref: _write(i) for ref, i in initial.items()}),
+        "env": _record(EnvConfig),
+    },
+)
+
+
+def _read_placement(value, loc: str, base: Path) -> Placement:
+    data = _require_dict(value, loc)
+    _check_keys(data, ("asset",), ("name", "world_pose"), loc)
+    asset_path = Path(_as_str(data["asset"], f"{loc}.asset"))
+    if not asset_path.is_absolute():
+        asset_path = base / asset_path
+    assembly = assets_mod.parse_asset(asset_path)
+    pose = {"world_pose": _SHAPES[Pose].read(data["world_pose"], f"{loc}.world_pose")} if "world_pose" in data else {}
+    return Placement(
+        name=_as_str(data["name"], f"{loc}.name") if "name" in data else assembly.id,
+        assembly=assembly,
+        asset_path=str(asset_path),
+        **pose,
+    )
 
 
 def load_scenario(path: "str | Path") -> Scenario:
@@ -228,92 +276,14 @@ def load_scenario(path: "str | Path") -> Scenario:
     assets, and UnknownJoint/UnknownMarker for dangling references.
     """
     p = Path(path)
-    try:
-        data = json.loads(p.read_text(encoding="utf-8"), parse_constant=assets_mod._reject_constant)
-    except json.JSONDecodeError as exc:
-        raise AssetSyntaxError(str(exc), str(p)) from exc
-    root = _require_dict(data, str(p))
-    _check_keys(
-        root,
-        ("assemblies", "duration"),
-        ("dt", "forces", "recordings", "initial", "env"),
-        str(p),
+    root = _require_dict(_decode_json(p.read_text(encoding="utf-8"), str(p)), str(p))
+    shape = _SHAPES[Scenario]
+    _check_keys(root, ("assemblies",) + shape.required, shape.optional, str(p))
+    placements = tuple(
+        _read_placement(entry, f"assemblies[{i}]", p.parent)
+        for i, entry in enumerate(_require_list(root["assemblies"], "assemblies"))
     )
-
-    placements: list[Placement] = []
-    for i, entry in enumerate(_require_list(root["assemblies"], "assemblies")):
-        loc = f"assemblies[{i}]"
-        pdata = _require_dict(entry, loc)
-        _check_keys(pdata, ("asset",), ("name", "world_pose"), loc)
-        asset_rel = _as_str(pdata["asset"], f"{loc}.asset")
-        asset_path = Path(asset_rel)
-        if not asset_path.is_absolute():
-            asset_path = p.parent / asset_path
-        assembly = assets_mod.parse_asset(asset_path)
-        name = _as_str(pdata["name"], f"{loc}.name") if "name" in pdata else assembly.id
-        world_pose = _parse_pose(pdata["world_pose"], f"{loc}.world_pose") if "world_pose" in pdata else Pose()
-        placements.append(Placement(name=name, assembly=assembly, world_pose=world_pose, asset_path=str(asset_path)))
-
-    forces: list[ForceSchedule] = []
-    for i, entry in enumerate(_require_list(root.get("forces", []), "forces")):
-        loc = f"forces[{i}]"
-        fdata = _require_dict(entry, loc)
-        _check_keys(fdata, ("joint", "profile"), (), loc)
-        forces.append(
-            ForceSchedule(
-                joint=_as_str(fdata["joint"], f"{loc}.joint"),
-                profile=_parse_profile(fdata["profile"], f"{loc}.profile"),
-            )
-        )
-
-    recordings = tuple(
-        _as_str(r, f"recordings[{i}]") for i, r in enumerate(_require_list(root.get("recordings", []), "recordings"))
-    )
-
-    initial: dict[str, JointInit] = {}
-    for ref, entry in _require_dict(root.get("initial", {}), "initial").items():
-        loc = f"initial['{ref}']"
-        idata = _require_dict(entry, loc)
-        _check_keys(idata, ("q",), ("q_dot", "s_open"), loc)
-        initial[ref] = JointInit(
-            q=_as_float(idata["q"], f"{loc}.q"),
-            q_dot=_as_float(idata["q_dot"], f"{loc}.q_dot") if "q_dot" in idata else 0.0,
-            s_open=_as_bool(idata["s_open"], f"{loc}.s_open") if "s_open" in idata else False,
-        )
-
-    env = None
-    if "env" in root:
-        loc = "env"
-        edata = _require_dict(root["env"], loc)
-        _check_keys(
-            edata,
-            ("goal_joint", "handle_marker", "effector_start"),
-            ("action_max", "contact_radius", "reward_weights"),
-            loc,
-        )
-        weights = {}
-        for key, value in _require_dict(edata.get("reward_weights", {}), f"{loc}.reward_weights").items():
-            if key not in ("lambda1", "lambda2", "lambda3", "lambda4"):
-                raise AssetSyntaxError(f"unknown reward weight '{key}'", f"{loc}.reward_weights")
-            weights[key] = _as_float(value, f"{loc}.reward_weights.{key}")
-        env = EnvConfig(
-            goal_joint=_as_str(edata["goal_joint"], f"{loc}.goal_joint"),
-            handle_marker=_as_str(edata["handle_marker"], f"{loc}.handle_marker"),
-            effector_start=_as_vec(edata["effector_start"], 3, f"{loc}.effector_start"),
-            action_max=_as_float(edata["action_max"], f"{loc}.action_max") if "action_max" in edata else 10.0,
-            contact_radius=_as_float(edata["contact_radius"], f"{loc}.contact_radius") if "contact_radius" in edata else 0.05,
-            reward_weights=weights,
-        )
-
-    return Scenario(
-        assemblies=tuple(placements),
-        duration=_as_float(root["duration"], "duration"),
-        dt=_as_float(root.get("dt", 0.001), "dt"),
-        forces=tuple(forces),
-        recordings=recordings,
-        initial=initial,
-        env=env,
-    )
+    return Scenario(assemblies=placements, **shape.args(root, ""))
 
 
 # --------------------------------------------------------------------------

@@ -6,9 +6,9 @@ template and a set of free parameter paths (e.g. ``"damping_D"``,
 observed sample times and sums squared position error. :func:`fit` minimizes
 it by coordinate-wise golden-section line searches over the parameter boxes,
 restarting the sweep over the full box until a sweep improves the SSE by less
-than 1e-8 relative; the evaluation budget (default 5000) returns best-so-far
-with ``converged = False`` when exhausted. Everything is deterministic: ties
-inside a line search keep the smaller parameter value.
+than 1e-8 relative; the evaluation budget (default 5000) and the sweep limit
+(60) return best-so-far with ``converged = False`` when reached. Everything is
+deterministic: ties inside a line search keep the smaller parameter value.
 
 Simulation convention: the forward run starts at rest at the first observed
 sample (``q0 = observed[0]``, ``q_dot0 = 0``), with the open flag from the
@@ -32,6 +32,7 @@ from .trajectory import Trajectory
 MIN_OBSERVED_SAMPLES = 10
 DEFAULT_BUDGET = 5000
 SWEEP_RELATIVE_TOLERANCE = 1e-8
+MAX_SWEEPS = 60
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # interval shrink ratio per iteration
 
 
@@ -200,20 +201,16 @@ def _golden_line(track: _Tracker, params: dict[str, float], name: str, lo: float
     params[name] = best_x
 
 
-def fit(
-    problem: FitProblem,
-    budget: int = DEFAULT_BUDGET,
-    rel_tol: float = SWEEP_RELATIVE_TOLERANCE,
-    max_sweeps: int = 60,
-) -> FitResult:
+def fit(problem: FitProblem, budget: int = DEFAULT_BUDGET) -> FitResult:
     """Coordinate-wise golden-section refinement with full-box restarts.
 
     Each sweep line-searches every free parameter over its whole box (the
     restart), in the declared order. Converged when a full sweep improves the
-    best SSE by less than ``rel_tol`` relative to the problem's scale (the
-    larger of the SSE at ``init`` and the current SSE, so near-exact fits
-    terminate instead of chasing rounding noise). Hitting ``budget`` objective
-    evaluations returns the best-so-far with ``converged = False``.
+    best SSE by less than ``SWEEP_RELATIVE_TOLERANCE`` relative to the
+    problem's scale (the larger of the SSE at ``init`` and the current SSE, so
+    near-exact fits terminate instead of chasing rounding noise). Hitting
+    ``budget`` objective evaluations or ``MAX_SWEEPS`` sweeps returns the
+    best-so-far with ``converged = False``.
     """
     track = _Tracker(fn=lambda p: objective(problem, p), budget=budget)
     params = {name: float(problem.init[name]) for name in problem.free}
@@ -222,13 +219,13 @@ def fit(
     try:
         before = track(params)
         scale = before
-        while sweeps < max_sweeps:
+        while sweeps < MAX_SWEEPS:
             sweeps += 1
             for name in problem.free:
                 lo, hi = problem.bounds[name]
                 _golden_line(track, params, name, lo, hi)
             after = track.best_sse
-            if before - after <= rel_tol * max(scale, after):
+            if before - after <= SWEEP_RELATIVE_TOLERANCE * max(scale, after):
                 converged = True
                 break
             before = after

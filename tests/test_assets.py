@@ -52,11 +52,35 @@ def drawer_dict():
     return aj.assembly_to_dict(load_assembly("drawer"))
 
 
+def microwave_dict():
+    return aj.assembly_to_dict(load_assembly("microwave"))
+
+
+# nested records: (location, path to the record in the microwave dict)
+NESTED_RECORDS = (
+    ("joints[1].stiffness", ("joints", 1, "stiffness")),
+    ("behaviors[0].effects[1]", ("behaviors", 0, "effects", 1)),
+    ("modules[1].rest_pose", ("modules", 1, "rest_pose")),
+)
+
+
+def nested(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
 def test_unknown_key_rejected():
     data = drawer_dict()
     data["surprise"] = 1
     with pytest.raises(aj.AssetSyntaxError, match="surprise"):
         aj.assembly_from_dict(data)
+    for location, path in NESTED_RECORDS:
+        data = microwave_dict()
+        nested(data, path)["surprise"] = 1
+        with pytest.raises(aj.AssetSyntaxError, match="surprise") as exc:
+            aj.assembly_from_dict(data)
+        assert exc.value.location == location
 
 
 def test_unknown_joint_key_rejected():
@@ -71,6 +95,13 @@ def test_missing_required_key_rejected():
     del data["joints"][0]["axis"]
     with pytest.raises(aj.AssetSyntaxError, match="axis"):
         aj.assembly_from_dict(data)
+    # every key of a pose is optional
+    for (location, path), key in ((NESTED_RECORDS[0], "k"), (NESTED_RECORDS[1], "q_target")):
+        data = microwave_dict()
+        del nested(data, path)[key]
+        with pytest.raises(aj.AssetSyntaxError, match=key) as exc:
+            aj.assembly_from_dict(data)
+        assert exc.value.location == location
 
 
 def test_wrong_type_rejected():
@@ -78,6 +109,16 @@ def test_wrong_type_rejected():
     data["modules"][0]["mass"] = "heavy"
     with pytest.raises(aj.AssetSyntaxError):
         aj.assembly_from_dict(data)
+    data = microwave_dict()
+    data["joints"][0]["kind"] = "spherical"
+    with pytest.raises(aj.AssetSyntaxError, match="spherical") as exc:
+        aj.assembly_from_dict(data)
+    assert exc.value.location.endswith(".kind")
+    data = microwave_dict()
+    data["behaviors"][0]["trigger"]["direction"] = "sideways"
+    with pytest.raises(aj.AssetSyntaxError, match="sideways") as exc:
+        aj.assembly_from_dict(data)
+    assert exc.value.location.endswith(".direction")
 
 
 def test_bool_is_not_a_number():

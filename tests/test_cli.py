@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import artjoint as aj
+from artjoint import cli, sysid
 from artjoint import fixtures as fx
 
 PKG_ROOT = Path(__file__).resolve().parents[1]
@@ -223,6 +224,24 @@ def test_fit_rejects_malformed_fitspec(tmp_path):
     proc = run_cli("fit", spec, "--out", tmp_path / "params.json")
     assert proc.returncode == 1
     assert "fitspec" in proc.stderr
+    for text, hint in (("{not json", "Expecting"), ('{"asset": NaN}', "non-finite JSON constant 'NaN'")):
+        spec.write_text(text)
+        proc = run_cli("fit", spec, "--out", tmp_path / "params.json")
+        assert proc.returncode == 1
+        assert hint in proc.stderr
+
+
+def test_fit_reports_the_sweep_limit(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sysid, "MAX_SWEEPS", 1)
+    out = tmp_path / "params.json"
+    assert cli.main(["fit", str(fx.fitspec_path("drawer_sprung")), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["converged"] is False
+    assert payload["iterations"] == 1
+    assert payload["n_evals"] < sysid.DEFAULT_BUDGET
+    stdout = capsys.readouterr().out
+    assert "sweep limit reached" in stdout
+    assert "budget exhausted" not in stdout
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import artjoint as aj
+from artjoint import cli
 from artjoint import fixtures as fx
 
 
@@ -91,6 +92,10 @@ def test_asset_paths_resolve_relative_to_scenario_file(tmp_path, drawer):
     data = scenario_dict(assemblies=[{"asset": "nested/asset.artjoint.json"}])
     scenario = write_and_load(tmp_path, data)
     assert scenario.assemblies[0].assembly == drawer
+    # every optional key left out takes the default of the code-built Scenario
+    scenario = write_and_load(tmp_path, {"assemblies": [{"asset": "nested/asset.artjoint.json"}], "duration": 1.0})
+    placement = aj.Placement(name=drawer.id, assembly=drawer, asset_path=str(asset))
+    assert scenario == aj.Scenario(assemblies=(placement,), duration=1.0)
 
 
 def test_unknown_force_joint_rejected(tmp_path):
@@ -134,11 +139,45 @@ def test_dt_guards(tmp_path):
     env_scenario = load("trashcan_env")
     with pytest.raises(aj.AssetSyntaxError, match="contact_radius"):
         dataclasses.replace(env_scenario, env=dataclasses.replace(env_scenario.env, contact_radius=-1.0))
+    with pytest.raises(aj.AssetSyntaxError, match="outside limits") as exc:
+        write_and_load(tmp_path, scenario_dict(initial={"drawer/slide": {"q": 5.0}}))
+    assert exc.value.location == "initial['drawer/slide']"
+    assert cli.main(["simulate", str(tmp_path / "case.scenario.json"), "--out", str(tmp_path / "x.csv")]) == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
+def env_block():
+    return {"goal_joint": "drawer/slide", "handle_marker": "drawer/handle", "effector_start": [0.0, 0.0, 0.0]}
 
 
 def test_unknown_scenario_key_rejected(tmp_path):
     with pytest.raises(aj.AssetSyntaxError, match="gravity"):
         write_and_load(tmp_path, scenario_dict(gravity=9.81))
+    profile = {"type": "constant", "value": 1.0, "gravity": 9.81}
+    with pytest.raises(aj.AssetSyntaxError, match="gravity") as exc:
+        write_and_load(tmp_path, scenario_dict(forces=[{"joint": "drawer/slide", "profile": profile}]))
+    assert exc.value.location == "forces[0].profile"
+    with pytest.raises(aj.AssetSyntaxError, match="gravity") as exc:
+        write_and_load(tmp_path, scenario_dict(env={**env_block(), "gravity": 9.81}))
+    assert exc.value.location == "env"
+
+
+def test_missing_required_scenario_key_rejected(tmp_path):
+    data = scenario_dict()
+    del data["duration"]
+    with pytest.raises(aj.AssetSyntaxError, match="duration"):
+        write_and_load(tmp_path, data)
+    profile = {"type": "piecewise"}
+    with pytest.raises(aj.AssetSyntaxError, match="steps") as exc:
+        write_and_load(tmp_path, scenario_dict(forces=[{"joint": "drawer/slide", "profile": profile}]))
+    assert exc.value.location == "forces[0].profile"
+    env = env_block()
+    del env["effector_start"]
+    with pytest.raises(aj.AssetSyntaxError, match="effector_start") as exc:
+        write_and_load(tmp_path, scenario_dict(env=env))
+    assert exc.value.location == "env"
+    env = write_and_load(tmp_path, scenario_dict(env=env_block())).env
+    assert env == aj.EnvConfig("drawer/slide", "drawer/handle", (0.0, 0.0, 0.0))
 
 
 def test_duplicate_assembly_names_rejected(tmp_path):
