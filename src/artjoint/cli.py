@@ -33,7 +33,7 @@ from .assets import (
     parse_asset,
     validate,
 )
-from .errors import ArtjointError, UnknownJointError
+from .errors import ArtjointError, AssetSyntaxError, UnknownJointError
 from .scenario import _FORCE_PROFILE, Scenario, load_scenario, run
 from .sysid import DEFAULT_BUDGET, FitProblem, apply_params, fit
 from .trajectory import Trajectory, average, compare, export_csv, import_csv
@@ -177,9 +177,6 @@ def _load_fit_problem(path: Path) -> FitProblem:
         key: _as_float(value, f"fitspec.overrides.{key}")
         for key, value in _require_dict(spec.get("overrides", {}), "fitspec.overrides").items()
     }
-    if overrides:
-        template = apply_params(template, overrides)
-
     bounds = {}
     for key, pair in _require_dict(spec["bounds"], "fitspec.bounds").items():
         lo_hi = _require_list(pair, f"fitspec.bounds.{key}")
@@ -193,16 +190,23 @@ def _load_fit_problem(path: Path) -> FitProblem:
         key: _as_float(value, f"fitspec.init.{key}")
         for key, value in _require_dict(spec["init"], "fitspec.init").items()
     }
-    return FitProblem(
-        observed=import_csv(path.parent / _as_str(spec["observed"], "fitspec.observed")),
-        forces=_FORCE_PROFILE.read(spec["forces"], "fitspec.forces"),
-        spec_template=template,
-        free=[_as_str(name, "fitspec.free[]") for name in _require_list(spec["free"], "fitspec.free")],
-        bounds=bounds,
-        init=init,
-        channel=_as_str(spec.get("channel", ""), "fitspec.channel"),
-        s_open0=_as_bool(spec.get("s_open0", False), "fitspec.s_open0"),
-    )
+    # FitProblem and apply_params raise ValueError for a bad box, start or
+    # parameter path; in a file that is a syntax error at the fitspec.
+    try:
+        if overrides:
+            template = apply_params(template, overrides)
+        return FitProblem(
+            observed=import_csv(path.parent / _as_str(spec["observed"], "fitspec.observed")),
+            forces=_FORCE_PROFILE.read(spec["forces"], "fitspec.forces"),
+            spec_template=template,
+            free=[_as_str(name, "fitspec.free[]") for name in _require_list(spec["free"], "fitspec.free")],
+            bounds=bounds,
+            init=init,
+            channel=_as_str(spec.get("channel", ""), "fitspec.channel"),
+            s_open0=_as_bool(spec.get("s_open0", False), "fitspec.s_open0"),
+        )
+    except ValueError as exc:
+        raise AssetSyntaxError(str(exc), "fitspec") from None
 
 
 def cmd_fit(args) -> int:

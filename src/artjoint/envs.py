@@ -28,17 +28,9 @@ import numpy as np
 
 from .errors import ActionOutOfBoundsError
 from .geometry import Vec3
-from .scenario import Scenario, ScenarioRuntime
+from .scenario import RewardParams, Scenario, ScenarioRuntime
 
 _NEAR_ZERO = 1e-9
-
-
-@dataclass(frozen=True)
-class RewardParams:
-    lambda1: float = 0.5
-    lambda2: float = 0.125
-    lambda3: float = 10.0
-    lambda4: float = -0.01
 
 
 @dataclass(frozen=True)
@@ -112,9 +104,7 @@ class ManipulationEnv:
         self.params = RewardParams(**dict(self.config.reward_weights))
         self._goal = self.config.goal_joint
         self._goal_spec = scenario.joint(self._goal)
-        self._markers: list[str] = []
-        for pl in scenario.assemblies:
-            self._markers.extend(f"{pl.name}/{m.name}" for m in pl.assembly.markers())
+        self._markers = [f"{pl.name}/{m.name}" for pl in scenario.assemblies for m in pl.assembly.markers()]
         self.runtime: ScenarioRuntime | None = None
         self.effector_pos = np.zeros(3)
         self.effector_vel = np.zeros(3)

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Mapping, Union
+from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from . import dynamics
 from .assets import Assembly, JointSpec, Marker, _as_float, _as_str, _as_vec, _check_keys, _decode_json, _require_dict, _require_list
 from .assets import _BOOL, _FLOAT, _SHAPES, _STR, _VEC3, _Codec, _declare, _list_of, _record, _tagged, _write
 from .errors import AssetSyntaxError, UnknownJointError
-from .geometry import Pose, Vec3
+from .geometry import Pose, Vec3, vec_cross, vec_sub
 from .kinematics import find_marker, forward_kinematics
 from .trajectory import Trajectory
 
@@ -97,10 +97,21 @@ class JointInit:
 
 
 @dataclass(frozen=True)
+class RewardParams:
+    """The closure-task reward weights (see :mod:`artjoint.envs`); their
+    field names are the keys an env block's ``reward_weights`` may hold."""
+
+    lambda1: float = 0.5
+    lambda2: float = 0.125
+    lambda3: float = 10.0
+    lambda4: float = -0.01
+
+
+@dataclass(frozen=True)
 class EnvConfig:
     """Environment block: goal joint, its handle marker, and the point-agent
     effector parameters. ``reward_weights`` optionally overrides the default
-    reward weights by name (lambda1..lambda4)."""
+    :class:`RewardParams` by field name."""
 
     goal_joint: str
     handle_marker: str
@@ -117,9 +128,10 @@ class Scenario:
 
     Construction, ``dataclasses.replace`` included, checks every invariant:
     unique slash-free assembly names, ``duration > 0``, the
-    :func:`dynamics.check_dt` rule, env limits > 0, initial positions within
-    their joint's limits, and that every ref resolves. :meth:`joint` and
-    :meth:`marker` are the only ref lookups.
+    :func:`dynamics.check_dt` rule, env limits > 0, reward weight names,
+    initial positions within their joint's limits, unique recordings, and
+    that every ref resolves. :meth:`joint` and :meth:`marker` are the only
+    ref lookups.
     """
 
     assemblies: tuple[Placement, ...]
@@ -157,12 +169,18 @@ class Scenario:
             lo, hi = self.joint(ref).bounds
             if not (lo <= init.q <= hi):
                 raise AssetSyntaxError(f"initial q={init.q} outside limits [{lo}, {hi}]", f"initial['{ref}']")
-        for ref in self.recordings:
+        for i, ref in enumerate(self.recordings):
+            if ref in self.recordings[:i]:
+                raise AssetSyntaxError(f"duplicate recording '{ref}'", f"recordings[{i}]")
             if ref not in self._joints:
                 self.marker(ref)
         if self.env is not None:
             if self.env.action_max <= 0 or self.env.contact_radius <= 0:
                 raise AssetSyntaxError("action_max and contact_radius must be > 0", "env")
+            weights = {f.name for f in fields(RewardParams)}
+            for key in self.env.reward_weights:
+                if key not in weights:
+                    raise AssetSyntaxError(f"unknown reward weight '{key}'", "env.reward_weights")
             self.joint(self.env.goal_joint)
             self.marker(self.env.handle_marker)
 
@@ -196,7 +214,6 @@ class Scenario:
 # loading
 
 FORCE_PROFILE_TYPES = {"constant": ConstantForce, "piecewise": PiecewiseForce}
-REWARD_WEIGHT_NAMES = ("lambda1", "lambda2", "lambda3", "lambda4")
 
 
 def _read_steps(value, loc: str) -> tuple[tuple[float, float], ...]:
@@ -213,12 +230,7 @@ def _read_initial(value, loc: str) -> dict[str, JointInit]:
 
 
 def _read_weights(value, loc: str) -> dict[str, float]:
-    weights = {}
-    for key, weight in _require_dict(value, loc).items():
-        if key not in REWARD_WEIGHT_NAMES:
-            raise AssetSyntaxError(f"unknown reward weight '{key}'", loc)
-        weights[key] = _as_float(weight, f"{loc}.{key}")
-    return weights
+    return {key: _as_float(weight, f"{loc}.{key}") for key, weight in _require_dict(value, loc).items()}
 
 
 _FORCE_PROFILE = _tagged(FORCE_PROFILE_TYPES)
@@ -295,7 +307,9 @@ class ScenarioRuntime:
 
     Owns the joint states, behavior graph, property bag, and tick counter;
     :meth:`tick` advances one dt (schedules plus any extra per-joint efforts)
-    and returns the behavior event records for that tick.
+    and returns the behavior event records for that tick. Marker geometry
+    comes from :meth:`assembly_poses`, which runs forward kinematics at most
+    once per placement per tick.
     """
 
     def __init__(self, scenario: Scenario):
@@ -303,17 +317,14 @@ class ScenarioRuntime:
         self.joints = scenario._joints
         self.states: dict[str, dynamics.JointState] = {}
         for ref, joint in self.joints.items():
-            init = scenario.initial.get(ref)
-            if init is None:
-                q0 = min(max(0.0, joint.q_lower_bound), joint.q_upper_bound)
-                self.states[ref] = dynamics.initial_state(joint, q=q0)
-            else:
-                self.states[ref] = dynamics.initial_state(joint, q=init.q, q_dot=init.q_dot, s_open=init.s_open)
+            init = scenario.initial.get(ref) or JointInit(q=min(max(0.0, joint.q_lower_bound), joint.q_upper_bound))
+            self.states[ref] = dynamics.initial_state(joint, q=init.q, q_dot=init.q_dot, s_open=init.s_open)
         self.graph = bh.bind({pl.name: pl.assembly for pl in scenario.assemblies})
         self.properties: dict[str, Union[float, bool]] = {}
         self._profiles: dict[str, list[ForceProfile]] = {}
         for schedule in scenario.forces:
             self._profiles.setdefault(schedule.joint, []).append(schedule.profile)
+        self._poses: dict[str, tuple[int, dict[str, Pose]]] = {}  # placement -> (k, module poses)
         self.k = 0  # completed ticks
 
     @property
@@ -343,11 +354,20 @@ class ScenarioRuntime:
         self.k += 1
         return records
 
-    # -- geometry helpers ---------------------------------------------------
+    # -- geometry -------------------------------------------------------------
 
     def assembly_poses(self, pl: Placement) -> dict[str, Pose]:
-        q = {j.id: self.states[f"{pl.name}/{j.id}"].q for j in pl.assembly.joints}
-        return forward_kinematics(pl.assembly, q)
+        """Module poses of ``pl`` in its assembly frame at the current tick.
+
+        The only forward-kinematics call of a run: memoized per placement and
+        keyed on the tick counter, since :meth:`tick` is the only writer of
+        ``states``. Callers must not mutate the returned dict.
+        """
+        hit = self._poses.get(pl.name)
+        if hit is None or hit[0] != self.k:
+            q = {j.id: self.states[f"{pl.name}/{j.id}"].q for j in pl.assembly.joints}
+            hit = self._poses[pl.name] = (self.k, forward_kinematics(pl.assembly, q))
+        return hit[1]
 
     def marker_position(self, ref: str) -> Vec3:
         """World position (including the placement pose) of ``assembly/marker``."""
@@ -361,7 +381,7 @@ class ScenarioRuntime:
         revolute."""
         pl, marker = self.scenario.marker(ref)
         poses = self.assembly_poses(pl)
-        point = pl.world_pose.transform_point(poses[marker.module_id].transform_point(marker.local_point))
+        point = self.marker_position(ref)
 
         parent_joint = {j.child_module: j for j in pl.assembly.joints}
         columns: dict[str, Vec3] = {}
@@ -373,13 +393,8 @@ class ScenarioRuntime:
             if joint.kind == assets_mod.PRISMATIC:
                 columns[f"{pl.name}/{joint.id}"] = axis_w
             else:
-                anchor_w = parent_pose.transform_point(joint.anchor)
-                arm = (point[0] - anchor_w[0], point[1] - anchor_w[1], point[2] - anchor_w[2])
-                columns[f"{pl.name}/{joint.id}"] = (
-                    axis_w[1] * arm[2] - axis_w[2] * arm[1],
-                    axis_w[2] * arm[0] - axis_w[0] * arm[2],
-                    axis_w[0] * arm[1] - axis_w[1] * arm[0],
-                )
+                arm = vec_sub(point, parent_pose.transform_point(joint.anchor))
+                columns[f"{pl.name}/{joint.id}"] = vec_cross(axis_w, arm)
             module_id = joint.parent_module
         return columns
 
@@ -388,18 +403,12 @@ class ScenarioRuntime:
 # run
 
 
-def _channel_layout(scenario: Scenario) -> list[tuple[str, str, str]]:
-    """(channel name, kind, ref) triplets in recording order."""
-    layout: list[tuple[str, str, str]] = []
-    for ref in scenario.recordings:
-        if ref in scenario._joints:
-            layout.append((f"{ref}.q", "joint_q", ref))
-            layout.append((f"{ref}.q_dot", "joint_q_dot", ref))
-        else:
-            layout.append((f"{ref}.x", "marker_x", ref))
-            layout.append((f"{ref}.y", "marker_y", ref))
-            layout.append((f"{ref}.z", "marker_z", ref))
-    return layout
+def _recorder(runtime: ScenarioRuntime, ref: str) -> tuple[tuple[str, ...], Callable[[], Sequence[float]]]:
+    """(channel names, reader) of one recording: a joint reads
+    ``(q, q_dot)``, a marker its world position."""
+    if ref in runtime.joints:
+        return (f"{ref}.q", f"{ref}.q_dot"), lambda: (runtime.states[ref].q, runtime.states[ref].q_dot)
+    return (f"{ref}.x", f"{ref}.y", f"{ref}.z"), lambda: runtime.marker_position(ref)
 
 
 def run(scenario: Scenario) -> tuple[Trajectory, bh.EventLog]:
@@ -409,24 +418,17 @@ def run(scenario: Scenario) -> tuple[Trajectory, bh.EventLog]:
     rows, sample k at ``t = k * dt``, recorded after that tick's effects.
     """
     runtime = ScenarioRuntime(scenario)
-    layout = _channel_layout(scenario)
-    columns: dict[str, list[float]] = {ch: [] for ch, _, _ in layout}
+    columns: dict[str, list[float]] = {}
+    recorders = []  # (reader, the columns of its channels)
+    for ref in scenario.recordings:
+        names, read = _recorder(runtime, ref)
+        recorders.append((read, [columns.setdefault(name, []) for name in names]))
     log = bh.EventLog()
 
-    marker_cache: dict[str, Vec3] = {}
-
     def record() -> None:
-        marker_cache.clear()
-        for channel, kind, ref in layout:
-            if kind == "joint_q":
-                columns[channel].append(runtime.states[ref].q)
-            elif kind == "joint_q_dot":
-                columns[channel].append(runtime.states[ref].q_dot)
-            else:
-                if ref not in marker_cache:
-                    marker_cache[ref] = runtime.marker_position(ref)
-                point = marker_cache[ref]
-                columns[channel].append(point["xyz".index(kind[-1])])
+        for read, recorder_columns in recorders:
+            for column, value in zip(recorder_columns, read()):
+                column.append(value)
 
     n = dynamics.steps_for(scenario.duration, scenario.dt)
     record()
@@ -435,5 +437,4 @@ def run(scenario: Scenario) -> tuple[Trajectory, bh.EventLog]:
         record()
 
     times = np.arange(n + 1, dtype=float) * scenario.dt
-    trajectory = Trajectory(times=times, channels={ch: np.array(columns[ch]) for ch, _, _ in layout})
-    return trajectory, log
+    return Trajectory(times=times, channels={name: np.array(column) for name, column in columns.items()}), log

@@ -10,6 +10,7 @@ import pytest
 
 import artjoint as aj
 from artjoint import fixtures as fx
+from artjoint import scenario as scenario_mod
 from artjoint.geometry import quat_from_axis_angle
 
 
@@ -35,6 +36,21 @@ def oven() -> aj.Assembly:
 @pytest.fixture(scope="session")
 def trashcan() -> aj.Assembly:
     return load_assembly("trashcan")
+
+
+@pytest.fixture()
+def fk_calls(monkeypatch) -> list[str]:
+    """The assembly id of every forward-kinematics call the scenario runtime
+    makes while the test runs."""
+    calls: list[str] = []
+    original = scenario_mod.forward_kinematics
+
+    def counting(assembly, q):
+        calls.append(assembly.id)
+        return original(assembly, q)
+
+    monkeypatch.setattr(scenario_mod, "forward_kinematics", counting)
+    return calls
 
 
 def make_joint(**overrides) -> aj.JointSpec:

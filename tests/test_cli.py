@@ -20,6 +20,10 @@ DRAWER_ASSET_REL = "src/artjoint/fixtures/data/drawer.artjoint.json"
 
 
 def run_cli(*args, cwd=PKG_ROOT, env=None):
+    """``python -m artjoint ARGS`` in a child process that imports the
+    package from this checkout's ``src``, installed or not."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PKG_ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "artjoint", *[str(a) for a in args]],
         capture_output=True,
@@ -229,6 +233,18 @@ def test_fit_rejects_malformed_fitspec(tmp_path):
         proc = run_cli("fit", spec, "--out", tmp_path / "params.json")
         assert proc.returncode == 1
         assert hint in proc.stderr
+    shipped = json.loads(fx.fitspec_path("drawer_sprung").read_text())
+    data_dir = fx.fitspec_path("drawer_sprung").parent
+    for key in ("asset", "observed"):
+        shipped[key] = str(data_dir / shipped[key])
+    for change, hint in (
+        ({"init": {**shipped["init"], "damping_D": 99.0}}, "init for 'damping_D' (99.0) outside bounds"),
+        ({"overrides": {"nope": 1.0}}, "spec has no parameter 'nope'"),
+    ):
+        spec.write_text(json.dumps({**shipped, **change}))
+        proc = run_cli("fit", spec, "--out", tmp_path / "params.json")
+        assert proc.returncode == 1, proc.stderr
+        assert f"fitspec: {hint}" in proc.stderr
 
 
 def test_fit_reports_the_sweep_limit(tmp_path, monkeypatch, capsys):

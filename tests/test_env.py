@@ -83,6 +83,17 @@ def test_env_requires_env_block():
         aj.ManipulationEnv(aj.load_scenario(fx.scenario_path("drawer")))
 
 
+def test_step_computes_fk_once_per_placement(env, fk_calls):
+    env.reset()
+    pressed = 0.0
+    for _ in range(400):  # straight through the button cap along -y
+        before = len(fk_calls)
+        env.step(np.array([0.0, -9.9, 0.0]))
+        assert len(fk_calls) - before <= len(env.scenario.assemblies)
+        pressed = max(pressed, env.runtime.states["trashcan/button"].q)
+    assert pressed > 0.0  # contact loaded the button through the Jacobian
+
+
 def test_step_before_reset_rejected(env):
     with pytest.raises(RuntimeError):
         env.step(np.zeros(3))

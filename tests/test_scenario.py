@@ -10,6 +10,7 @@ import pytest
 import artjoint as aj
 from artjoint import cli
 from artjoint import fixtures as fx
+from artjoint.geometry import quat_from_axis_angle
 
 
 def load(name):
@@ -160,6 +161,12 @@ def test_unknown_scenario_key_rejected(tmp_path):
     with pytest.raises(aj.AssetSyntaxError, match="gravity") as exc:
         write_and_load(tmp_path, scenario_dict(env={**env_block(), "gravity": 9.81}))
     assert exc.value.location == "env"
+    with pytest.raises(aj.AssetSyntaxError, match="reward weight 'nope'") as exc:
+        write_and_load(tmp_path, scenario_dict(env={**env_block(), "reward_weights": {"nope": 1.0}}))
+    assert exc.value.location == "env.reward_weights"
+    scenario = write_and_load(tmp_path, scenario_dict(env={**env_block(), "reward_weights": {"lambda3": 0.0}}))
+    with pytest.raises(aj.AssetSyntaxError, match="reward weight 'nope'"):
+        dataclasses.replace(scenario, env=dataclasses.replace(scenario.env, reward_weights={"nope": 1.0}))
 
 
 def test_missing_required_scenario_key_rejected(tmp_path):
@@ -185,6 +192,12 @@ def test_duplicate_assembly_names_rejected(tmp_path):
     data = scenario_dict(assemblies=[{"asset": asset}, {"asset": asset}])
     with pytest.raises(aj.AssetSyntaxError, match="duplicate"):
         write_and_load(tmp_path, data)
+    data = scenario_dict(recordings=["drawer/slide", "drawer/handle", "drawer/slide"])
+    with pytest.raises(aj.AssetSyntaxError, match="duplicate recording 'drawer/slide'") as exc:
+        write_and_load(tmp_path, data)
+    assert exc.value.location == "recordings[2]"
+    assert cli.main(["simulate", str(tmp_path / "case.scenario.json"), "--out", str(tmp_path / "x.csv")]) == 1
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_bad_profile_type_rejected(tmp_path):
@@ -313,6 +326,45 @@ def test_runtime_marker_jacobian_matches_finite_differences(trashcan):
     bumped = np.array(aj.marker_world(trashcan, {"lid": 0.7 + h, "button": 0.0}, "lid_rim"))
     fd = (bumped - base) / h
     assert np.allclose(jac["trashcan/lid"], fd, atol=1e-5)
+
+
+def test_runtime_marker_geometry_follows_every_tick(trashcan):
+    world = aj.Pose(position=(0.3, -0.2, 0.1), orientation=quat_from_axis_angle((0.0, 0.6, 0.8), 0.7))
+    scenario = aj.Scenario(
+        assemblies=(aj.Placement(name="trashcan", assembly=trashcan, world_pose=world),),
+        duration=1.0,
+        initial={"trashcan/lid": aj.JointInit(q=0.7)},
+    )
+    runtime = aj.ScenarioRuntime(scenario)
+    bounds = {j.id: j.bounds for j in trashcan.joints}
+
+    def world_point(q, name):
+        return np.array(world.transform_point(aj.marker_world(trashcan, q, name)))
+
+    seen = []
+    for k in range(51):
+        if k:
+            runtime.tick({"trashcan/lid": 10.0, "trashcan/button": 2.0})
+        q = {j: runtime.states[f"trashcan/{j}"].q for j in bounds}
+        for name in ("lid_rim", "button_cap"):
+            ref = f"trashcan/{name}"
+            assert runtime.marker_position(ref) == tuple(world_point(q, name))
+            for joint_ref, column in runtime.marker_jacobian(ref).items():
+                j = joint_ref.split("/")[1]
+                h = 1e-7 if q[j] + 1e-7 <= bounds[j][1] else -1e-7
+                fd = (world_point({**q, j: q[j] + h}, name) - world_point(q, name)) / h
+                assert np.allclose(column, fd, atol=1e-5)
+        seen.append(runtime.marker_position("trashcan/lid_rim"))
+        seen.append(runtime.marker_position("trashcan/button_cap"))
+    assert len(set(seen)) == 2 * 51  # both joints moved on every tick
+
+
+def test_run_computes_fk_once_per_recorded_sample(fk_calls):
+    scenario = load("microwave")
+    trajectory, _ = aj.run(scenario)
+    n = aj.steps_for(scenario.duration, scenario.dt)
+    assert len(trajectory) == n + 1
+    assert fk_calls == ["microwave"] * (n + 1)
 
 
 def test_runtime_tick_accepts_extra_forces(drawer):
