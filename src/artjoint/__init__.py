@@ -30,7 +30,6 @@ from .assets import (
     validate,
 )
 from .behaviors import (
-    BehaviorGraph,
     BehaviorRule,
     EmitSignal,
     EventLog,
@@ -44,11 +43,9 @@ from .behaviors import (
 )
 from .dynamics import (
     DT_MAX,
-    EffortBreakdown,
     JointState,
     Regime,
     drive_effort,
-    effort_breakdown,
     friction_effort,
     initial_state,
     simulate_joint,
@@ -128,7 +125,6 @@ __all__ = [
     "serialize_asset",
     "validate",
     # behaviors
-    "BehaviorGraph",
     "BehaviorRule",
     "EmitSignal",
     "EventLog",
@@ -140,11 +136,9 @@ __all__ = [
     "ThresholdCrossed",
     "bind",
     # dynamics
-    "EffortBreakdown",
     "JointState",
     "Regime",
     "drive_effort",
-    "effort_breakdown",
     "friction_effort",
     "initial_state",
     "simulate_joint",

@@ -140,24 +140,6 @@ class EventLog:
 # binding
 
 
-@dataclass(frozen=True)
-class BoundRule:
-    """A rule with every reference qualified as ``assembly/...``."""
-
-    rule_id: str
-    trigger: Trigger
-    effects: tuple[Effect, ...]
-
-
-@dataclass(frozen=True)
-class BehaviorGraph:
-    """Compiled rule set plus its (source, target) edge list — one edge per
-    (rule, effect), signals appearing as ``signal:<name>`` nodes."""
-
-    rules: tuple[BoundRule, ...]
-    edges: tuple[tuple[str, str], ...]
-
-
 def _qualify_trigger(trigger: Trigger, name: str, joints: set, rule_id: str) -> Trigger:
     if isinstance(trigger, ThresholdCrossed):
         if trigger.joint not in joints:
@@ -184,29 +166,15 @@ def _qualify_effect(effect: Effect, name: str, joints: set, modules: set, rule_i
     return effect
 
 
-def _node_of_trigger(trigger: Trigger) -> str:
-    if isinstance(trigger, ThresholdCrossed):
-        return trigger.joint
-    return f"signal:{trigger.name}"
+def bind(assemblies: Mapping[str, "object"]) -> tuple[BehaviorRule, ...]:
+    """Compile the rules of all placed assemblies into one rule set.
 
-
-def _node_of_effect(effect: Effect) -> str:
-    if isinstance(effect, (SetOpenState, SetFixedTarget)):
-        return effect.joint
-    if isinstance(effect, EmitSignal):
-        return f"signal:{effect.name}"
-    return effect.target
-
-
-def bind(assemblies: Mapping[str, "object"]) -> BehaviorGraph:
-    """Compile the rules of all placed assemblies into one graph.
-
-    ``assemblies`` maps scenario-level name -> Assembly. Raises
+    ``assemblies`` maps scenario-level name -> Assembly; each returned rule's
+    id and references are qualified as ``assembly/...``. Raises
     :class:`UnresolvedReferenceError` when a rule references a joint/module
     its own assembly does not define, or when an effect list is empty.
     """
-    rules: list[BoundRule] = []
-    edges: list[tuple[str, str]] = []
+    rules: list[BehaviorRule] = []
     for name, assembly in assemblies.items():
         joints = {j.id for j in assembly.joints}
         modules = {m.id for m in assembly.modules}
@@ -218,10 +186,8 @@ def bind(assemblies: Mapping[str, "object"]) -> BehaviorGraph:
             effects = tuple(
                 _qualify_effect(e, name, joints, modules, rule_id) for e in rule.effects
             )
-            rules.append(BoundRule(rule_id=rule_id, trigger=trigger, effects=effects))
-            src = _node_of_trigger(trigger)
-            edges.extend((src, _node_of_effect(e)) for e in effects)
-    return BehaviorGraph(rules=tuple(rules), edges=tuple(edges))
+            rules.append(BehaviorRule(id=rule_id, trigger=trigger, effects=effects))
+    return tuple(rules)
 
 
 # --------------------------------------------------------------------------
@@ -249,12 +215,13 @@ def _describe(effect: Effect) -> tuple[str, str]:
 
 
 def evaluate(
-    graph: BehaviorGraph,
+    rules: tuple[BehaviorRule, ...],
     prev_states: Mapping[str, "object"],
     new_states: Mapping[str, "object"],
     t: float,
 ) -> tuple[list[Effect], list[EventRecord]]:
-    """Fire rules for the step ``prev_states -> new_states`` ending at ``t``.
+    """Fire the bound ``rules`` (from :func:`bind`) for the step
+    ``prev_states -> new_states`` ending at ``t``.
 
     Returns the effects to apply (EmitSignal is consumed here, not returned)
     and the log records, ordered rule-by-rule in firing order. Pure: no state
@@ -264,12 +231,12 @@ def evaluate(
     records: list[EventRecord] = []
     wave: list[str] = []
 
-    def fire(rule: BoundRule, why: str) -> None:
-        records.append(EventRecord(t=t, kind="trigger", rule_id=rule.rule_id, detail=why))
+    def fire(rule: BehaviorRule, why: str) -> None:
+        records.append(EventRecord(t=t, kind="trigger", rule_id=rule.id, detail=why))
         for effect in rule.effects:
             effect_type, detail = _describe(effect)
             records.append(
-                EventRecord(t=t, kind="effect", rule_id=rule.rule_id, detail=detail, effect_type=effect_type)
+                EventRecord(t=t, kind="effect", rule_id=rule.id, detail=detail, effect_type=effect_type)
             )
             if isinstance(effect, EmitSignal):
                 if effect.name not in wave:
@@ -277,7 +244,7 @@ def evaluate(
             else:
                 effects.append(effect)
 
-    for rule in graph.rules:
+    for rule in rules:
         trig = rule.trigger
         if isinstance(trig, ThresholdCrossed):
             prev = prev_states[trig.joint].q
@@ -293,7 +260,7 @@ def evaluate(
                 f"signal chain exceeded depth cap {SIGNAL_CHAIN_DEPTH_CAP} at t={t}: {wave}"
             )
         current, wave = wave, []
-        for rule in graph.rules:
+        for rule in rules:
             trig = rule.trigger
             if isinstance(trig, SignalReceived) and trig.name in current:
                 fire(rule, f"{_TYPE_NAME[SignalReceived]} {trig.name}")

@@ -89,10 +89,14 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     if len(paths) > 1 and not out.is_dir():
         raise _UsageError("--out must be an existing directory when simulating multiple scenarios")
+    targets = [out / _out_csv_name(path) if out.is_dir() else out for path in paths]
+    clashes = sorted({str(target) for target in targets if targets.count(target) > 1})
+    if clashes:
+        raise _UsageError(f"several scenarios would write {', '.join(clashes)}")
 
     runs = []
     lines = []
-    for path in paths:
+    for path, target in zip(paths, targets):
         scenario = load_scenario(path)
         overrides = {}
         if args.dt is not None:
@@ -102,7 +106,6 @@ def cmd_simulate(args) -> int:
         if overrides:
             scenario = replace(scenario, **overrides)
         trajectory, _ = run(scenario)
-        target = out / _out_csv_name(path) if out.is_dir() else out
         export_csv(trajectory, target)
         runs.append(
             {

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Callable
 
 from .assets import ConstantStiffness, FixedTarget, JointSpec, StiffnessProfile, TargetPolicy
 from .errors import NonPositiveDtError, UnstableDtError
@@ -53,17 +53,6 @@ class JointState:
     s_open: bool = False
     regime: Regime = Regime.STATIC
     held_target: float = 0.0
-
-
-@dataclass(frozen=True)
-class EffortBreakdown:
-    """Per-step effort decomposition; ``net`` is summed in the fixed order
-    ``(tau_drive + f_ext) + f_friction``."""
-
-    tau_drive: float
-    f_ext: float
-    f_friction: float
-    net: float
 
 
 def stiffness_at(profile: StiffnessProfile, q: float, s_open: bool, bounds: tuple[float, float]) -> float:
@@ -115,19 +104,19 @@ def target_at(
     return prev_target
 
 
-def _drive_terms(spec: JointSpec, state: JointState) -> tuple[float, float, float]:
-    """(K, q_target, tau_drive) at the current state — the single place the
+def _drive_terms(spec: JointSpec, state: JointState) -> tuple[float, float]:
+    """(q_target, tau_drive) at the current state — the single place the
     drive formula lives."""
     bounds = (spec.q_lower_bound, spec.q_upper_bound)
     k = stiffness_at(spec.stiffness, state.q, state.s_open, bounds)
     q_target = target_at(spec.target_policy, state.q, state.s_open, state.held_target, bounds)
     tau = k * (q_target - state.q) + spec.damping_D * (spec.target_velocity - state.q_dot)
-    return k, q_target, tau
+    return q_target, tau
 
 
 def drive_effort(spec: JointSpec, state: JointState) -> float:
     """``K(q) * (q_target - q) + D * (target_velocity - q_dot)``."""
-    return _drive_terms(spec, state)[2]
+    return _drive_terms(spec, state)[1]
 
 
 def friction_effort(
@@ -140,12 +129,6 @@ def friction_effort(
             return -f_ext, Regime.STATIC
         return (-breakaway if f_ext > 0.0 else breakaway), Regime.KINETIC
     return -spec.damping_D * state.q_dot, Regime.KINETIC
-
-
-def effort_breakdown(spec: JointSpec, state: JointState, f_ext: float) -> tuple[EffortBreakdown, Regime]:
-    tau = _drive_terms(spec, state)[2]
-    f_friction, regime = friction_effort(spec, state, tau, f_ext)
-    return EffortBreakdown(tau_drive=tau, f_ext=f_ext, f_friction=f_friction, net=(tau + f_ext) + f_friction), regime
 
 
 def check_dt(dt: float) -> None:
@@ -165,7 +148,7 @@ def step(spec: JointSpec, state: JointState, f_ext: float, dt: float) -> JointSt
     the next ``held_target``.
     """
     check_dt(dt)
-    _, q_target, tau = _drive_terms(spec, state)
+    q_target, tau = _drive_terms(spec, state)
     f_friction, regime = friction_effort(spec, state, tau, f_ext)
     if regime is Regime.STATIC:
         return JointState(
@@ -227,11 +210,3 @@ def simulate_joint(
         state = step(spec, state, force_schedule(k * dt), dt)
         series.append(state)
     return series
-
-
-def positions(series: Iterable[JointState]) -> list[float]:
-    return [s.q for s in series]
-
-
-def velocities(series: Iterable[JointState]) -> list[float]:
-    return [s.q_dot for s in series]

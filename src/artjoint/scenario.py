@@ -305,7 +305,7 @@ def load_scenario(path: "str | Path") -> Scenario:
 class ScenarioRuntime:
     """Mutable run state shared by :func:`run` and the manipulation env.
 
-    Owns the joint states, behavior graph, property bag, and tick counter;
+    Owns the joint states, bound behavior rules, property bag, and tick counter;
     :meth:`tick` advances one dt (schedules plus any extra per-joint efforts)
     and returns the behavior event records for that tick. Marker geometry
     comes from :meth:`assembly_poses`, which runs forward kinematics at most
@@ -319,7 +319,7 @@ class ScenarioRuntime:
         for ref, joint in self.joints.items():
             init = scenario.initial.get(ref) or JointInit(q=min(max(0.0, joint.q_lower_bound), joint.q_upper_bound))
             self.states[ref] = dynamics.initial_state(joint, q=init.q, q_dot=init.q_dot, s_open=init.s_open)
-        self.graph = bh.bind({pl.name: pl.assembly for pl in scenario.assemblies})
+        self.rules = bh.bind({pl.name: pl.assembly for pl in scenario.assemblies})
         self.properties: dict[str, Union[float, bool]] = {}
         self._profiles: dict[str, list[ForceProfile]] = {}
         for schedule in scenario.forces:
@@ -347,7 +347,7 @@ class ScenarioRuntime:
             for ref, state in self.states.items()
         }
         t_next = (self.k + 1) * dt
-        effects, records = bh.evaluate(self.graph, self.states, new_states, t_next)
+        effects, records = bh.evaluate(self.rules, self.states, new_states, t_next)
         if effects:
             new_states, self.properties = bh.apply(effects, new_states, self.properties)
         self.states = new_states

@@ -18,6 +18,7 @@ problem (default closed).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -91,9 +92,17 @@ class FitProblem:
         return float(self.observed.times[1] - self.observed.times[0])
 
 
+@functools.cache
+def _numeric_fields(cls: type) -> frozenset[str]:
+    """The fields of record class ``cls`` a parameter path may set: those
+    annotated ``float``."""
+    return frozenset(f.name for f in dataclasses.fields(cls) if f.type in ("float", float))
+
+
 def apply_params(spec: JointSpec, params: Mapping[str, float]) -> JointSpec:
     """Return a copy of ``spec`` with dotted parameter paths replaced (e.g.
-    ``"mu_s"``, ``"stiffness.k_low"``, ``"target_policy.q_target"``)."""
+    ``"mu_s"``, ``"stiffness.k_low"``); a path must name a float field of the
+    spec or, as ``component.leaf``, of one of its components."""
     top: dict[str, float] = {}
     nested: dict[str, dict[str, float]] = {}
     for path, value in params.items():
@@ -104,16 +113,17 @@ def apply_params(spec: JointSpec, params: Mapping[str, float]) -> JointSpec:
             nested.setdefault(head, {})[leaf] = value
         else:
             top[path] = value
+    numeric = _numeric_fields(type(spec))
     for name in top:
-        if not hasattr(spec, name):
+        if name not in numeric:
             raise ValueError(f"spec has no parameter '{name}'")
     out = dataclasses.replace(spec, **top)
     for head, leaves in nested.items():
-        if not hasattr(out, head):
+        component = getattr(out, head) if head in out.__dataclass_fields__ else None
+        if not dataclasses.is_dataclass(component):
             raise ValueError(f"spec has no component '{head}'")
-        component = getattr(out, head)
         for leaf in leaves:
-            if not hasattr(component, leaf):
+            if leaf not in _numeric_fields(type(component)):
                 raise ValueError(f"spec component '{head}' has no parameter '{leaf}'")
         out = dataclasses.replace(out, **{head: dataclasses.replace(component, **leaves)})
     return out

@@ -38,18 +38,14 @@ def press_rule(effects):
 
 
 def test_bind_qualifies_references(microwave):
-    graph = aj.bind({"microwave": microwave})
-    assert len(graph.rules) == 1
-    rule = graph.rules[0]
-    assert rule.rule_id == "microwave/release-latch-on-press"
+    rules = aj.bind({"microwave": microwave})
+    assert len(rules) == 1
+    rule = rules[0]
+    assert rule.id == "microwave/release-latch-on-press"
     assert rule.trigger.joint == "microwave/button"
     assert rule.effects == (
         aj.SetOpenState(joint="microwave/door", value=True),
         aj.SetFixedTarget(joint="microwave/door", q_target=1.5),
-    )
-    assert graph.edges == (
-        ("microwave/button", "microwave/door"),
-        ("microwave/button", "microwave/door"),
     )
 
 
@@ -90,9 +86,9 @@ def crossing_fires(direction, prev, new, value=0.005):
         trigger=aj.ThresholdCrossed(joint="j", value=value, direction=direction),
         effects=(aj.SetOpenState(joint="j", value=True),),
     )
-    graph = aj.bind({"a": mini_assembly("a", joints=[joint], behaviors=[rule])})
+    rules = aj.bind({"a": mini_assembly("a", joints=[joint], behaviors=[rule])})
     effects, records = bh.evaluate(
-        graph, {"a/j": aj.JointState(q=prev)}, {"a/j": aj.JointState(q=new)}, t=0.001
+        rules, {"a/j": aj.JointState(q=prev)}, {"a/j": aj.JointState(q=new)}, t=0.001
     )
     return bool(effects)
 
@@ -115,12 +111,12 @@ def test_falling_crossing():
 def test_holding_past_threshold_fires_exactly_once():
     joint = make_joint(id="j")
     rule = press_rule([aj.SetOpenState(joint="j", value=True)])
-    graph = aj.bind({"a": mini_assembly("a", joints=[joint], behaviors=[rule])})
+    rules = aj.bind({"a": mini_assembly("a", joints=[joint], behaviors=[rule])})
     qs = [0.0, 0.004, 0.006, 0.007, 0.008, 0.003, 0.009]  # one dip, re-cross
     fired = 0
     for prev, new in zip(qs, qs[1:]):
         effects, _ = bh.evaluate(
-            graph, {"a/j": aj.JointState(q=prev)}, {"a/j": aj.JointState(q=new)}, t=0.0
+            rules, {"a/j": aj.JointState(q=prev)}, {"a/j": aj.JointState(q=new)}, t=0.0
         )
         fired += len(effects)
     assert fired == 2  # once on the way up, once after dipping back below
@@ -159,9 +155,9 @@ def relay_assembly():
 
 
 def test_signal_chain_resolves_within_one_tick():
-    graph = relay_assembly()
+    rules = relay_assembly()
     effects, records = bh.evaluate(
-        graph, {"a/j": aj.JointState(q=0.004)}, {"a/j": aj.JointState(q=0.006)}, t=0.002
+        rules, {"a/j": aj.JointState(q=0.004)}, {"a/j": aj.JointState(q=0.006)}, t=0.002
     )
     assert effects == [aj.SetProperty(target="c/lamp", key="on", value=True)]
     triggers = [r.rule_id for r in records if r.kind == "trigger"]
@@ -173,9 +169,9 @@ def test_signal_chain_resolves_within_one_tick():
 
 
 def test_no_crossing_means_no_records():
-    graph = relay_assembly()
+    rules = relay_assembly()
     effects, records = bh.evaluate(
-        graph, {"a/j": aj.JointState(q=0.001)}, {"a/j": aj.JointState(q=0.002)}, t=0.001
+        rules, {"a/j": aj.JointState(q=0.001)}, {"a/j": aj.JointState(q=0.002)}, t=0.001
     )
     assert effects == []
     assert records == []
@@ -190,9 +186,9 @@ def test_signal_loop_raises():
             aj.BehaviorRule(id="echo", trigger=aj.SignalReceived(name="ping"), effects=(aj.EmitSignal(name="ping"),)),
         ],
     )
-    graph = aj.bind({"a": assembly})
+    rules = aj.bind({"a": assembly})
     with pytest.raises(aj.SignalLoopError, match="depth cap 16"):
-        bh.evaluate(graph, {"a/j": aj.JointState(q=0.004)}, {"a/j": aj.JointState(q=0.006)}, t=0.0)
+        bh.evaluate(rules, {"a/j": aj.JointState(q=0.004)}, {"a/j": aj.JointState(q=0.006)}, t=0.0)
 
 
 def test_deep_but_finite_chain_is_fine():
@@ -204,8 +200,8 @@ def test_deep_but_finite_chain_is_fine():
     rules.append(
         aj.BehaviorRule(id="end", trigger=aj.SignalReceived(name="s14"), effects=(aj.SetOpenState(joint="j", value=True),))
     )
-    graph = aj.bind({"a": mini_assembly("a", joints=[make_joint(id="j")], behaviors=rules)})
-    effects, _ = bh.evaluate(graph, {"a/j": aj.JointState(q=0.0)}, {"a/j": aj.JointState(q=0.01)}, t=0.0)
+    bound = aj.bind({"a": mini_assembly("a", joints=[make_joint(id="j")], behaviors=rules)})
+    effects, _ = bh.evaluate(bound, {"a/j": aj.JointState(q=0.0)}, {"a/j": aj.JointState(q=0.01)}, t=0.0)
     assert effects == [aj.SetOpenState(joint="a/j", value=True)]
 
 
@@ -233,19 +229,19 @@ def test_apply_ignores_emit_signal():
 
 
 def test_evaluate_is_pure_and_deterministic():
-    graph = relay_assembly()
+    rules = relay_assembly()
     prev = {"a/j": aj.JointState(q=0.004)}
     new = {"a/j": aj.JointState(q=0.006)}
-    first = bh.evaluate(graph, prev, new, t=0.5)
-    second = bh.evaluate(graph, prev, new, t=0.5)
+    first = bh.evaluate(rules, prev, new, t=0.5)
+    second = bh.evaluate(rules, prev, new, t=0.5)
     assert first == second
     assert prev["a/j"].q == 0.004
 
 
 def test_event_log_counting():
     log = bh.EventLog()
-    graph = relay_assembly()
-    _, records = bh.evaluate(graph, {"a/j": aj.JointState(q=0.004)}, {"a/j": aj.JointState(q=0.006)}, t=0.0)
+    rules = relay_assembly()
+    _, records = bh.evaluate(rules, {"a/j": aj.JointState(q=0.004)}, {"a/j": aj.JointState(q=0.006)}, t=0.0)
     log.extend(records)
     assert log.count_effects("set_property") == 1
     assert log.count_effects("emit_signal") == 2

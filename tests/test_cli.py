@@ -160,6 +160,20 @@ def test_simulate_multiple_scenarios_need_a_directory(tmp_path):
         assert Path(entry["out"]).is_file()
 
 
+def test_simulate_rejects_scenarios_that_share_an_output(tmp_path):
+    copy_dir = tmp_path / "copy"
+    copy_dir.mkdir()
+    shutil.copy(fx.scenario_path("drawer"), copy_dir / "drawer.scenario.json")
+    shutil.copy(fx.asset_path("drawer"), copy_dir / "drawer.artjoint.json")
+    out = tmp_path / "out"
+    out.mkdir()
+    proc = run_cli("simulate", fx.scenario_path("drawer"), copy_dir / "drawer.scenario.json", "--out", out)
+    assert proc.returncode == 2
+    assert "usage error" in proc.stderr
+    assert str(out / "drawer.csv") in proc.stderr
+    assert list(out.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # compare
 
@@ -240,6 +254,9 @@ def test_fit_rejects_malformed_fitspec(tmp_path):
     for change, hint in (
         ({"init": {**shipped["init"], "damping_D": 99.0}}, "init for 'damping_D' (99.0) outside bounds"),
         ({"overrides": {"nope": 1.0}}, "spec has no parameter 'nope'"),
+        ({"overrides": {"bounds": 1.0}}, "spec has no parameter 'bounds'"),
+        ({"overrides": {"stiffness": 1.0}}, "spec has no parameter 'stiffness'"),
+        ({"overrides": {"id": 1.0}}, "spec has no parameter 'id'"),
     ):
         spec.write_text(json.dumps({**shipped, **change}))
         proc = run_cli("fit", spec, "--out", tmp_path / "params.json")

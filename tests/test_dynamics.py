@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import artjoint as aj
-from artjoint.dynamics import positions, velocities
 
 from conftest import make_joint
 
@@ -122,20 +121,22 @@ def stiction_joint():
 def test_friction_cancels_subthreshold_force():
     spec = stiction_joint()
     state = aj.initial_state(spec, q=0.0)
-    breakdown, regime = aj.effort_breakdown(spec, state, 0.5)
+    tau = aj.drive_effort(spec, state)
+    f_friction, regime = aj.friction_effort(spec, state, tau, 0.5)
     assert regime is aj.Regime.STATIC
-    assert breakdown.f_friction == -0.5
-    assert breakdown.net == pytest.approx(breakdown.tau_drive, rel=1e-15)
+    assert f_friction == -0.5
+    assert (tau + 0.5) + f_friction == pytest.approx(tau, rel=1e-15)
 
 
 def test_friction_saturates_past_breakaway():
     spec = stiction_joint()
     state = aj.initial_state(spec, q=0.0)
-    breakdown, regime = aj.effort_breakdown(spec, state, 2.0)
+    tau = aj.drive_effort(spec, state)
+    f_friction, regime = aj.friction_effort(spec, state, tau, 2.0)
     assert regime is aj.Regime.KINETIC
-    assert breakdown.f_friction == -1.0
-    breakdown, regime = aj.effort_breakdown(spec, state, -2.0)
-    assert breakdown.f_friction == 1.0
+    assert f_friction == -1.0
+    f_friction, regime = aj.friction_effort(spec, state, tau, -2.0)
+    assert f_friction == 1.0
     assert regime is aj.Regime.KINETIC
 
 
@@ -167,8 +168,8 @@ def test_friction_never_adds_energy():
         )
         q_dot = float(rng.choice([0.0, rng.normal() * 2]))
         state = aj.JointState(q=float(rng.uniform(-5, 5)), q_dot=q_dot)
-        breakdown, _ = aj.effort_breakdown(spec, state, float(rng.normal() * 3))
-        assert breakdown.f_friction * state.q_dot <= 0.0
+        f_friction, _ = aj.friction_effort(spec, state, aj.drive_effort(spec, state), float(rng.normal() * 3))
+        assert f_friction * state.q_dot <= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +262,7 @@ def test_zero_force_is_a_fixed_point():
 def test_subthreshold_force_never_moves_the_drawer(drawer):
     slide = drawer.joint("slide")
     series = aj.simulate_joint(slide, lambda t: 0.9 * slide.coulomb_floor, 2.0, 0.001)
-    assert positions(series) == [0.0] * len(series)
+    assert [s.q for s in series] == [0.0] * len(series)
 
 
 def test_stiction_holds_at_rest_without_external_effort(oven):
@@ -289,7 +290,7 @@ def test_oven_door_snaps_closed(oven):
     series = aj.simulate_joint(door, lambda t: -0.2 if t < kick_end else 0.0, 5.0, 0.001, state0=state0)
     assert series[-1].q == door.q_lower_bound
     # the exponential stiffness surge near closure outruns the release speed
-    speeds = [abs(v) for v in velocities(series)]
+    speeds = [abs(s.q_dot) for s in series]
     release_speed = speeds[int(kick_end / 0.001)]
     assert max(speeds) > 1.5 * release_speed
 

@@ -1,0 +1,68 @@
+"""Byte gate: each bundled scenario's exported CSV and event log hash to the
+digests committed in ``tests/data/golden_digests.json``.
+
+A refactor that is meant to keep simulation output unchanged must leave
+these digests alone. A change that moves output on purpose regenerates them
+(and ``perfbench/expected.json``) with ``python tests/test_golden.py``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+import artjoint as aj
+from artjoint import fixtures as fx
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+DIGESTS_PATH = Path(__file__).resolve().parent / "data" / "golden_digests.json"
+
+
+def event_log_text(log: aj.EventLog) -> str:
+    """One tab-separated line per record: t, kind, rule_id, detail, effect_type."""
+    return "".join(f"{r.t!r}\t{r.kind}\t{r.rule_id}\t{r.detail}\t{r.effect_type}\n" for r in log)
+
+
+def scenario_digests(name: str, work_dir: Path) -> tuple[str, str]:
+    """(sha256 of the exported CSV bytes, sha256 of the event log text)."""
+    trajectory, log = aj.run(aj.load_scenario(fx.scenario_path(name)))
+    csv_path = work_dir / f"{name}.csv"
+    aj.export_csv(trajectory, csv_path)
+    return (
+        hashlib.sha256(csv_path.read_bytes()).hexdigest(),
+        hashlib.sha256(event_log_text(log).encode("utf-8")).hexdigest(),
+    )
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(DIGESTS_PATH.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", fx.SCENARIO_NAMES)
+def test_scenario_output_matches_golden_digests(name, golden, tmp_path):
+    csv_digest, events_digest = scenario_digests(name, tmp_path)
+    assert csv_digest == golden["csv_sha256"][name]
+    assert events_digest == golden["events_sha256"][name]
+
+
+def test_golden_csv_digests_agree_with_the_benchmark(golden):
+    expected = json.loads((REPO_ROOT / "perfbench" / "expected.json").read_text(encoding="utf-8"))
+    for name, digest in expected["fixture_csv_sha256"].items():
+        assert golden["csv_sha256"][name] == digest
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        pairs = {name: scenario_digests(name, Path(tmp)) for name in fx.SCENARIO_NAMES}
+    doc = {
+        "csv_sha256": {name: pair[0] for name, pair in pairs.items()},
+        "events_sha256": {name: pair[1] for name, pair in pairs.items()},
+    }
+    DIGESTS_PATH.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    sys.stdout.write(f"wrote {DIGESTS_PATH}\n")

@@ -74,8 +74,9 @@ def test_multichannel_needs_explicit_channel(slide):
 
 def test_bad_parameter_path_rejected(slide):
     observed = observed_for(slide)
-    with pytest.raises(ValueError, match="no parameter"):
-        problem_for(slide, observed, ["viscosity"], {"viscosity": (0.0, 1.0)}, {"viscosity": 0.5})
+    for name in ("viscosity", "kind"):
+        with pytest.raises(ValueError, match=f"no parameter '{name}'"):
+            problem_for(slide, observed, [name], {name: (0.0, 1.0)}, {name: 0.5})
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +97,12 @@ def test_apply_params_rejects_deep_paths(slide):
         aj.apply_params(slide, {"nothing.k": 1.0})
     with pytest.raises(ValueError, match="no parameter"):
         aj.apply_params(slide, {"stiffness.k_wobble": 1.0})
+    # only float fields are parameters: not a property, a component or a string
+    for name in ("bounds", "stiffness", "id"):
+        with pytest.raises(ValueError, match=f"spec has no parameter '{name}'"):
+            aj.apply_params(slide, {name: 1.0})
+    with pytest.raises(ValueError, match="no component 'id'"):
+        aj.apply_params(slide, {"id.k": 1.0})
 
 
 # ---------------------------------------------------------------------------
