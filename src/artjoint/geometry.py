@@ -3,13 +3,17 @@ operations the kinematics needs.
 
 Vectors and quaternions are plain float tuples: they hash, compare exactly,
 serialize losslessly, and are faster than ndarray at this size. Quaternions
-are ``(w, x, y, z)``.
+are ``(w, x, y, z)``. The pose operations also take tuples whose components
+are equal-length 1-D float64 arrays, one sample per element, and give for
+each sample the same bits as the float call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 Vec3 = tuple[float, float, float]
 Quat = tuple[float, float, float, float]
@@ -57,12 +61,15 @@ def quat_mul(a: Quat, b: Quat) -> Quat:
 
 
 def quat_norm(q: Quat) -> float:
-    return math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
+    s = q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3]
+    # both are correctly rounded, so they agree bit for bit; `type(s) is
+    # float` is the cheapest test on the per-tick path
+    return math.sqrt(s) if type(s) is float else np.sqrt(s)
 
 
 def quat_normalize(q: Quat) -> Quat:
     n = quat_norm(q)
-    if n == 0.0:
+    if n == 0.0 if type(n) is float else (n == 0.0).any():
         raise ValueError("cannot normalize a zero quaternion")
     return (q[0] / n, q[1] / n, q[2] / n, q[3] / n)
 
@@ -70,8 +77,14 @@ def quat_normalize(q: Quat) -> Quat:
 def quat_from_axis_angle(axis: Vec3, angle: float) -> Quat:
     """Unit quaternion rotating by ``angle`` radians about a unit ``axis``."""
     half = 0.5 * angle
-    s = math.sin(half)
-    return (math.cos(half), axis[0] * s, axis[1] * s, axis[2] * s)
+    if isinstance(half, np.ndarray):
+        # one sample at a time: numpy's sin and cos are not bit-identical to math's
+        samples = half.tolist()
+        s = np.fromiter(map(math.sin, samples), float, len(samples))
+        c = np.fromiter(map(math.cos, samples), float, len(samples))
+    else:
+        s, c = math.sin(half), math.cos(half)
+    return (c, axis[0] * s, axis[1] * s, axis[2] * s)
 
 
 def quat_rotate(q: Quat, v: Vec3) -> Vec3:

@@ -4,6 +4,10 @@ A prismatic joint translates its child by ``q * axis``; a revolute joint
 rotates it by ``q`` about the line through ``anchor`` along ``axis``. Both
 act in the parent module's frame, and child poses compose down the tree from
 ``base_frame``. At ``q = 0`` every module sits at its rest pose.
+
+A joint value may also be a 1-D float64 array of samples (a series of
+configurations); each pose component is then an array of the same length,
+equal sample for sample to the float call (see :mod:`artjoint.geometry`).
 """
 
 from __future__ import annotations
@@ -11,12 +15,14 @@ from __future__ import annotations
 import warnings
 from typing import Mapping
 
+import numpy as np
+
 from .assets import Assembly, JointSpec, Marker, PRISMATIC
 from .errors import UnknownJointError, UnknownMarkerError
 from .geometry import Pose, Vec3, quat_from_axis_angle, quat_rotate, vec_scale, vec_sub
 
 
-def joint_transform(joint: JointSpec, q: float) -> Pose:
+def joint_transform(joint: JointSpec, q: "float | np.ndarray") -> Pose:
     """The child-frame offset a joint at position ``q`` adds, in the parent
     module's frame."""
     if joint.kind == PRISMATIC:
@@ -29,16 +35,22 @@ def joint_transform(joint: JointSpec, q: float) -> Pose:
     )
 
 
-def clamp_to_limits(joint: JointSpec, q: float) -> float:
+def clamp_to_limits(joint: JointSpec, q: "float | np.ndarray") -> "float | np.ndarray":
+    if isinstance(q, np.ndarray):
+        # min/max's own rule, sample by sample: np.maximum(-0.0, 0.0) is 0.0
+        # where max(-0.0, 0.0) keeps -0.0
+        q = np.where(q < joint.q_lower_bound, joint.q_lower_bound, q)
+        return np.where(joint.q_upper_bound < q, joint.q_upper_bound, q)
     return min(max(q, joint.q_lower_bound), joint.q_upper_bound)
 
 
-def forward_kinematics(assembly: Assembly, q: Mapping[str, float]) -> dict[str, Pose]:
+def forward_kinematics(assembly: Assembly, q: "Mapping[str, float | np.ndarray]") -> dict[str, Pose]:
     """World pose of every module at joint configuration ``q``.
 
     ``q`` must provide exactly the assembly's joint ids
-    (:class:`UnknownJointError` otherwise). Out-of-limit values are clamped
-    and reported with a single UserWarning naming the joints.
+    (:class:`UnknownJointError` otherwise); each value is a float or a 1-D
+    array of samples. Out-of-limit values are clamped and reported with a
+    single UserWarning naming the joints.
     """
     joint_ids = {j.id for j in assembly.joints}
     missing = sorted(joint_ids - set(q))
@@ -55,7 +67,7 @@ def forward_kinematics(assembly: Assembly, q: Mapping[str, float]) -> dict[str, 
     for joint in assembly.joints:
         v = q[joint.id]
         c = clamp_to_limits(joint, v)
-        if c != v:
+        if c != v if type(c) is float else np.any(c != v):
             clamped.append(joint.id)
         values[joint.id] = c
     if clamped:

@@ -7,7 +7,9 @@ states and an environment block. Everything is addressed by qualified refs:
 
 Per tick, in this order: sample the force schedules, step every joint,
 evaluate behavior rules against the (previous, new) states, apply the fired
-effects, then record. Runs are seedless and bit-deterministic: the same
+effects, then store the joint states the recordings need. Marker channels
+come after the run, from one forward-kinematics call per placement over its
+whole joint series. Runs are seedless and bit-deterministic: the same
 scenario always yields the same bytes when exported.
 """
 
@@ -17,7 +19,7 @@ import bisect
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, Union
+from typing import Mapping, Union
 
 import numpy as np
 
@@ -302,14 +304,19 @@ def load_scenario(path: "str | Path") -> Scenario:
 # runtime
 
 
+def _marker_point(pl: Placement, marker: Marker, poses: Mapping[str, Pose]) -> Vec3:
+    """World position of ``marker`` given its placement's module poses."""
+    return pl.world_pose.transform_point(poses[marker.module_id].transform_point(marker.local_point))
+
+
 class ScenarioRuntime:
     """Mutable run state shared by :func:`run` and the manipulation env.
 
     Owns the joint states, bound behavior rules, property bag, and tick counter;
     :meth:`tick` advances one dt (schedules plus any extra per-joint efforts)
     and returns the behavior event records for that tick. Marker geometry
-    comes from :meth:`assembly_poses`, which runs forward kinematics at most
-    once per placement per tick.
+    at the current tick comes from :meth:`assembly_poses`, which runs forward
+    kinematics at most once per placement per tick.
     """
 
     def __init__(self, scenario: Scenario):
@@ -359,9 +366,9 @@ class ScenarioRuntime:
     def assembly_poses(self, pl: Placement) -> dict[str, Pose]:
         """Module poses of ``pl`` in its assembly frame at the current tick.
 
-        The only forward-kinematics call of a run: memoized per placement and
-        keyed on the tick counter, since :meth:`tick` is the only writer of
-        ``states``. Callers must not mutate the returned dict.
+        The runtime's only forward-kinematics call: memoized per placement
+        and keyed on the tick counter, since :meth:`tick` is the only writer
+        of ``states``. Callers must not mutate the returned dict.
         """
         hit = self._poses.get(pl.name)
         if hit is None or hit[0] != self.k:
@@ -372,8 +379,7 @@ class ScenarioRuntime:
     def marker_position(self, ref: str) -> Vec3:
         """World position (including the placement pose) of ``assembly/marker``."""
         pl, marker = self.scenario.marker(ref)
-        poses = self.assembly_poses(pl)
-        return pl.world_pose.transform_point(poses[marker.module_id].transform_point(marker.local_point))
+        return _marker_point(pl, marker, self.assembly_poses(pl))
 
     def marker_jacobian(self, ref: str) -> dict[str, Vec3]:
         """d(marker world position)/d(q_j) for every joint on the marker's
@@ -403,38 +409,53 @@ class ScenarioRuntime:
 # run
 
 
-def _recorder(runtime: ScenarioRuntime, ref: str) -> tuple[tuple[str, ...], Callable[[], Sequence[float]]]:
-    """(channel names, reader) of one recording: a joint reads
-    ``(q, q_dot)``, a marker its world position."""
-    if ref in runtime.joints:
-        return (f"{ref}.q", f"{ref}.q_dot"), lambda: (runtime.states[ref].q, runtime.states[ref].q_dot)
-    return (f"{ref}.x", f"{ref}.y", f"{ref}.z"), lambda: runtime.marker_position(ref)
-
-
 def run(scenario: Scenario) -> tuple[Trajectory, bh.EventLog]:
     """Run to ``duration`` and return the recorded trajectory and event log.
 
     The series includes the initial sample: ``steps_for(duration, dt) + 1``
     rows, sample k at ``t = k * dt``, recorded after that tick's effects.
+    Each tick stores only joint states: ``(q, q_dot)`` of every recorded
+    joint and ``q`` of every joint of a placement with a recorded marker.
+    After the loop, one forward-kinematics call per such placement over its
+    whole ``q`` series gives the marker channels, equal sample for sample to
+    :meth:`ScenarioRuntime.marker_position`.
     """
     runtime = ScenarioRuntime(scenario)
-    columns: dict[str, list[float]] = {}
-    recorders = []  # (reader, the columns of its channels)
+    n = dynamics.steps_for(scenario.duration, scenario.dt)
+    channels: dict[str, np.ndarray] = {}  # in recording order; marker channels are filled after the run
+    q_series: dict[str, np.ndarray] = {}
+    q_dot_series: dict[str, np.ndarray] = {}
+    marked: dict[str, tuple[Placement, list[tuple[str, Marker]]]] = {}  # name -> placement, its recorded markers
     for ref in scenario.recordings:
-        names, read = _recorder(runtime, ref)
-        recorders.append((read, [columns.setdefault(name, []) for name in names]))
+        if ref in runtime.joints:
+            channels[f"{ref}.q"] = q_series[ref] = np.empty(n + 1)
+            channels[f"{ref}.q_dot"] = q_dot_series[ref] = np.empty(n + 1)
+        else:
+            pl, marker = scenario.marker(ref)
+            marked.setdefault(pl.name, (pl, []))[1].append((ref, marker))
+            channels.update(dict.fromkeys((f"{ref}.x", f"{ref}.y", f"{ref}.z")))
+    for pl, _ in marked.values():
+        for joint in pl.assembly.joints:
+            q_series.setdefault(f"{pl.name}/{joint.id}", np.empty(n + 1))
     log = bh.EventLog()
 
-    def record() -> None:
-        for read, recorder_columns in recorders:
-            for column, value in zip(recorder_columns, read()):
-                column.append(value)
+    def record(k: int) -> None:
+        states = runtime.states
+        for ref, column in q_series.items():
+            column[k] = states[ref].q
+        for ref, column in q_dot_series.items():
+            column[k] = states[ref].q_dot
 
-    n = dynamics.steps_for(scenario.duration, scenario.dt)
-    record()
-    for _ in range(n):
+    record(0)
+    for k in range(1, n + 1):
         log.extend(runtime.tick())
-        record()
+        record(k)
 
+    for pl, recorded in marked.values():
+        poses = forward_kinematics(pl.assembly, {j.id: q_series[f"{pl.name}/{j.id}"] for j in pl.assembly.joints})
+        for ref, marker in recorded:
+            for axis, x in zip("xyz", _marker_point(pl, marker, poses)):
+                # a module that no joint moves has float coordinates: a constant column
+                channels[f"{ref}.{axis}"] = x if isinstance(x, np.ndarray) else np.full(n + 1, x)
     times = np.arange(n + 1, dtype=float) * scenario.dt
-    return Trajectory(times=times, channels={name: np.array(column) for name, column in columns.items()}), log
+    return Trajectory(times=times, channels=channels), log

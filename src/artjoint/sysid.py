@@ -42,7 +42,8 @@ class FitProblem:
     """One-joint identification problem.
 
     ``free`` lists parameter paths on the spec template; every free parameter
-    needs a box in ``bounds`` and a start in ``init`` (inside the box).
+    needs a box in ``bounds`` and a start in ``init`` (inside the box), and
+    both name free parameters only.
     ``channel`` defaults to the observed trajectory's single channel.
     """
 
@@ -84,6 +85,10 @@ class FitProblem:
                 raise ValueError(f"bounds for '{name}' must satisfy lo < hi, got [{lo}, {hi}]")
             if not (lo <= self.init[name] <= hi):
                 raise ValueError(f"init for '{name}' ({self.init[name]}) outside bounds [{lo}, {hi}]")
+        for label, given in (("bounds", self.bounds), ("init", self.init)):
+            stray = sorted(set(given) - set(self.free))
+            if stray:
+                raise ValueError(f"{label} name(s) {stray} are not free parameters")
         # Validate parameter paths against the template once, up front.
         apply_params(self.spec_template, {name: self.init[name] for name in self.free})
 

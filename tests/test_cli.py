@@ -257,6 +257,8 @@ def test_fit_rejects_malformed_fitspec(tmp_path):
         ({"overrides": {"bounds": 1.0}}, "spec has no parameter 'bounds'"),
         ({"overrides": {"stiffness": 1.0}}, "spec has no parameter 'stiffness'"),
         ({"overrides": {"id": 1.0}}, "spec has no parameter 'id'"),
+        ({"init": {**shipped["init"], "typo": 1.0}}, "init name(s) ['typo'] are not free parameters"),
+        ({"bounds": {**shipped["bounds"], "other": [0, 1]}}, "bounds name(s) ['other'] are not free parameters"),
     ):
         spec.write_text(json.dumps({**shipped, **change}))
         proc = run_cli("fit", spec, "--out", tmp_path / "params.json")

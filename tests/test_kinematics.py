@@ -1,6 +1,7 @@
 """Forward kinematics and marker positions on the bundled assemblies."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import artjoint as aj
 from artjoint.geometry import quat_from_axis_angle
 from artjoint.kinematics import clamp_to_limits, find_marker
 
-from conftest import make_joint
+from conftest import make_joint, random_assembly
 
 
 def zero_config(assembly):
@@ -141,3 +142,54 @@ def test_clamp_to_limits():
     assert clamp_to_limits(joint, -1.0) == 0.0
     assert clamp_to_limits(joint, 0.2) == 0.2
     assert clamp_to_limits(joint, 1.0) == 0.45
+
+
+def pose_components(pose):
+    return pose.position + pose.orientation
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fk_over_a_series_equals_the_scalar_call_at_every_sample(seed):
+    rng = np.random.default_rng(seed)
+    assembly = random_assembly(rng, seed)
+    n = 41
+    series = {j.id: rng.permutation(np.linspace(j.q_lower_bound, j.q_upper_bound, n)) for j in assembly.joints}
+    batch = aj.forward_kinematics(assembly, series)
+    for k in range(n):
+        poses = aj.forward_kinematics(assembly, {ref: float(values[k]) for ref, values in series.items()})
+        assert poses.keys() == batch.keys()
+        for module_id, pose in poses.items():
+            for got, want in zip(pose_components(batch[module_id]), pose_components(pose)):
+                got = float(np.broadcast_to(got, n)[k])
+                assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (module_id, k)
+
+
+def test_series_out_of_limits_clamp_each_sample_with_one_warning(trashcan):
+    lid = np.array([-0.5, 0.9, 2.5, 1.8])
+    button = np.array([0.0, 0.005, 0.01, 0.002])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        batch = aj.forward_kinematics(trashcan, {"lid": lid, "button": button})
+    assert len(caught) == 1 and caught[0].category is UserWarning
+    assert "['lid']" in str(caught[0].message)
+    for k, clamped in enumerate((0.0, 0.9, 1.8, 1.8)):
+        poses = aj.forward_kinematics(trashcan, {"lid": clamped, "button": float(button[k])})
+        for module_id, pose in poses.items():
+            assert tuple(float(np.broadcast_to(x, 4)[k]) for x in pose_components(batch[module_id])) == (
+                pose_components(pose)
+            )
+    with pytest.warns(UserWarning, match=r"\['lid', 'button'\]"):
+        aj.forward_kinematics(trashcan, {"lid": lid, "button": button + 0.005})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        aj.forward_kinematics(trashcan, {"lid": np.clip(lid, 0.0, 1.8), "button": button})
+
+
+def test_series_clamp_keeps_the_scalar_rule_for_signed_zeros():
+    # max(-0.0, 0.0) keeps -0.0, and the sign can reach a pose component
+    joint = make_joint(q_lower_bound=0.0, q_upper_bound=1.0)
+    values = (-0.0, 0.0, 0.5, -1.0, 2.0)
+    got = clamp_to_limits(joint, np.array(values)).tolist()
+    want = [clamp_to_limits(joint, v) for v in values]
+    assert got == want
+    assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in want]

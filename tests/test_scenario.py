@@ -359,12 +359,100 @@ def test_runtime_marker_geometry_follows_every_tick(trashcan):
     assert len(set(seen)) == 2 * 51  # both joints moved on every tick
 
 
-def test_run_computes_fk_once_per_recorded_sample(fk_calls):
+def test_run_computes_fk_once_per_marker_placement(fk_calls, drawer, trashcan):
     scenario = load("microwave")
     trajectory, _ = aj.run(scenario)
     n = aj.steps_for(scenario.duration, scenario.dt)
     assert len(trajectory) == n + 1
-    assert fk_calls == ["microwave"] * (n + 1)
+    assert fk_calls == ["microwave"]
+
+    # a placement that records only joints needs no forward kinematics
+    fk_calls.clear()
+    two = aj.Scenario(
+        assemblies=(aj.Placement(name="drawer", assembly=drawer), aj.Placement(name="trashcan", assembly=trashcan)),
+        duration=0.05,
+        recordings=("drawer/slide", "trashcan/lid_rim"),
+    )
+    aj.run(two)
+    assert fk_calls == ["trashcan"]
+
+
+def test_run_marker_columns_equal_marker_position_after_every_tick(drawer, trashcan):
+    rotated = aj.Pose(position=(0.3, -0.2, 0.1), orientation=quat_from_axis_angle((0.0, 0.6, 0.8), 0.7))
+    shifted = aj.Pose(position=(-1.5, 2.0, 0.25))
+    scenario = aj.Scenario(
+        assemblies=(
+            aj.Placement(name="bin", assembly=trashcan, world_pose=rotated),
+            aj.Placement(name="chest", assembly=drawer, world_pose=shifted),
+        ),
+        duration=0.4,
+        forces=(
+            aj.ForceSchedule("bin/lid", aj.ConstantForce(value=10.0)),
+            aj.ForceSchedule("bin/button", aj.ConstantForce(value=2.0, t_end=0.2)),
+            aj.ForceSchedule("chest/slide", aj.ConstantForce(value=20.0)),
+        ),
+        recordings=("bin/lid_rim", "chest/slide", "bin/button_cap", "chest/handle"),
+        initial={"bin/lid": aj.JointInit(q=0.3)},
+    )
+    trajectory, _ = aj.run(scenario)
+    markers = ("bin/lid_rim", "bin/button_cap", "chest/handle")
+    assert trajectory.channel_names == [
+        "bin/lid_rim.x", "bin/lid_rim.y", "bin/lid_rim.z",
+        "chest/slide.q", "chest/slide.q_dot",
+        "bin/button_cap.x", "bin/button_cap.y", "bin/button_cap.z",
+        "chest/handle.x", "chest/handle.y", "chest/handle.z",
+    ]  # fmt: skip
+
+    runtime = aj.ScenarioRuntime(scenario)
+    n = aj.steps_for(scenario.duration, scenario.dt)
+    assert len(trajectory) == n + 1
+    for k in range(n + 1):
+        if k:
+            runtime.tick()
+        for ref in markers:
+            got = tuple(trajectory.channels[f"{ref}.{axis}"][k] for axis in "xyz")
+            assert got == runtime.marker_position(ref), (ref, k)
+        state = runtime.states["chest/slide"]
+        assert (trajectory.channels["chest/slide.q"][k], trajectory.channels["chest/slide.q_dot"][k]) == (
+            state.q,
+            state.q_dot,
+        )
+    for ref in markers:
+        assert len(set(trajectory.channels[f"{ref}.x"])) > 1  # every marker moved
+
+
+def test_run_marker_that_no_joint_moves_is_a_constant_column(drawer, fk_calls):
+    chest = aj.assembly_to_dict(drawer)
+    chest["markers"].append({"module_id": "cabinet", "name": "corner", "local_point": [0.4, -0.3, 0.9]})
+    post = {
+        "id": "post",
+        "category": "fixed",
+        "base_frame": {"position": [0.0, 1.0, 0.0], "orientation": [1.0, 0.0, 0.0, 0.0]},
+        "root_module": "pole",
+        "modules": [{"id": "pole", "mass": 1.0}],
+        "joints": [],
+        "markers": [{"module_id": "pole", "name": "tip", "local_point": [0.0, 0.0, 1.2]}],
+        "behaviors": [],
+    }
+    scenario = aj.Scenario(
+        assemblies=(
+            aj.Placement(name="chest", assembly=aj.assembly_from_dict(chest)),
+            aj.Placement(name="post", assembly=aj.assembly_from_dict(post), world_pose=aj.Pose(position=(2.0, 0, 0))),
+        ),
+        duration=0.3,
+        forces=(aj.ForceSchedule("chest/slide", aj.ConstantForce(value=20.0)),),
+        recordings=("chest/corner", "chest/handle", "post/tip"),
+    )
+    trajectory, _ = aj.run(scenario)
+    assert fk_calls == ["drawer", "post"]
+    n = aj.steps_for(scenario.duration, scenario.dt)
+    runtime = aj.ScenarioRuntime(scenario)
+    for ref in ("chest/corner", "post/tip"):
+        for axis, value in zip("xyz", runtime.marker_position(ref)):
+            column = trajectory.channels[f"{ref}.{axis}"]
+            assert column.shape == (n + 1,)
+            assert (column == value).all()
+    assert len(set(trajectory.channels["chest/handle.x"])) > 1
 
 
 def test_runtime_tick_accepts_extra_forces(drawer):

@@ -52,6 +52,11 @@ def test_missing_bounds_or_init_rejected(slide):
         problem_for(slide, observed, ["damping_D"], {"damping_D": (1.0, 30.0)}, {})
     with pytest.raises(ValueError, match="outside bounds"):
         problem_for(slide, observed, ["damping_D"], {"damping_D": (1.0, 30.0)}, {"damping_D": 99.0})
+    box, start = {"damping_D": (1.0, 30.0)}, {"damping_D": 10.0}
+    with pytest.raises(ValueError, match=r"bounds name\(s\) \['mu_s'\] are not free"):
+        problem_for(slide, observed, ["damping_D"], {**box, "mu_s": (0.0, 1.0)}, start)
+    with pytest.raises(ValueError, match=r"init name\(s\) \['dampnig_D'\] are not free"):
+        problem_for(slide, observed, ["damping_D"], box, {**start, "dampnig_D": 10.0})
 
 
 def test_irregular_sampling_rejected(slide):
