@@ -19,6 +19,15 @@ position with the new velocity), with hard limit clamping (velocity zeroed at
 a bound) and a stiction latch: while the regime is Static the state does not
 move at all, and the regime is re-evaluated every step. Everything here is
 pure float arithmetic in a fixed order, so repeated runs are bit-identical.
+
+Two steppers implement this model. :func:`step` advances one
+:class:`JointState` and is the reference: the scenario runtime, the
+environment and :func:`simulate_joint` use it. :func:`rollout` runs the same
+float operations in the same order over presampled forces in one loop of
+plain floats and returns only the position series; parameter fitting
+simulates through it. Its output is bit-identical to the ``q`` series of
+:func:`simulate_joint`, signed zeros included, and a property test over
+random specs, starts and force schedules holds the two to that.
 """
 
 from __future__ import annotations
@@ -26,7 +35,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .assets import ConstantStiffness, FixedTarget, JointSpec, StiffnessProfile, TargetPolicy
 from .errors import NonPositiveDtError, UnstableDtError
@@ -145,7 +156,8 @@ def step(spec: JointSpec, state: JointState, f_ext: float, dt: float) -> JointSt
     Static regime freezes the joint exactly (q and q_dot unchanged, velocity
     exactly zero); otherwise semi-implicit Euler, then limit clamping with
     the velocity zeroed at a bound. The newly evaluated drive target becomes
-    the next ``held_target``.
+    the next ``held_target``. :func:`rollout` repeats this arithmetic inline;
+    a change here must be made there too.
     """
     check_dt(dt)
     q_target, tau = _drive_terms(spec, state)
@@ -210,3 +222,69 @@ def simulate_joint(
         state = step(spec, state, force_schedule(k * dt), dt)
         series.append(state)
     return series
+
+
+def rollout(spec: JointSpec, forces: Sequence[float], dt: float, state0: JointState) -> np.ndarray:
+    """Positions of ``spec`` driven by presampled ``forces`` from ``state0``.
+
+    ``forces[k]`` is the external effort of step ``k`` (the schedule sampled
+    at ``t = k * dt``). Returns ``len(forces) + 1`` positions, the first
+    being ``state0.q``. This is :func:`step` unrolled into one loop over
+    plain floats (spec constants read once, no state object per step) with
+    the same operations in the same order, so the result equals the ``q``
+    series of :func:`simulate_joint` bit for bit; a change to :func:`step`
+    must be made here too.
+    """
+    check_dt(dt)
+    lo, hi = spec.q_lower_bound, spec.q_upper_bound
+    damping, v_target = spec.damping_D, spec.target_velocity
+    mu_s, floor, inertia = spec.mu_s, spec.coulomb_floor, spec.effective_inertia
+    profile, policy = spec.stiffness, spec.target_policy
+    scheduled = not isinstance(profile, ConstantStiffness)
+    if scheduled:
+        k_high, k_low, k_max = profile.k_high, profile.k_low, profile.k_max
+        alpha, lam, k_edge = profile.alpha, profile.lambda_, profile.q_threshold
+    else:
+        k = profile.k if profile.k > 0.0 else 0.0
+    latched = not isinstance(policy, FixedTarget)
+    if latched:
+        t_edge = policy.q_threshold
+    else:
+        q_target = policy.q_target
+    exp = math.exp
+    q, q_dot, s_open, held = state0.q, state0.q_dot, state0.s_open, state0.held_target
+    out = [q]
+    for f in forces:
+        if scheduled:
+            if q <= lo:
+                k = k_high
+            elif q <= k_edge:
+                k = k_high - alpha * (q - lo) if s_open else k_low + k_max * exp(-lam * (q - lo))
+            else:
+                k = k_low
+            if not k > 0.0:
+                k = 0.0
+        if latched:
+            if s_open:
+                q_target = hi if q > t_edge else held
+            else:
+                q_target = lo if q < t_edge else held
+        held = q_target
+        tau = k * (q_target - q) + damping * (v_target - q_dot)
+        if q_dot == 0.0:
+            breakaway = mu_s * abs(tau) + floor
+            if abs(f) <= breakaway:
+                q_dot = 0.0  # static: frozen, velocity exactly +0.0
+                out.append(q)
+                continue
+            friction = -breakaway if f > 0.0 else breakaway
+        else:
+            friction = -damping * q_dot
+        q_dot = q_dot + dt * ((tau + f) + friction) / inertia
+        q = q + dt * q_dot
+        if q <= lo:
+            q, q_dot = lo, 0.0
+        elif q >= hi:
+            q, q_dot = hi, 0.0
+        out.append(q)
+    return np.array(out, dtype=float)

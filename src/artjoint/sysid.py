@@ -25,8 +25,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .assets import JointSpec
-from .dynamics import initial_state, simulate_joint
+from .assets import JointSpec, ValidationReport, check_joint
+from .dynamics import initial_state, rollout, simulate_joint, steps_for
 from .errors import InsufficientDataError
 from .trajectory import Trajectory
 
@@ -43,7 +43,9 @@ class FitProblem:
 
     ``free`` lists parameter paths on the spec template; every free parameter
     needs a box in ``bounds`` and a start in ``init`` (inside the box), and
-    both name free parameters only.
+    both name free parameters only. The joint must pass
+    :func:`~artjoint.assets.check_joint` with any one free parameter at
+    either end of its box and the others at ``init``.
     ``channel`` defaults to the observed trajectory's single channel.
     """
 
@@ -55,6 +57,9 @@ class FitProblem:
     init: Mapping[str, float]
     channel: str = ""
     s_open0: bool = False
+    # forces at the simulated step times, sampled on first use; replace()
+    # leaves it unset, so a changed schedule or trajectory is sampled afresh
+    _force_samples: tuple[float, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if hasattr(self.forces, "value_at"):
@@ -89,12 +94,30 @@ class FitProblem:
             stray = sorted(set(given) - set(self.free))
             if stray:
                 raise ValueError(f"{label} name(s) {stray} are not free parameters")
-        # Validate parameter paths against the template once, up front.
-        apply_params(self.spec_template, {name: self.init[name] for name in self.free})
+        # The box must admit only valid joints: each free parameter at either
+        # end, the others at init (apply_params also checks every path).
+        start = {name: self.init[name] for name in self.free}
+        for name in self.free:
+            for value in self.bounds[name]:
+                report = ValidationReport()
+                check_joint(report, apply_params(self.spec_template, {**start, name: value}), "spec")
+                if not report.ok:
+                    raise ValueError(
+                        f"bounds for '{name}' admit an invalid joint: at {name} = {value}, {report.issues[0].message}"
+                    )
 
     @property
     def dt(self) -> float:
         return float(self.observed.times[1] - self.observed.times[0])
+
+    def _sampled_forces(self) -> tuple[float, ...]:
+        """``forces(k * dt)`` for every step of the forward run over the
+        observed window, the times :func:`simulate_joint` samples."""
+        if self._force_samples is None:
+            dt = self.dt
+            n = steps_for((len(self.observed) - 1) * dt, dt)
+            self._force_samples = tuple(self.forces(k * dt) for k in range(n))
+        return self._force_samples
 
 
 @functools.cache
@@ -136,7 +159,9 @@ def apply_params(spec: JointSpec, params: Mapping[str, float]) -> JointSpec:
 
 def objective(problem: FitProblem, params: Mapping[str, float]) -> float:
     """Sum of squared position error of the candidate's forward simulation at
-    the observed sample times."""
+    the observed sample times. The simulation runs through
+    :func:`~artjoint.dynamics.rollout` on the problem's memoized force
+    samples, bit-identical to :func:`simulate_joint`."""
     spec = apply_params(problem.spec_template, params)
     observed = problem.observed.channels[problem.channel]
     n = len(observed)
@@ -144,8 +169,7 @@ def objective(problem: FitProblem, params: Mapping[str, float]) -> float:
     q0 = float(observed[0])
     q0 = min(max(q0, spec.q_lower_bound), spec.q_upper_bound)
     state0 = initial_state(spec, q=q0, s_open=problem.s_open0)
-    series = simulate_joint(spec, problem.forces, duration=(n - 1) * dt, dt=dt, state0=state0)
-    sim = np.fromiter((s.q for s in series), dtype=float, count=len(series))
+    sim = rollout(spec, problem._sampled_forces(), dt, state0)
     diff = sim[:n] - observed
     return float(np.dot(diff, diff))
 

@@ -259,6 +259,18 @@ def test_fit_rejects_malformed_fitspec(tmp_path):
         ({"overrides": {"id": 1.0}}, "spec has no parameter 'id'"),
         ({"init": {**shipped["init"], "typo": 1.0}}, "init name(s) ['typo'] are not free parameters"),
         ({"bounds": {**shipped["bounds"], "other": [0, 1]}}, "bounds name(s) ['other'] are not free parameters"),
+        (
+            {"bounds": {**shipped["bounds"], "damping_D": [-1.0, 6.0]}},
+            "bounds for 'damping_D' admit an invalid joint: at damping_D = -1.0",
+        ),
+        (
+            {
+                "free": [*shipped["free"], "effective_inertia"],
+                "bounds": {**shipped["bounds"], "effective_inertia": [0.0, 2.0]},
+                "init": {**shipped["init"], "effective_inertia": 1.0},
+            },
+            "bounds for 'effective_inertia' admit an invalid joint: at effective_inertia = 0.0",
+        ),
     ):
         spec.write_text(json.dumps({**shipped, **change}))
         proc = run_cli("fit", spec, "--out", tmp_path / "params.json")

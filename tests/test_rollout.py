@@ -1,0 +1,114 @@
+"""``dynamics.rollout`` against the reference stepper: for random joints,
+starts and force schedules its positions equal ``simulate_joint``'s ``q``
+series bit for bit, signed zeros included."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import artjoint as aj
+
+from conftest import make_joint
+
+
+@st.composite
+def cases(draw):
+    """(spec, state0, schedule, duration, dt): a joint with a constant or
+    scheduled drive and a fixed or latch target, started at rest, moving or
+    at a stop, under forces that stay below breakaway, ramp across it, or
+    push into either stop.
+
+    Hypothesis draws the structure (which branches, which start, which
+    push) and the exact edge values (signed zeros, positions on a bound or a
+    threshold, sub-ulp velocities); a seeded generator draws the other
+    magnitudes, so examples spread over the parameter space instead of
+    clustering on Hypothesis's favourite floats."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = rng.uniform
+
+    def point_in(lo, hi, *marks):
+        """A position in [lo, hi]; one draw in four lands exactly on ``lo``,
+        ``hi`` or one of ``marks``."""
+        if draw(st.integers(0, 3)) == 0:
+            return draw(st.sampled_from([lo, hi, *marks]))
+        return u(lo, hi)
+
+    lo = draw(st.sampled_from([0.0, -0.0])) if draw(st.integers(0, 9)) == 0 else u(-1.0, 0.5)
+    hi = lo + u(0.05, 2.0)
+    if draw(st.booleans()):
+        stiffness = aj.ConstantStiffness(k=draw(st.sampled_from([0.0, -0.0])) if draw(st.integers(0, 4)) == 0 else u(0.0, 60.0))
+    else:
+        k_low = u(0.0, 5.0)
+        stiffness = aj.StiffnessSchedule(
+            k_high=k_low + u(0.0, 30.0),
+            k_low=k_low,
+            k_max=u(0.0, 60.0),
+            alpha=u(0.0, 80.0),
+            lambda_=u(0.0, 40.0),
+            q_threshold=point_in(lo, hi),
+        )
+    edge = point_in(lo, hi)
+    floor = draw(st.sampled_from([0.0, u(0.0, 1.0)]))
+    spec = make_joint(
+        q_lower_bound=lo,
+        q_upper_bound=hi,
+        damping_D=draw(st.sampled_from([0.0, 0.05, 0.5, 5.0])) * u(0.0, 1.0),
+        mu_s=u(0.0, 0.5),
+        coulomb_floor=floor,
+        effective_inertia=float(np.exp(u(np.log(0.02), np.log(5.0)))),
+        stiffness=stiffness,
+        target_policy=aj.LatchTarget(q_threshold=edge) if draw(st.booleans()) else aj.FixedTarget(q_target=edge),
+        target_velocity=draw(st.sampled_from([0.0, u(-0.5, 0.5)])),
+    )
+    start = draw(st.sampled_from(["rest", "moving", "lower stop", "upper stop"]))
+    if start == "lower stop" or start == "upper stop":
+        q0 = lo if start == "lower stop" else hi
+        # possibly creeping by less than one ulp of q per step
+        q_dot0 = draw(st.sampled_from([0.0, 1e-300, -1e-300, u(-3.0, 3.0)]))
+    else:
+        q0 = point_in(lo, hi, edge, getattr(stiffness, "q_threshold", lo))
+        q_dot0 = draw(st.sampled_from([0.0, -0.0])) if start == "rest" else u(-3.0, 3.0)
+    state0 = aj.initial_state(spec, q=q0, q_dot=q_dot0, s_open=draw(st.booleans()))
+
+    dt = draw(st.sampled_from([aj.DT_MAX, u(1e-4, aj.DT_MAX)]))
+    duration = int(rng.integers(50, 1000)) * dt
+    # the breakaway threshold at the start, and a force level past it
+    breakaway = spec.mu_s * abs(aj.drive_effort(spec, state0)) + floor
+    past = breakaway * u(1.01, 5.0) + u(0.0, 20.0)
+    push = draw(st.sampled_from(["under breakaway", "ramp", "into upper stop", "into lower stop"]))
+    if push == "under breakaway":
+        # the threshold itself holds: static friction takes |f| <= breakaway
+        levels = [breakaway * draw(st.sampled_from([1.0, -1.0, u(-1.0, 1.0)])) for _ in range(rng.integers(1, 5))]
+    elif push == "ramp":
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        levels = [sign * past * i / 8 for i in range(9)]
+    else:
+        sign = 1.0 if push == "into upper stop" else -1.0
+        levels = [sign * past * u(1.0, 10.0), breakaway * u(-1.0, 1.0)]
+    edges = [duration * i / len(levels) for i in range(len(levels))]
+    schedule = aj.PiecewiseForce(steps=tuple(zip(edges, map(float, levels))))
+    return spec, state0, schedule.value_at, duration, dt
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cases())
+def test_rollout_is_bit_identical_to_simulate_joint(case):
+    spec, state0, schedule, duration, dt = case
+    reference = np.array([s.q for s in aj.simulate_joint(spec, schedule, duration, dt, state0=state0)])
+    forces = [schedule(k * dt) for k in range(aj.steps_for(duration, dt))]
+    got = aj.rollout(spec, forces, dt, state0)
+    assert got.shape == reference.shape
+    assert np.array_equal(got, reference)
+    assert np.array_equal(np.signbit(got), np.signbit(reference))
+
+
+def test_rollout_starts_at_the_initial_position_and_checks_dt():
+    spec = make_joint()
+    state0 = aj.initial_state(spec, q=0.25)
+    assert aj.rollout(spec, [], 0.001, state0).tolist() == [0.25]
+    assert len(aj.rollout(spec, [1.0] * 5, 0.001, state0)) == 6
+    with pytest.raises(aj.NonPositiveDtError):
+        aj.rollout(spec, [1.0], 0.0, state0)
+    with pytest.raises(aj.UnstableDtError):
+        aj.rollout(spec, [1.0], 2 * aj.DT_MAX, state0)

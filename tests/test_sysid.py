@@ -1,10 +1,13 @@
 """Parameter identification: problem validation, the objective, and
 recovery of known joint parameters from synthetic observations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import artjoint as aj
+from artjoint import cli, fixtures
 
 from conftest import make_joint
 
@@ -84,6 +87,22 @@ def test_bad_parameter_path_rejected(slide):
             problem_for(slide, observed, [name], {name: (0.0, 1.0)}, {name: 0.5})
 
 
+def test_box_admitting_an_invalid_joint_rejected(slide):
+    observed = observed_for(slide)
+    with pytest.raises(ValueError, match=r"bounds for 'damping_D' admit an invalid joint: at damping_D = -1.0, .*damping_D must be >= 0"):
+        problem_for(slide, observed, ["damping_D"], {"damping_D": (-1.0, 30.0)}, {"damping_D": 10.0})
+    with pytest.raises(ValueError, match=r"at effective_inertia = 0.0, .*effective_inertia must be > 0"):
+        problem_for(
+            slide,
+            observed,
+            ["damping_D", "effective_inertia"],
+            {"damping_D": (1.0, 30.0), "effective_inertia": (0.0, 2.0)},
+            {"damping_D": 10.0, "effective_inertia": 1.0},
+        )
+    # a box whose ends are valid with the other parameters at their start loads
+    problem_for(slide, observed, ["damping_D", "mu_s"], {"damping_D": (0.0, 30.0), "mu_s": (0.0, 1.0)}, {"damping_D": 10.0, "mu_s": 0.1})
+
+
 # ---------------------------------------------------------------------------
 # apply_params
 
@@ -124,6 +143,32 @@ def test_objective_zero_at_the_generating_parameters(slide):
         {"damping_D": 15.0, "coulomb_floor": 0.6},
     )
     assert aj.objective(prob, {"damping_D": 15.0, "coulomb_floor": 0.6}) == 0.0
+
+
+def test_objective_samples_the_forces_once_per_problem(slide):
+    observed = observed_for(slide)
+    times = []
+
+    def counting(t):
+        times.append(t)
+        return pull(t)
+
+    prob = problem_for(slide, observed, ["damping_D"], {"damping_D": (5.0, 40.0)}, {"damping_D": 15.0})
+    prob = dataclasses.replace(prob, forces=counting)
+    assert times == []  # sampled on first use, not at construction
+    assert aj.objective(prob, {"damping_D": 15.0}) == 0.0
+    assert times == [k * prob.dt for k in range(len(observed) - 1)]  # the times simulate_joint samples
+    assert aj.objective(prob, {"damping_D": 30.0}) > 0.0
+    assert len(times) == len(observed) - 1  # no force call on the second evaluation
+
+    # a replaced schedule is sampled afresh, never served from the old samples
+    pushed = []
+    unpushed = dataclasses.replace(prob, forces=lambda t: pushed.append(t) or 0.0)
+    at_rest = aj.objective(unpushed, {"damping_D": 15.0})
+    assert len(pushed) == len(observed) - 1
+    assert at_rest == aj.objective(dataclasses.replace(prob, forces=lambda t: 0.0), {"damping_D": 15.0}) > 0.0
+    assert aj.objective(prob, {"damping_D": 15.0}) == 0.0
+    assert len(times) == len(observed) - 1
 
 
 def test_objective_grows_away_from_truth(slide):
@@ -311,3 +356,44 @@ def test_recover_trashcan_damping_and_low_stiffness(trashcan):
         {"damping_D": 0.035, "stiffness.k_low": 0.42},
         q0=1.5,
     )
+
+
+# ---------------------------------------------------------------------------
+# pinned fit results on the bundled fitspec: any change to the objective's
+# float arithmetic, however small, moves these exact values
+
+
+PINNED_FITS = {
+    "shipped": (
+        {"damping_D": "0x1.0002626eb6938p+1", "mu_s": "0x1.971758d3206c3p-4", "coulomb_floor": "0x1.325c953448ef0p-2"},
+        "0x1.cc8072b2b8191p-34",
+        1189,
+        11,
+    ),
+    "seeded1": (
+        {"damping_D": "0x1.ffad4c27b86d4p+0", "mu_s": "0x1.c9cd45194448bp-4", "coulomb_floor": "0x1.3ce377c340329p-2"},
+        "0x1.0c151eee86aa3p-25",
+        326,
+        3,
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def drawer_sprung():
+    return cli._load_fit_problem(fixtures.fitspec_path("drawer_sprung"))
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_FITS))
+def test_fit_on_the_bundled_fitspec_is_pinned(drawer_sprung, label):
+    problem = drawer_sprung
+    if label == "seeded1":
+        # the middle-60% draw of the benchmark's fit workload, start seed 1
+        rng = np.random.default_rng(1)
+        start = {name: lo + (0.2 + 0.6 * rng.random()) * (hi - lo) for name, (lo, hi) in problem.bounds.items()}
+        problem = dataclasses.replace(problem, init=start)
+    params, sse, n_evals, iterations = PINNED_FITS[label]
+    result = aj.fit(problem)
+    assert result.params == {name: float.fromhex(value) for name, value in params.items()}
+    assert result.residual_sse == float.fromhex(sse)
+    assert (result.n_evals, result.iterations, result.converged) == (n_evals, iterations, True)
