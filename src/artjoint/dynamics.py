@@ -20,14 +20,12 @@ a bound) and a stiction latch: while the regime is Static the state does not
 move at all, and the regime is re-evaluated every step. Everything here is
 pure float arithmetic in a fixed order, so repeated runs are bit-identical.
 
-Two steppers implement this model. :func:`step` advances one
-:class:`JointState` and is the reference: the scenario runtime, the
-environment and :func:`simulate_joint` use it. :func:`rollout` runs the same
-float operations in the same order over presampled forces in one loop of
-plain floats and returns only the position series; parameter fitting
-simulates through it. Its output is bit-identical to the ``q`` series of
-:func:`simulate_joint`, signed zeros included, and a property test over
-random specs, starts and force schedules holds the two to that.
+One loop, :func:`_advance`, runs this arithmetic over plain floats.
+:func:`step` is that loop over one force and :func:`rollout` over presampled
+forces, so the scenario runtime, the environment and parameter fitting
+simulate one model. :func:`stiffness_at`, :func:`target_at`,
+:func:`drive_effort` and :func:`friction_effort` state the same formulas one
+instant at a time; a property test holds the loop to them bit for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -48,6 +46,10 @@ DT_MAX = 0.01  # stability guard for the explicit part of the stepper
 class Regime(str, Enum):
     STATIC = "static"
     KINETIC = "kinetic"
+
+
+# Enum member lookups are slow on CPython 3.11; the stepper binds these.
+_STATIC, _KINETIC = Regime.STATIC, Regime.KINETIC
 
 
 @dataclass(slots=True)
@@ -115,19 +117,12 @@ def target_at(
     return prev_target
 
 
-def _drive_terms(spec: JointSpec, state: JointState) -> tuple[float, float]:
-    """(q_target, tau_drive) at the current state — the single place the
-    drive formula lives."""
+def drive_effort(spec: JointSpec, state: JointState) -> float:
+    """``K(q) * (q_target - q) + D * (target_velocity - q_dot)``."""
     bounds = (spec.q_lower_bound, spec.q_upper_bound)
     k = stiffness_at(spec.stiffness, state.q, state.s_open, bounds)
     q_target = target_at(spec.target_policy, state.q, state.s_open, state.held_target, bounds)
-    tau = k * (q_target - state.q) + spec.damping_D * (spec.target_velocity - state.q_dot)
-    return q_target, tau
-
-
-def drive_effort(spec: JointSpec, state: JointState) -> float:
-    """``K(q) * (q_target - q) + D * (target_velocity - q_dot)``."""
-    return _drive_terms(spec, state)[1]
+    return k * (q_target - state.q) + spec.damping_D * (spec.target_velocity - state.q_dot)
 
 
 def friction_effort(
@@ -143,7 +138,7 @@ def friction_effort(
 
 
 def check_dt(dt: float) -> None:
-    """The one timestep rule, shared by scenarios and the steppers."""
+    """The one timestep rule, shared by scenarios, the stepper and fitting."""
     if dt <= 0.0:
         raise NonPositiveDtError(f"dt must be > 0, got {dt}")
     if dt > DT_MAX:
@@ -156,24 +151,9 @@ def step(spec: JointSpec, state: JointState, f_ext: float, dt: float) -> JointSt
     Static regime freezes the joint exactly (q and q_dot unchanged, velocity
     exactly zero); otherwise semi-implicit Euler, then limit clamping with
     the velocity zeroed at a bound. The newly evaluated drive target becomes
-    the next ``held_target``. :func:`rollout` repeats this arithmetic inline;
-    a change here must be made there too.
+    the next ``held_target``.
     """
-    check_dt(dt)
-    q_target, tau = _drive_terms(spec, state)
-    f_friction, regime = friction_effort(spec, state, tau, f_ext)
-    if regime is Regime.STATIC:
-        return JointState(
-            q=state.q, q_dot=0.0, s_open=state.s_open, regime=regime, held_target=q_target
-        )
-    net = (tau + f_ext) + f_friction
-    q_dot = state.q_dot + dt * net / spec.effective_inertia
-    q = state.q + dt * q_dot
-    if q <= spec.q_lower_bound:
-        q, q_dot = spec.q_lower_bound, 0.0
-    elif q >= spec.q_upper_bound:
-        q, q_dot = spec.q_upper_bound, 0.0
-    return JointState(q=q, q_dot=q_dot, s_open=state.s_open, regime=regime, held_target=q_target)
+    return _advance(spec, state, (f_ext,), dt, [])
 
 
 def initial_state(spec: JointSpec, q: float = 0.0, q_dot: float = 0.0, s_open: bool = False) -> JointState:
@@ -229,11 +209,19 @@ def rollout(spec: JointSpec, forces: Sequence[float], dt: float, state0: JointSt
 
     ``forces[k]`` is the external effort of step ``k`` (the schedule sampled
     at ``t = k * dt``). Returns ``len(forces) + 1`` positions, the first
-    being ``state0.q``. This is :func:`step` unrolled into one loop over
-    plain floats (spec constants read once, no state object per step) with
-    the same operations in the same order, so the result equals the ``q``
-    series of :func:`simulate_joint` bit for bit; a change to :func:`step`
-    must be made here too.
+    being ``state0.q``: the ``q`` series of :func:`simulate_joint` under the
+    same forces, without a state object per step.
+    """
+    out = [state0.q]
+    _advance(spec, state0, forces, dt, out)
+    return np.array(out, dtype=float)
+
+
+def _advance(spec: JointSpec, state0: JointState, forces: Iterable[float], dt: float, out: list) -> JointState:
+    """Apply each of ``forces`` in turn from ``state0``, appending every new
+    position to ``out``, and return the final state. The only code that does
+    the drive, friction, Euler and clamping arithmetic: ``dt`` is checked and
+    the spec's constants are read once, then each step works on plain floats.
     """
     check_dt(dt)
     lo, hi = spec.q_lower_bound, spec.q_upper_bound
@@ -252,8 +240,8 @@ def rollout(spec: JointSpec, forces: Sequence[float], dt: float, state0: JointSt
     else:
         q_target = policy.q_target
     exp = math.exp
-    q, q_dot, s_open, held = state0.q, state0.q_dot, state0.s_open, state0.held_target
-    out = [q]
+    static, kinetic = _STATIC, _KINETIC
+    q, q_dot, s_open, held, regime = state0.q, state0.q_dot, state0.s_open, state0.held_target, state0.regime
     for f in forces:
         if scheduled:
             if q <= lo:
@@ -274,12 +262,13 @@ def rollout(spec: JointSpec, forces: Sequence[float], dt: float, state0: JointSt
         if q_dot == 0.0:
             breakaway = mu_s * abs(tau) + floor
             if abs(f) <= breakaway:
-                q_dot = 0.0  # static: frozen, velocity exactly +0.0
+                q_dot, regime = 0.0, static  # frozen, velocity exactly +0.0
                 out.append(q)
                 continue
             friction = -breakaway if f > 0.0 else breakaway
         else:
             friction = -damping * q_dot
+        regime = kinetic
         q_dot = q_dot + dt * ((tau + f) + friction) / inertia
         q = q + dt * q_dot
         if q <= lo:
@@ -287,4 +276,4 @@ def rollout(spec: JointSpec, forces: Sequence[float], dt: float, state0: JointSt
         elif q >= hi:
             q, q_dot = hi, 0.0
         out.append(q)
-    return np.array(out, dtype=float)
+    return JointState(q=q, q_dot=q_dot, s_open=s_open, regime=regime, held_target=held)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -26,7 +27,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .assets import JointSpec, ValidationReport, check_joint
-from .dynamics import initial_state, rollout, simulate_joint, steps_for
+from .dynamics import check_dt, initial_state, rollout, simulate_joint, steps_for
 from .errors import InsufficientDataError
 from .trajectory import Trajectory
 
@@ -44,8 +45,8 @@ class FitProblem:
     ``free`` lists parameter paths on the spec template; every free parameter
     needs a box in ``bounds`` and a start in ``init`` (inside the box), and
     both name free parameters only. The joint must pass
-    :func:`~artjoint.assets.check_joint` with any one free parameter at
-    either end of its box and the others at ``init``.
+    :func:`~artjoint.assets.check_joint` everywhere in the box, and the
+    observed sample step must pass :func:`~artjoint.dynamics.check_dt`.
     ``channel`` defaults to the observed trajectory's single channel.
     """
 
@@ -94,17 +95,23 @@ class FitProblem:
             stray = sorted(set(given) - set(self.free))
             if stray:
                 raise ValueError(f"{label} name(s) {stray} are not free parameters")
-        # The box must admit only valid joints: each free parameter at either
-        # end, the others at init (apply_params also checks every path).
+        check_dt(self.dt)
+        # The box must admit only valid joints. check_joint's rules on float
+        # parameters are linear inequalities, so the valid set is convex and
+        # the box's corners decide it. Each free parameter at either end with
+        # the others at init goes first, for a message that names one.
         start = {name: self.init[name] for name in self.free}
-        for name in self.free:
-            for value in self.bounds[name]:
-                report = ValidationReport()
-                check_joint(report, apply_params(self.spec_template, {**start, name: value}), "spec")
-                if not report.ok:
-                    raise ValueError(
-                        f"bounds for '{name}' admit an invalid joint: at {name} = {value}, {report.issues[0].message}"
-                    )
+        ends = (([name], {**start, name: value}) for name in self.free for value in self.bounds[name])
+        boxes = [self.bounds[name] for name in self.free]
+        corners = ((self.free, dict(zip(self.free, corner))) for corner in itertools.product(*boxes))
+        for names, params in itertools.chain(ends, corners):
+            report = ValidationReport()
+            check_joint(report, apply_params(self.spec_template, params), "spec")
+            if not report.ok:
+                raise ValueError(
+                    f"bounds for {', '.join(map(repr, names))} admit an invalid joint: "
+                    f"at {', '.join(f'{name} = {params[name]}' for name in names)}, {report.issues[0].message}"
+                )
 
     @property
     def dt(self) -> float:
@@ -112,7 +119,8 @@ class FitProblem:
 
     def _sampled_forces(self) -> tuple[float, ...]:
         """``forces(k * dt)`` for every step of the forward run over the
-        observed window, the times :func:`simulate_joint` samples."""
+        observed window, sampled once per problem at the times
+        :func:`simulate_joint` samples."""
         if self._force_samples is None:
             dt = self.dt
             n = steps_for((len(self.observed) - 1) * dt, dt)
@@ -159,9 +167,9 @@ def apply_params(spec: JointSpec, params: Mapping[str, float]) -> JointSpec:
 
 def objective(problem: FitProblem, params: Mapping[str, float]) -> float:
     """Sum of squared position error of the candidate's forward simulation at
-    the observed sample times. The simulation runs through
+    the observed sample times. The simulation is
     :func:`~artjoint.dynamics.rollout` on the problem's memoized force
-    samples, bit-identical to :func:`simulate_joint`."""
+    samples: the stepper the scenario runtime uses, keeping positions only."""
     spec = apply_params(problem.spec_template, params)
     observed = problem.observed.channels[problem.channel]
     n = len(observed)

@@ -251,6 +251,9 @@ def test_fit_rejects_malformed_fitspec(tmp_path):
     data_dir = fx.fitspec_path("drawer_sprung").parent
     for key in ("asset", "observed"):
         shipped[key] = str(data_dir / shipped[key])
+    coarse = tmp_path / "coarse.csv"
+    times = np.arange(20) * 0.02
+    aj.export_csv(aj.Trajectory(times=times, channels={"slide.q": np.full(len(times), 0.35)}), coarse)
     for change, hint in (
         ({"init": {**shipped["init"], "damping_D": 99.0}}, "init for 'damping_D' (99.0) outside bounds"),
         ({"overrides": {"nope": 1.0}}, "spec has no parameter 'nope'"),
@@ -271,6 +274,7 @@ def test_fit_rejects_malformed_fitspec(tmp_path):
             },
             "bounds for 'effective_inertia' admit an invalid joint: at effective_inertia = 0.0",
         ),
+        ({"observed": str(coarse)}, "dt: dt=0.02 exceeds the stability guard"),
     ):
         spec.write_text(json.dumps({**shipped, **change}))
         proc = run_cli("fit", spec, "--out", tmp_path / "params.json")

@@ -1,6 +1,7 @@
-"""``dynamics.rollout`` against the reference stepper: for random joints,
-starts and force schedules its positions equal ``simulate_joint``'s ``q``
-series bit for bit, signed zeros included."""
+"""The stepper against a reference written here from the public effort
+primitives: for random joints, starts and force schedules every state of
+``simulate_joint`` and every position of ``rollout`` equal the reference's
+bit for bit, signed zeros included."""
 
 import numpy as np
 import pytest
@@ -91,16 +92,48 @@ def cases(draw):
     return spec, state0, schedule.value_at, duration, dt
 
 
+def reference_step(spec, state, f_ext, dt):
+    """One step from ``stiffness_at``, ``target_at``, ``drive_effort`` and
+    ``friction_effort``, then semi-implicit Euler and limit clamping, in the
+    order the model documents."""
+    bounds = (spec.q_lower_bound, spec.q_upper_bound)
+    k = aj.stiffness_at(spec.stiffness, state.q, state.s_open, bounds)
+    q_target = aj.target_at(spec.target_policy, state.q, state.s_open, state.held_target, bounds)
+    tau = k * (q_target - state.q) + spec.damping_D * (spec.target_velocity - state.q_dot)
+    assert bits(tau) == bits(aj.drive_effort(spec, state))
+    f_friction, regime = aj.friction_effort(spec, state, tau, f_ext)
+    if regime is aj.Regime.STATIC:
+        return aj.JointState(q=state.q, q_dot=0.0, s_open=state.s_open, regime=regime, held_target=q_target)
+    q_dot = state.q_dot + dt * ((tau + f_ext) + f_friction) / spec.effective_inertia
+    q = state.q + dt * q_dot
+    if q <= spec.q_lower_bound:
+        q, q_dot = spec.q_lower_bound, 0.0
+    elif q >= spec.q_upper_bound:
+        q, q_dot = spec.q_upper_bound, 0.0
+    return aj.JointState(q=q, q_dot=q_dot, s_open=state.s_open, regime=regime, held_target=q_target)
+
+
+def bits(x: float) -> str:
+    """``x`` exactly: equal strings mean equal values and equal signs of zero."""
+    return float(x).hex()
+
+
+def fields(state):
+    return bits(state.q), bits(state.q_dot), state.s_open, state.regime, bits(state.held_target)
+
+
 @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cases())
-def test_rollout_is_bit_identical_to_simulate_joint(case):
+def test_simulate_joint_and_rollout_match_the_reference_step(case):
     spec, state0, schedule, duration, dt = case
-    reference = np.array([s.q for s in aj.simulate_joint(spec, schedule, duration, dt, state0=state0)])
     forces = [schedule(k * dt) for k in range(aj.steps_for(duration, dt))]
-    got = aj.rollout(spec, forces, dt, state0)
-    assert got.shape == reference.shape
-    assert np.array_equal(got, reference)
-    assert np.array_equal(np.signbit(got), np.signbit(reference))
+    reference = [state0]
+    for f in forces:
+        reference.append(reference_step(spec, reference[-1], f, dt))
+    got = aj.simulate_joint(spec, schedule, duration, dt, state0=state0)
+    assert list(map(fields, got)) == list(map(fields, reference))
+    positions = aj.rollout(spec, forces, dt, state0)
+    assert list(map(bits, positions)) == [bits(s.q) for s in reference]
 
 
 def test_rollout_starts_at_the_initial_position_and_checks_dt():

@@ -103,6 +103,28 @@ def test_box_admitting_an_invalid_joint_rejected(slide):
     problem_for(slide, observed, ["damping_D", "mu_s"], {"damping_D": (0.0, 30.0), "mu_s": (0.0, 1.0)}, {"damping_D": 10.0, "mu_s": 0.1})
 
 
+def test_box_invalid_only_at_a_corner_rejected(microwave):
+    # each end is valid with the other parameter at its start; k_low = 5.0
+    # with k_high = 4.0 is not
+    door = microwave.joint("door")
+    observed = observed_for(door, forces=lambda t: 0.0)
+    free = ["stiffness.k_low", "stiffness.k_high"]
+    box = {"stiffness.k_low": (0.3, 5.0), "stiffness.k_high": (4.0, 8.0)}
+    with pytest.raises(
+        ValueError,
+        match=r"bounds for 'stiffness.k_low', 'stiffness.k_high' admit an invalid joint: "
+        r"at stiffness.k_low = 5.0, stiffness.k_high = 4.0, .*requires k_low <= k_high",
+    ):
+        problem_for(door, observed, free, box, {"stiffness.k_low": 0.8, "stiffness.k_high": 6.0})
+
+
+def test_observed_step_past_the_dt_guard_rejected(slide):
+    times = np.arange(20) * 0.02
+    coarse = aj.Trajectory(times=times, channels={"q": np.zeros(len(times))})
+    with pytest.raises(aj.UnstableDtError, match="stability guard"):
+        problem_for(slide, coarse, ["damping_D"], {"damping_D": (1.0, 30.0)}, {"damping_D": 10.0})
+
+
 # ---------------------------------------------------------------------------
 # apply_params
 
