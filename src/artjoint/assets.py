@@ -244,7 +244,8 @@ def validate(assembly: Assembly) -> ValidationReport:
     inertias, unit axes (1e-9), ordered limits, non-negative
     friction/stiffness parameters, thresholds and fixed targets within
     limits, unit quaternions, marker-name uniqueness per module, and behavior
-    rules with resolvable local references and non-empty effect lists.
+    rules with unique ids, in-limit fixed targets, and the reference and
+    effect-list rules of :func:`behaviors.rule_issues`.
     """
     report = ValidationReport()
     module_ids = [m.id for m in assembly.modules]
@@ -308,7 +309,6 @@ def validate(assembly: Assembly) -> ValidationReport:
         for mid in unreachable:
             report.add("cyclic-structure", "modules", f"module '{mid}' is not reachable from root '{assembly.root_module}'")
 
-    joint_set = {j.id for j in assembly.joints}
     limits = {j.id: (j.q_lower_bound, j.q_upper_bound) for j in assembly.joints}
     rule_ids = set()
     for i, rule in enumerate(assembly.behaviors):
@@ -316,23 +316,13 @@ def validate(assembly: Assembly) -> ValidationReport:
         if rule.id in rule_ids:
             report.add("duplicate-id", path, f"duplicate rule id '{rule.id}'")
         rule_ids.add(rule.id)
-        if not rule.effects:
-            report.add("empty-effects", path, f"rule '{rule.id}' has no effects")
-        trig = rule.trigger
-        if isinstance(trig, bh.ThresholdCrossed) and trig.joint not in joint_set:
-            report.add("unresolved-reference", f"{path}.trigger", f"rule '{rule.id}' trigger references unknown joint '{trig.joint}'")
+        for code, suffix, message in bh.rule_issues(rule, limits.keys(), module_set):
+            report.add(code, path + suffix, message)
         for k, effect in enumerate(rule.effects):
-            epath = f"{path}.effects[{k}]"
-            if isinstance(effect, (bh.SetOpenState, bh.SetFixedTarget)):
-                if effect.joint not in joint_set:
-                    report.add("unresolved-reference", epath, f"rule '{rule.id}' references unknown joint '{effect.joint}'")
-                elif isinstance(effect, bh.SetFixedTarget):
-                    lo, hi = limits[effect.joint]
-                    if not (lo <= effect.q_target <= hi):
-                        report.add("target-out-of-limits", epath, f"rule '{rule.id}' sets target {effect.q_target} outside [{lo}, {hi}] of joint '{effect.joint}'")
-            elif isinstance(effect, bh.SetProperty):
-                if effect.target not in module_set:
-                    report.add("unresolved-reference", epath, f"rule '{rule.id}' references unknown module '{effect.target}'")
+            if isinstance(effect, bh.SetFixedTarget) and effect.joint in limits:
+                lo, hi = limits[effect.joint]
+                if not (lo <= effect.q_target <= hi):
+                    report.add("target-out-of-limits", f"{path}.effects[{k}]", f"rule '{rule.id}' sets target {effect.q_target} outside [{lo}, {hi}] of joint '{effect.joint}'")
     return report
 
 

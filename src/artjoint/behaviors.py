@@ -2,9 +2,12 @@
 evaluation.
 
 Rules live inside an assembly (they serialize with it) and reference that
-assembly's joints/modules by bare id. ``bind`` qualifies every reference with
-the assembly's scenario name (``"microwave/door_hinge"``), which is what lets
-one assembly's rule listen to a signal another assembly emits.
+assembly's joints/modules by bare id. The table ``REFERENCE_FIELDS`` and the
+checker ``rule_issues`` (section "references and binding" below) are the one
+rule for those references: ``assets.validate`` reports every issue and
+``bind`` raises on the first, then qualifies every reference with the
+assembly's scenario name (``"microwave/door_hinge"``), which is what lets one
+assembly's rule listen to a signal another assembly emits.
 
 Trigger/effect evaluation is deliberately simple and deterministic:
 
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from typing import Container, Iterable, Iterator, Mapping, Union
 
 from .errors import SignalLoopError, UnresolvedReferenceError
 
@@ -137,33 +140,39 @@ class EventLog:
 
 
 # --------------------------------------------------------------------------
-# binding
+# references and binding
 
 
-def _qualify_trigger(trigger: Trigger, name: str, joints: set, rule_id: str) -> Trigger:
-    if isinstance(trigger, ThresholdCrossed):
-        if trigger.joint not in joints:
-            raise UnresolvedReferenceError(
-                f"rule '{rule_id}': trigger references unknown joint '{trigger.joint}'"
-            )
-        return dataclasses.replace(trigger, joint=f"{name}/{trigger.joint}")
-    return trigger
+# the field of each trigger and effect type that names a joint or a module of
+# the rule's own assembly, and which of the two it names
+REFERENCE_FIELDS = {
+    ThresholdCrossed: ("joint", "joint"),
+    SetOpenState: ("joint", "joint"),
+    SetFixedTarget: ("joint", "joint"),
+    SetProperty: ("target", "module"),
+}
 
 
-def _qualify_effect(effect: Effect, name: str, joints: set, modules: set, rule_id: str) -> Effect:
-    if isinstance(effect, (SetOpenState, SetFixedTarget)):
-        if effect.joint not in joints:
-            raise UnresolvedReferenceError(
-                f"rule '{rule_id}': effect references unknown joint '{effect.joint}'"
-            )
-        return dataclasses.replace(effect, joint=f"{name}/{effect.joint}")
-    if isinstance(effect, SetProperty):
-        if effect.target not in modules:
-            raise UnresolvedReferenceError(
-                f"rule '{rule_id}': effect references unknown module '{effect.target}'"
-            )
-        return dataclasses.replace(effect, target=f"{name}/{effect.target}")
-    return effect
+def rule_issues(rule: BehaviorRule, joints: Container[str], modules: Container[str]) -> Iterator[tuple[str, str, str]]:
+    """Yield ``(code, path suffix, message)`` for an empty effect list and for
+    each reference to an id not in ``joints``/``modules``, the ids of the
+    rule's own assembly. A suffix is ``""``, ``".trigger"`` or ``".effects[k]"``."""
+    if not rule.effects:
+        yield "empty-effects", "", f"rule '{rule.id}' has no effects"
+    known = {"joint": joints, "module": modules}
+    parts = {".trigger": rule.trigger, **{f".effects[{k}]": e for k, e in enumerate(rule.effects)}}
+    for suffix, part in parts.items():
+        name, kind = REFERENCE_FIELDS.get(type(part), ("", ""))
+        if name and getattr(part, name) not in known[kind]:
+            yield "unresolved-reference", suffix, f"rule '{rule.id}' references unknown {kind} '{getattr(part, name)}'"
+
+
+def _qualify(part: Union[Trigger, Effect], name: str) -> Union[Trigger, Effect]:
+    """``part`` with its reference, if it has one, qualified as ``name/...``."""
+    field_name, _ = REFERENCE_FIELDS.get(type(part), ("", ""))
+    if not field_name:
+        return part
+    return dataclasses.replace(part, **{field_name: f"{name}/{getattr(part, field_name)}"})
 
 
 def bind(assemblies: Mapping[str, "object"]) -> tuple[BehaviorRule, ...]:
@@ -178,15 +187,11 @@ def bind(assemblies: Mapping[str, "object"]) -> tuple[BehaviorRule, ...]:
     for name, assembly in assemblies.items():
         joints = {j.id for j in assembly.joints}
         modules = {m.id for m in assembly.modules}
-        for rule in assembly.behaviors:
-            rule_id = f"{name}/{rule.id}"
-            if not rule.effects:
-                raise UnresolvedReferenceError(f"rule '{rule_id}' has no effects")
-            trigger = _qualify_trigger(rule.trigger, name, joints, rule_id)
-            effects = tuple(
-                _qualify_effect(e, name, joints, modules, rule_id) for e in rule.effects
-            )
-            rules.append(BehaviorRule(id=rule_id, trigger=trigger, effects=effects))
+        for i, rule in enumerate(assembly.behaviors):
+            for _code, suffix, message in rule_issues(rule, joints, modules):
+                raise UnresolvedReferenceError(f"assembly '{name}' behaviors[{i}]{suffix}: {message}")
+            effects = tuple(_qualify(e, name) for e in rule.effects)
+            rules.append(BehaviorRule(id=f"{name}/{rule.id}", trigger=_qualify(rule.trigger, name), effects=effects))
     return tuple(rules)
 
 

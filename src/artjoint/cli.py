@@ -33,7 +33,7 @@ from .assets import (
     parse_asset,
     validate,
 )
-from .errors import ArtjointError, AssetSyntaxError, UnknownJointError
+from .errors import ArtjointError, AssetSyntaxError, UnknownJointError, UnstableDtError
 from .scenario import _FORCE_PROFILE, Scenario, load_scenario, run
 from .sysid import DEFAULT_BUDGET, FitProblem, apply_params, fit
 from .trajectory import Trajectory, average, compare, export_csv, import_csv
@@ -208,6 +208,8 @@ def _load_fit_problem(path: Path) -> FitProblem:
             channel=_as_str(spec.get("channel", ""), "fitspec.channel"),
             s_open0=_as_bool(spec.get("s_open0", False), "fitspec.s_open0"),
         )
+    except UnstableDtError as exc:  # a fit steps at the observed sample step
+        raise UnstableDtError(exc.message, "fitspec.observed") from None
     except ValueError as exc:
         raise AssetSyntaxError(str(exc), "fitspec") from None
 

@@ -12,10 +12,12 @@ class ArtjointError(Exception):
 class AssetSyntaxError(ArtjointError):
     """Malformed asset/scenario/fitspec JSON (bad shape, type, or unknown key).
 
-    ``location`` is a JSON-path-ish string such as ``joints[0].axis``.
+    ``location`` is a JSON-path-ish string such as ``joints[0].axis``;
+    ``message`` is the text without it.
     """
 
     def __init__(self, message: str, location: str = ""):
+        self.message = message
         self.location = location
         super().__init__(f"{location}: {message}" if location else message)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping, Union
 
@@ -129,7 +129,8 @@ class Scenario:
     optional env block.
 
     Construction, ``dataclasses.replace`` included, checks every invariant:
-    unique slash-free assembly names, ``duration > 0``, the
+    unique slash-free assembly names, placed assemblies that pass
+    :func:`assets.validate`, ``duration > 0``, the
     :func:`dynamics.check_dt` rule, env limits > 0, reward weight names,
     initial positions within their joint's limits, unique recordings, and
     that every ref resolves. :meth:`joint` and :meth:`marker` are the only
@@ -156,6 +157,8 @@ class Scenario:
             if pl.name in by_name:
                 raise AssetSyntaxError(f"duplicate assembly name '{pl.name}'", loc)
             by_name[pl.name] = pl
+            issues = [replace(x, path=f"assemblies[{i}].assembly.{x.path}") for x in assets_mod.validate(pl.assembly)]
+            assets_mod.raise_on_issues(assets_mod.ValidationReport(issues))
         object.__setattr__(self, "_by_name", by_name)
         object.__setattr__(
             self, "_joints", {f"{pl.name}/{j.id}": j for pl in self.assemblies for j in pl.assembly.joints}

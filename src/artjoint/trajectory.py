@@ -72,9 +72,9 @@ class ComparisonResult:
 def compare(a: Trajectory, b: Trajectory) -> ComparisonResult:
     """Per-channel and pooled RMSE / max-abs error between two trajectories.
 
-    Both must carry identical channel sets. When the time bases differ, ``b``
-    is linearly interpolated onto ``a``'s samples restricted to the
-    overlapping span; an empty overlap raises
+    Both must carry identical channel sets. ``b`` is linearly interpolated
+    onto ``a``'s samples restricted to the overlapping span (exact where the
+    time bases agree); an empty overlap raises
     :class:`DisjointTimeSpansError`.
     """
     if a.channel_names != b.channel_names:
@@ -87,30 +87,24 @@ def compare(a: Trajectory, b: Trajectory) -> ComparisonResult:
     if len(a) == 0 or len(b) == 0:
         raise ValueError("cannot compare empty trajectories")
 
-    same_base = len(a) == len(b) and np.array_equal(a.times, b.times)
-    if same_base:
-        times = a.times
-        sample_b = dict(b.channels)
-    else:
-        t0 = max(a.times[0], b.times[0])
-        t1 = min(a.times[-1], b.times[-1])
-        if t0 > t1:
-            raise DisjointTimeSpansError(
-                f"time spans [{a.times[0]}, {a.times[-1]}] and [{b.times[0]}, {b.times[-1]}] do not overlap"
-            )
-        keep = (a.times >= t0) & (a.times <= t1)
-        times = a.times[keep]
-        if len(times) == 0:
-            raise DisjointTimeSpansError("no samples of the first trajectory fall inside the overlap")
-        sample_b = {name: np.interp(times, b.times, b.channels[name]) for name in a.channel_names}
+    t0 = max(a.times[0], b.times[0])
+    t1 = min(a.times[-1], b.times[-1])
+    if t0 > t1:
+        raise DisjointTimeSpansError(
+            f"time spans [{a.times[0]}, {a.times[-1]}] and [{b.times[0]}, {b.times[-1]}] do not overlap"
+        )
+    keep = (a.times >= t0) & (a.times <= t1)
+    times = a.times[keep]
+    if len(times) == 0:
+        raise DisjointTimeSpansError("no samples of the first trajectory fall inside the overlap")
+    sample_b = {name: np.interp(times, b.times, b.channels[name]) for name in a.channel_names}
 
     per_channel: dict[str, ChannelStats] = {}
     total_sq = 0.0
     total_n = 0
     pooled_max = 0.0
     for name in a.channel_names:
-        ref = a.channels[name] if same_base else a.channels[name][keep]
-        diff = ref - sample_b[name]
+        diff = a.channels[name][keep] - sample_b[name]
         sq = float(np.dot(diff, diff))
         max_abs = float(np.max(np.abs(diff))) if len(diff) else 0.0
         per_channel[name] = ChannelStats(rmse=float(np.sqrt(sq / len(diff))), max_abs=max_abs)

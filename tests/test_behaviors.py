@@ -1,12 +1,14 @@
 """Behavior rules: binding, threshold/signal triggers, same-tick chains,
 and effect application."""
 
+from dataclasses import replace
+
 import pytest
 
 import artjoint as aj
 from artjoint import behaviors as bh
 
-from conftest import make_joint
+from conftest import load_assembly, make_joint
 
 
 def mini_assembly(aid, joints=(), behaviors=(), module_ids=("base", "rod")):
@@ -73,6 +75,46 @@ def test_bind_rejects_empty_effects():
     rule = aj.BehaviorRule(id="r", trigger=aj.SignalReceived(name="s"), effects=())
     with pytest.raises(aj.UnresolvedReferenceError, match="no effects"):
         aj.bind({"a": mini_assembly("a", behaviors=[rule])})
+
+
+# the field of each rule part that names a joint or module of its assembly,
+# declared apart from bh.REFERENCE_FIELDS so that a field the table misses fails
+REFERENCE_FIELD = {
+    aj.ThresholdCrossed: "joint",
+    aj.SetOpenState: "joint",
+    aj.SetFixedTarget: "joint",
+    aj.SetProperty: "target",
+}
+
+
+def test_validate_and_bind_agree_on_rule_references():
+    checked = 0
+    for name in ("drawer", "microwave", "oven", "trashcan"):
+        assembly = load_assembly(name)
+        # one more effect per rule so that a module reference is covered too
+        flag = aj.SetProperty(target=assembly.root_module, key="seen", value=True)
+        rules = tuple(replace(r, effects=r.effects + (flag,)) for r in assembly.behaviors)
+        assembly = replace(assembly, behaviors=rules)
+        assert aj.validate(assembly).ok
+        aj.bind({name: assembly})
+        for i, rule in enumerate(rules):
+            variants = [(f"behaviors[{i}]", "empty-effects", "no effects", replace(rule, effects=()))]
+            trigger = rule.trigger
+            ghost = replace(trigger, **{REFERENCE_FIELD[type(trigger)]: "ghost"})
+            variants.append((f"behaviors[{i}].trigger", "unresolved-reference", "ghost", replace(rule, trigger=ghost)))
+            for k, effect in enumerate(rule.effects):
+                effects = list(rule.effects)
+                effects[k] = replace(effect, **{REFERENCE_FIELD[type(effect)]: "ghost"})
+                variants.append(
+                    (f"behaviors[{i}].effects[{k}]", "unresolved-reference", "ghost", replace(rule, effects=tuple(effects)))
+                )
+            for path, code, text, bad_rule in variants:
+                bad = replace(assembly, behaviors=rules[:i] + (bad_rule,) + rules[i + 1 :])
+                assert [(issue.code, issue.path) for issue in aj.validate(bad)] == [(code, path)]
+                with pytest.raises(aj.UnresolvedReferenceError, match=text):
+                    aj.bind({name: bad})
+                checked += 1
+    assert checked == 10  # two fixture rules, each with a trigger and three effects
 
 
 # ---------------------------------------------------------------------------

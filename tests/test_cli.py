@@ -274,12 +274,15 @@ def test_fit_rejects_malformed_fitspec(tmp_path):
             },
             "bounds for 'effective_inertia' admit an invalid joint: at effective_inertia = 0.0",
         ),
-        ({"observed": str(coarse)}, "dt: dt=0.02 exceeds the stability guard"),
     ):
         spec.write_text(json.dumps({**shipped, **change}))
         proc = run_cli("fit", spec, "--out", tmp_path / "params.json")
         assert proc.returncode == 1, proc.stderr
         assert f"fitspec: {hint}" in proc.stderr
+    spec.write_text(json.dumps({**shipped, "observed": str(coarse)}))
+    proc = run_cli("fit", spec, "--out", tmp_path / "params.json")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == "error: fitspec.observed: dt=0.02 exceeds the stability guard 0.01\n"
 
 
 def test_fit_reports_the_sweep_limit(tmp_path, monkeypatch, capsys):

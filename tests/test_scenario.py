@@ -200,6 +200,20 @@ def test_duplicate_assembly_names_rejected(tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_code_built_scenario_rejects_an_invalid_assembly(trashcan):
+    lid = dataclasses.replace(trashcan.joint("lid"), axis=(2.0, 0.0, 0.0))
+    bent = dataclasses.replace(trashcan, joints=tuple(lid if j.id == "lid" else j for j in trashcan.joints))
+    with pytest.raises(aj.NonUnitAxisError, match=r"^assemblies\[0\]\.assembly\.joints\[\d\]\.axis: joint 'lid' axis"):
+        simple_scenario(bent, duration=0.1)
+
+
+def test_code_built_scenario_rejects_a_rule_naming_an_unknown_joint(trashcan):
+    rule = trashcan.behaviors[0]
+    ghost = dataclasses.replace(rule, effects=(aj.SetOpenState(joint="ghost", value=False),))
+    with pytest.raises(aj.AssetValidationError, match="unknown joint 'ghost'"):
+        simple_scenario(dataclasses.replace(trashcan, behaviors=(ghost,)), duration=0.1)
+
+
 def test_bad_profile_type_rejected(tmp_path):
     data = scenario_dict(forces=[{"joint": "drawer/slide", "profile": {"type": "sine", "value": 1.0}}])
     with pytest.raises(aj.AssetSyntaxError, match="sine"):
@@ -260,6 +274,7 @@ def test_initial_conditions_respected(drawer):
 def test_default_initial_q_clamps_zero_into_limits():
     data = aj.assembly_to_dict(aj.parse_asset(fx.asset_path("drawer")))
     data["joints"][0]["q_lower_bound"] = 0.2
+    data["joints"][0]["target_policy"] = {"type": "fixed", "q_target": 0.2}
     shifted = aj.assembly_from_dict(data)
     scenario = simple_scenario(shifted, duration=0.01, recordings=("drawer/slide",))
     trajectory, _ = aj.run(scenario)
