@@ -29,6 +29,7 @@ from .errors import (
     InvalidLimitsError,
     MissingModuleError,
     NonUnitAxisError,
+    UnresolvedReferenceError,
 )
 from .geometry import IDENTITY_POSE, Pose, Vec3, quat_norm, vec_norm
 
@@ -331,6 +332,8 @@ _RAISE_BY_CODE = {
     "invalid-limits": InvalidLimitsError,
     "cyclic-structure": CyclicStructureError,
     "non-unit-axis": NonUnitAxisError,
+    "unresolved-reference": UnresolvedReferenceError,
+    "empty-effects": UnresolvedReferenceError,
 }
 
 

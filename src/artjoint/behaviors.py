@@ -19,13 +19,13 @@ Trigger/effect evaluation is deliberately simple and deterministic:
 * ``SignalReceived`` fires within the same tick as the emit, resolved in
   waves; a chain deeper than 16 waves raises :class:`SignalLoopError`.
 * Effects are collected during evaluation and applied after the physics step
-  of the tick in which they fired; every effect is an idempotent assignment.
+  of the tick in which they fired; every effect is an idempotent in-place
+  assignment.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Container, Iterable, Iterator, Mapping, Union
 
 from .errors import SignalLoopError, UnresolvedReferenceError
@@ -172,7 +172,7 @@ def _qualify(part: Union[Trigger, Effect], name: str) -> Union[Trigger, Effect]:
     field_name, _ = REFERENCE_FIELDS.get(type(part), ("", ""))
     if not field_name:
         return part
-    return dataclasses.replace(part, **{field_name: f"{name}/{getattr(part, field_name)}"})
+    return replace(part, **{field_name: f"{name}/{getattr(part, field_name)}"})
 
 
 def bind(assemblies: Mapping[str, "object"]) -> tuple[BehaviorRule, ...]:
@@ -221,12 +221,12 @@ def _describe(effect: Effect) -> tuple[str, str]:
 
 def evaluate(
     rules: tuple[BehaviorRule, ...],
-    prev_states: Mapping[str, "object"],
-    new_states: Mapping[str, "object"],
+    prev_q: Mapping[str, float],
+    states: Mapping[str, "object"],
     t: float,
 ) -> tuple[list[Effect], list[EventRecord]]:
-    """Fire the bound ``rules`` (from :func:`bind`) for the step
-    ``prev_states -> new_states`` ending at ``t``.
+    """Fire the bound ``rules`` (from :func:`bind`) for the step ending at
+    ``t``, from the positions ``prev_q`` before it to ``states`` after it.
 
     Returns the effects to apply (EmitSignal is consumed here, not returned)
     and the log records, ordered rule-by-rule in firing order. Pure: no state
@@ -252,9 +252,7 @@ def evaluate(
     for rule in rules:
         trig = rule.trigger
         if isinstance(trig, ThresholdCrossed):
-            prev = prev_states[trig.joint].q
-            new = new_states[trig.joint].q
-            if _crossed(trig, prev, new):
+            if _crossed(trig, prev_q[trig.joint], states[trig.joint].q):
                 fire(rule, f"{_TYPE_NAME[ThresholdCrossed]} {trig.joint} {trig.direction} {trig.value}")
 
     depth = 0
@@ -275,24 +273,19 @@ def evaluate(
 def apply(
     effects: Iterable[Effect],
     states: Mapping[str, "object"],
-    properties: Mapping[str, Union[float, bool]] | None = None,
-) -> tuple[dict, dict]:
-    """Apply effects to joint states / the property bag, returning new dicts.
+    properties: dict[str, Union[float, bool]],
+) -> None:
+    """Apply effects in place to the joint states and the property bag.
 
     ``states`` maps qualified joint ref -> JointState; ``properties`` maps
-    ``"assembly/module.key"`` -> scalar. Pure and idempotent: every effect is
-    an assignment.
+    ``"assembly/module.key"`` -> scalar. Idempotent: every effect is an
+    assignment.
     """
-    new_states = dict(states)
-    new_properties = dict(properties or {})
     for effect in effects:
         if isinstance(effect, SetOpenState):
-            new_states[effect.joint] = dataclasses.replace(new_states[effect.joint], s_open=effect.value)
+            states[effect.joint].s_open = effect.value
         elif isinstance(effect, SetFixedTarget):
-            new_states[effect.joint] = dataclasses.replace(
-                new_states[effect.joint], held_target=effect.q_target
-            )
+            states[effect.joint].held_target = effect.q_target
         elif isinstance(effect, SetProperty):
-            new_properties[f"{effect.target}.{effect.key}"] = effect.value
+            properties[f"{effect.target}.{effect.key}"] = effect.value
         # EmitSignal is consumed during evaluation; applying it is a no-op.
-    return new_states, new_properties

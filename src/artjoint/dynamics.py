@@ -20,18 +20,19 @@ a bound) and a stiction latch: while the regime is Static the state does not
 move at all, and the regime is re-evaluated every step. Everything here is
 pure float arithmetic in a fixed order, so repeated runs are bit-identical.
 
-One loop, :func:`_advance`, runs this arithmetic over plain floats.
-:func:`step` is that loop over one force and :func:`rollout` over presampled
-forces, so the scenario runtime, the environment and parameter fitting
-simulate one model. :func:`stiffness_at`, :func:`target_at`,
-:func:`drive_effort` and :func:`friction_effort` state the same formulas one
-instant at a time; a property test holds the loop to them bit for bit.
+One loop, :func:`_advance`, runs this arithmetic over plain floats and
+advances a :class:`JointState` in place: each of the scenario runtime's
+live states, or a copy of the start state in :func:`step`,
+:func:`simulate_joint` and :func:`rollout`, so all simulate one model.
+:func:`stiffness_at`, :func:`target_at`, :func:`drive_effort` and
+:func:`friction_effort` state the same formulas one instant at a time; a
+property test holds the loop to them bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Iterable, Sequence
 
@@ -54,7 +55,7 @@ _STATIC, _KINETIC = Regime.STATIC, Regime.KINETIC
 
 @dataclass(slots=True)
 class JointState:
-    """Mutable-by-replacement snapshot of one joint.
+    """The state of one joint, advanced in place by the stepper.
 
     ``held_target`` is the latch-policy hysteresis memory: the target evaluated
     on the previous step (or written by a SetFixedTarget effect). ``regime``
@@ -151,9 +152,12 @@ def step(spec: JointSpec, state: JointState, f_ext: float, dt: float) -> JointSt
     Static regime freezes the joint exactly (q and q_dot unchanged, velocity
     exactly zero); otherwise semi-implicit Euler, then limit clamping with
     the velocity zeroed at a bound. The newly evaluated drive target becomes
-    the next ``held_target``.
+    the next ``held_target``. Returns a new state; ``state`` is untouched.
     """
-    return _advance(spec, state, (f_ext,), dt, [])
+    check_dt(dt)
+    state = replace(state)
+    _advance(spec, state, (f_ext,), dt, [])
+    return state
 
 
 def initial_state(spec: JointSpec, q: float = 0.0, q_dot: float = 0.0, s_open: bool = False) -> JointState:
@@ -188,18 +192,19 @@ def simulate_joint(
     dt: float,
     state0: "JointState | None" = None,
 ) -> list[JointState]:
-    """Repeatedly :func:`step` one joint for ``duration`` seconds.
+    """Step one joint for ``duration`` seconds, as :func:`step` would.
 
     ``force_schedule(t)`` is sampled at the start of each step. Returns the
     state series including the initial state: ``steps_for(duration, dt) + 1``
-    entries, sample ``k`` at ``t = k * dt``.
+    entries, sample ``k`` at ``t = k * dt``, each a new object.
     """
     check_dt(dt)
     n = steps_for(duration, dt)
-    state = state0 if state0 is not None else initial_state(spec, q=min(max(0.0, spec.q_lower_bound), spec.q_upper_bound))
+    state = replace(state0) if state0 is not None else initial_state(spec, q=min(max(0.0, spec.q_lower_bound), spec.q_upper_bound))
     series = [state]
     for k in range(n):
-        state = step(spec, state, force_schedule(k * dt), dt)
+        state = replace(state)
+        _advance(spec, state, (force_schedule(k * dt),), dt, [])
         series.append(state)
     return series
 
@@ -210,20 +215,20 @@ def rollout(spec: JointSpec, forces: Sequence[float], dt: float, state0: JointSt
     ``forces[k]`` is the external effort of step ``k`` (the schedule sampled
     at ``t = k * dt``). Returns ``len(forces) + 1`` positions, the first
     being ``state0.q``: the ``q`` series of :func:`simulate_joint` under the
-    same forces, without a state object per step.
+    same forces, without a state object per step. ``state0`` is untouched.
     """
+    check_dt(dt)
     out = [state0.q]
-    _advance(spec, state0, forces, dt, out)
+    _advance(spec, replace(state0), forces, dt, out)
     return np.array(out, dtype=float)
 
 
-def _advance(spec: JointSpec, state0: JointState, forces: Iterable[float], dt: float, out: list) -> JointState:
-    """Apply each of ``forces`` in turn from ``state0``, appending every new
-    position to ``out``, and return the final state. The only code that does
-    the drive, friction, Euler and clamping arithmetic: ``dt`` is checked and
-    the spec's constants are read once, then each step works on plain floats.
+def _advance(spec: JointSpec, state: JointState, forces: Iterable[float], dt: float, out: list) -> None:
+    """Apply each of ``forces`` in turn to ``state`` in place, appending
+    every new position to ``out``. The only code that does the drive,
+    friction, Euler and clamping arithmetic: the spec's constants are read
+    once, then each step works on plain floats. The caller checks ``dt``.
     """
-    check_dt(dt)
     lo, hi = spec.q_lower_bound, spec.q_upper_bound
     damping, v_target = spec.damping_D, spec.target_velocity
     mu_s, floor, inertia = spec.mu_s, spec.coulomb_floor, spec.effective_inertia
@@ -241,7 +246,7 @@ def _advance(spec: JointSpec, state0: JointState, forces: Iterable[float], dt: f
         q_target = policy.q_target
     exp = math.exp
     static, kinetic = _STATIC, _KINETIC
-    q, q_dot, s_open, held, regime = state0.q, state0.q_dot, state0.s_open, state0.held_target, state0.regime
+    q, q_dot, s_open, held, regime = state.q, state.q_dot, state.s_open, state.held_target, state.regime
     for f in forces:
         if scheduled:
             if q <= lo:
@@ -276,4 +281,4 @@ def _advance(spec: JointSpec, state0: JointState, forces: Iterable[float], dt: f
         elif q >= hi:
             q, q_dot = hi, 0.0
         out.append(q)
-    return JointState(q=q, q_dot=q_dot, s_open=s_open, regime=regime, held_target=held)
+    state.q, state.q_dot, state.regime, state.held_target = q, q_dot, regime, held

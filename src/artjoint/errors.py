@@ -43,6 +43,10 @@ class NonUnitAxisError(AssetValidationError):
     """A joint axis is not unit length (tolerance 1e-9)."""
 
 
+class UnresolvedReferenceError(AssetValidationError):
+    """A behavior rule names a joint/module its assembly lacks, or no effects."""
+
+
 class UnknownJointError(ArtjointError):
     """A joint reference does not resolve."""
 
@@ -57,10 +61,6 @@ class NonPositiveDtError(ArtjointError):
 
 class UnstableDtError(AssetSyntaxError, ValueError):
     """Integration timestep exceeds the stepper's stability guard."""
-
-
-class UnresolvedReferenceError(ArtjointError):
-    """A behavior rule references a joint/module that no assembly provides."""
 
 
 class SignalLoopError(ArtjointError):

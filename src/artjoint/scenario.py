@@ -5,12 +5,13 @@ apply to joints over time, what to record, and optionally initial joint
 states and an environment block. Everything is addressed by qualified refs:
 ``"<assembly>/<joint>"`` or ``"<assembly>/<marker>"``.
 
-Per tick, in this order: sample the force schedules, step every joint,
-evaluate behavior rules against the (previous, new) states, apply the fired
-effects, then store the joint states the recordings need. Marker channels
-come after the run, from one forward-kinematics call per placement over its
-whole joint series. Runs are seedless and bit-deterministic: the same
-scenario always yields the same bytes when exported.
+Per tick, in this order: sample the force schedules, advance every joint's
+state in place, evaluate behavior rules against the (previous position, new
+state) pairs, apply the fired effects, then store the values the recordings
+need. Marker channels come after the run, from one forward-kinematics call
+per placement over its whole joint series. Runs are seedless and
+bit-deterministic: the same scenario always yields the same bytes when
+exported.
 """
 
 from __future__ import annotations
@@ -275,12 +276,14 @@ def _read_placement(value, loc: str, base: Path) -> Placement:
     asset_path = Path(_as_str(data["asset"], f"{loc}.asset"))
     if not asset_path.is_absolute():
         asset_path = base / asset_path
-    assembly = assets_mod.parse_asset(asset_path)
+    # built unvalidated: Scenario validates every placed assembly once
+    source = str(asset_path)
+    assembly = assets_mod.assembly_from_dict(_decode_json(asset_path.read_text(encoding="utf-8"), source), source)
     pose = {"world_pose": _SHAPES[Pose].read(data["world_pose"], f"{loc}.world_pose")} if "world_pose" in data else {}
     return Placement(
         name=_as_str(data["name"], f"{loc}.name") if "name" in data else assembly.id,
         assembly=assembly,
-        asset_path=str(asset_path),
+        asset_path=source,
         **pose,
     )
 
@@ -315,9 +318,10 @@ def _marker_point(pl: Placement, marker: Marker, poses: Mapping[str, Pose]) -> V
 class ScenarioRuntime:
     """Mutable run state shared by :func:`run` and the manipulation env.
 
-    Owns the joint states, bound behavior rules, property bag, and tick counter;
-    :meth:`tick` advances one dt (schedules plus any extra per-joint efforts)
-    and returns the behavior event records for that tick. Marker geometry
+    Owns one live joint state per joint, bound behavior rules, property bag,
+    and tick counter; :meth:`tick` advances ``states`` in place by one dt
+    (schedules plus any extra per-joint efforts), applies the fired effects to
+    them and returns the behavior event records for that tick. Marker geometry
     at the current tick comes from :meth:`assembly_poses`, which runs forward
     kinematics at most once per placement per tick.
     """
@@ -345,23 +349,20 @@ class ScenarioRuntime:
         return {ref: sum(p.value_at(t) for p in profiles) for ref, profiles in self._profiles.items()}
 
     def tick(self, extra_forces: "Mapping[str, float] | None" = None) -> list[bh.EventRecord]:
-        """Advance one step: forces -> step joints -> behaviors -> apply."""
-        dt = self.scenario.dt
-        t_now = self.t
-        forces = self.scheduled_forces(t_now)
+        """Advance one step: forces -> advance joints -> behaviors -> apply."""
+        dt, joints, states = self.scenario.dt, self.joints, self.states
+        forces = self.scheduled_forces(self.t)
         if extra_forces:
             for ref, value in extra_forces.items():
                 forces[ref] = forces.get(ref, 0.0) + value
-        new_states = {
-            ref: dynamics.step(self.joints[ref], state, forces.get(ref, 0.0), dt)
-            for ref, state in self.states.items()
-        }
-        t_next = (self.k + 1) * dt
-        effects, records = bh.evaluate(self.rules, self.states, new_states, t_next)
-        if effects:
-            new_states, self.properties = bh.apply(effects, new_states, self.properties)
-        self.states = new_states
+        prev_q = {ref: state.q for ref, state in states.items()}
+        positions: list[float] = []  # the stepper's output; the states carry the same values
+        for ref, state in states.items():
+            dynamics._advance(joints[ref], state, (forces.get(ref, 0.0),), dt, positions)
         self.k += 1
+        effects, records = bh.evaluate(self.rules, prev_q, states, self.t)
+        if effects:
+            bh.apply(effects, states, self.properties)
         return records
 
     # -- geometry -------------------------------------------------------------
@@ -417,7 +418,7 @@ def run(scenario: Scenario) -> tuple[Trajectory, bh.EventLog]:
 
     The series includes the initial sample: ``steps_for(duration, dt) + 1``
     rows, sample k at ``t = k * dt``, recorded after that tick's effects.
-    Each tick stores only joint states: ``(q, q_dot)`` of every recorded
+    Each tick stores only joint values: ``(q, q_dot)`` of every recorded
     joint and ``q`` of every joint of a placement with a recorded marker.
     After the loop, one forward-kinematics call per such placement over its
     whole ``q`` series gives the marker channels, equal sample for sample to
@@ -441,18 +442,15 @@ def run(scenario: Scenario) -> tuple[Trajectory, bh.EventLog]:
         for joint in pl.assembly.joints:
             q_series.setdefault(f"{pl.name}/{joint.id}", np.empty(n + 1))
     log = bh.EventLog()
-
-    def record(k: int) -> None:
-        states = runtime.states
-        for ref, column in q_series.items():
-            column[k] = states[ref].q
-        for ref, column in q_dot_series.items():
-            column[k] = states[ref].q_dot
-
-    record(0)
-    for k in range(1, n + 1):
-        log.extend(runtime.tick())
-        record(k)
+    q_columns = [(runtime.states[ref], column) for ref, column in q_series.items()]
+    q_dot_columns = [(runtime.states[ref], column) for ref, column in q_dot_series.items()]
+    for k in range(n + 1):
+        if k:
+            log.extend(runtime.tick())
+        for state, column in q_columns:
+            column[k] = state.q
+        for state, column in q_dot_columns:
+            column[k] = state.q_dot
 
     for pl, recorded in marked.values():
         poses = forward_kinematics(pl.assembly, {j.id: q_series[f"{pl.name}/{j.id}"] for j in pl.assembly.joints})

@@ -7,6 +7,7 @@ import pytest
 
 import artjoint as aj
 from artjoint import behaviors as bh
+from artjoint.assets import raise_on_issues
 
 from conftest import load_assembly, make_joint
 
@@ -112,6 +113,8 @@ def test_validate_and_bind_agree_on_rule_references():
                 bad = replace(assembly, behaviors=rules[:i] + (bad_rule,) + rules[i + 1 :])
                 assert [(issue.code, issue.path) for issue in aj.validate(bad)] == [(code, path)]
                 with pytest.raises(aj.UnresolvedReferenceError, match=text):
+                    raise_on_issues(aj.validate(bad))
+                with pytest.raises(aj.UnresolvedReferenceError, match=text):
                     aj.bind({name: bad})
                 checked += 1
     assert checked == 10  # two fixture rules, each with a trigger and three effects
@@ -129,9 +132,7 @@ def crossing_fires(direction, prev, new, value=0.005):
         effects=(aj.SetOpenState(joint="j", value=True),),
     )
     rules = aj.bind({"a": mini_assembly("a", joints=[joint], behaviors=[rule])})
-    effects, records = bh.evaluate(
-        rules, {"a/j": aj.JointState(q=prev)}, {"a/j": aj.JointState(q=new)}, t=0.001
-    )
+    effects, records = bh.evaluate(rules, {"a/j": prev}, {"a/j": aj.JointState(q=new)}, t=0.001)
     return bool(effects)
 
 
@@ -157,9 +158,7 @@ def test_holding_past_threshold_fires_exactly_once():
     qs = [0.0, 0.004, 0.006, 0.007, 0.008, 0.003, 0.009]  # one dip, re-cross
     fired = 0
     for prev, new in zip(qs, qs[1:]):
-        effects, _ = bh.evaluate(
-            rules, {"a/j": aj.JointState(q=prev)}, {"a/j": aj.JointState(q=new)}, t=0.0
-        )
+        effects, _ = bh.evaluate(rules, {"a/j": prev}, {"a/j": aj.JointState(q=new)}, t=0.0)
         fired += len(effects)
     assert fired == 2  # once on the way up, once after dipping back below
 
@@ -198,23 +197,20 @@ def relay_assembly():
 
 def test_signal_chain_resolves_within_one_tick():
     rules = relay_assembly()
-    effects, records = bh.evaluate(
-        rules, {"a/j": aj.JointState(q=0.004)}, {"a/j": aj.JointState(q=0.006)}, t=0.002
-    )
+    effects, records = bh.evaluate(rules, {"a/j": 0.004}, {"a/j": aj.JointState(q=0.006)}, t=0.002)
     assert effects == [aj.SetProperty(target="c/lamp", key="on", value=True)]
     triggers = [r.rule_id for r in records if r.kind == "trigger"]
     assert triggers == ["a/press", "b/relay", "c/lamp-on"]
     assert all(r.t == 0.002 for r in records)
 
-    _, properties = bh.apply(effects, {}, {})
+    properties = {}
+    bh.apply(effects, {}, properties)
     assert properties == {"c/lamp.on": True}
 
 
 def test_no_crossing_means_no_records():
     rules = relay_assembly()
-    effects, records = bh.evaluate(
-        rules, {"a/j": aj.JointState(q=0.001)}, {"a/j": aj.JointState(q=0.002)}, t=0.001
-    )
+    effects, records = bh.evaluate(rules, {"a/j": 0.001}, {"a/j": aj.JointState(q=0.002)}, t=0.001)
     assert effects == []
     assert records == []
 
@@ -230,7 +226,7 @@ def test_signal_loop_raises():
     )
     rules = aj.bind({"a": assembly})
     with pytest.raises(aj.SignalLoopError, match="depth cap 16"):
-        bh.evaluate(rules, {"a/j": aj.JointState(q=0.004)}, {"a/j": aj.JointState(q=0.006)}, t=0.0)
+        bh.evaluate(rules, {"a/j": 0.004}, {"a/j": aj.JointState(q=0.006)}, t=0.0)
 
 
 def test_deep_but_finite_chain_is_fine():
@@ -243,7 +239,7 @@ def test_deep_but_finite_chain_is_fine():
         aj.BehaviorRule(id="end", trigger=aj.SignalReceived(name="s14"), effects=(aj.SetOpenState(joint="j", value=True),))
     )
     bound = aj.bind({"a": mini_assembly("a", joints=[make_joint(id="j")], behaviors=rules)})
-    effects, _ = bh.evaluate(bound, {"a/j": aj.JointState(q=0.0)}, {"a/j": aj.JointState(q=0.01)}, t=0.0)
+    effects, _ = bh.evaluate(bound, {"a/j": 0.0}, {"a/j": aj.JointState(q=0.01)}, t=0.0)
     assert effects == [aj.SetOpenState(joint="a/j", value=True)]
 
 
@@ -252,38 +248,41 @@ def test_deep_but_finite_chain_is_fine():
 
 
 def test_apply_writes_joint_state_and_is_idempotent():
-    states = {"a/j": aj.JointState(q=0.1, held_target=0.0)}
+    state = aj.JointState(q=0.1, held_target=0.0)
+    states, props = {"a/j": state}, {}
     effects = [aj.SetOpenState(joint="a/j", value=True), aj.SetFixedTarget(joint="a/j", q_target=1.5)]
-    once, props = bh.apply(effects, states)
-    assert once["a/j"].s_open is True
-    assert once["a/j"].held_target == 1.5
-    assert once["a/j"].q == 0.1
-    assert states["a/j"].s_open is False  # input untouched
-    twice, _ = bh.apply(effects, once, props)
-    assert twice == once
+    assert bh.apply(effects, states, props) is None
+    assert states["a/j"] is state  # written in place
+    assert state.s_open is True
+    assert state.held_target == 1.5
+    assert state.q == 0.1
+    once = replace(state)
+    bh.apply(effects, states, props)
+    assert state == once
 
 
 def test_apply_ignores_emit_signal():
-    states = {"a/j": aj.JointState(q=0.0)}
-    new_states, props = bh.apply([aj.EmitSignal(name="s")], states)
-    assert new_states == states
+    states, props = {"a/j": aj.JointState(q=0.0)}, {}
+    bh.apply([aj.EmitSignal(name="s")], states, props)
+    assert states == {"a/j": aj.JointState(q=0.0)}
     assert props == {}
 
 
 def test_evaluate_is_pure_and_deterministic():
     rules = relay_assembly()
-    prev = {"a/j": aj.JointState(q=0.004)}
+    prev = {"a/j": 0.004}
     new = {"a/j": aj.JointState(q=0.006)}
     first = bh.evaluate(rules, prev, new, t=0.5)
     second = bh.evaluate(rules, prev, new, t=0.5)
     assert first == second
-    assert prev["a/j"].q == 0.004
+    assert prev["a/j"] == 0.004
+    assert new["a/j"] == aj.JointState(q=0.006)
 
 
 def test_event_log_counting():
     log = bh.EventLog()
     rules = relay_assembly()
-    _, records = bh.evaluate(rules, {"a/j": aj.JointState(q=0.004)}, {"a/j": aj.JointState(q=0.006)}, t=0.0)
+    _, records = bh.evaluate(rules, {"a/j": 0.004}, {"a/j": aj.JointState(q=0.006)}, t=0.0)
     log.extend(records)
     assert log.count_effects("set_property") == 1
     assert log.count_effects("emit_signal") == 2

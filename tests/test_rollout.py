@@ -130,10 +130,17 @@ def test_simulate_joint_and_rollout_match_the_reference_step(case):
     reference = [state0]
     for f in forces:
         reference.append(reference_step(spec, reference[-1], f, dt))
+    start = fields(state0)
     got = aj.simulate_joint(spec, schedule, duration, dt, state0=state0)
     assert list(map(fields, got)) == list(map(fields, reference))
+    assert fields(state0) == start
+    assert len({id(state0), *map(id, got)}) == len(got) + 1  # every state a new object
     positions = aj.rollout(spec, forces, dt, state0)
     assert list(map(bits, positions)) == [bits(s.q) for s in reference]
+    assert fields(state0) == start
+    stepped = aj.step(spec, state0, forces[0], dt)
+    assert fields(stepped) == fields(reference[1])
+    assert stepped is not state0 and fields(state0) == start
 
 
 def test_rollout_starts_at_the_initial_position_and_checks_dt():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import artjoint as aj
-from artjoint import cli
+from artjoint import assets, cli
 from artjoint import fixtures as fx
 from artjoint.geometry import quat_from_axis_angle
 
@@ -207,10 +207,30 @@ def test_code_built_scenario_rejects_an_invalid_assembly(trashcan):
         simple_scenario(bent, duration=0.1)
 
 
+def test_load_validates_each_placed_asset_once(tmp_path, monkeypatch, drawer):
+    validate, calls = assets.validate, []
+
+    def counting_validate(assembly):
+        calls.append(assembly.id)
+        return validate(assembly)
+
+    monkeypatch.setattr(assets, "validate", counting_validate)
+    asset = str(fx.asset_path("drawer"))
+    write_and_load(tmp_path, scenario_dict(assemblies=[{"asset": asset}, {"asset": asset, "name": "b"}]))
+    assert calls == ["drawer", "drawer"]
+
+    bent = json.loads(aj.serialize_asset(drawer))
+    bent["joints"][0]["axis"] = [2.0, 0.0, 0.0]
+    (tmp_path / "bent.artjoint.json").write_text(json.dumps(bent), encoding="utf-8")
+    data = scenario_dict(assemblies=[{"asset": asset}, {"asset": "bent.artjoint.json", "name": "bent"}])
+    with pytest.raises(aj.NonUnitAxisError, match=r"^assemblies\[1\]\.assembly\.joints\[0\]\.axis: joint 'slide' axis"):
+        write_and_load(tmp_path, data)
+
+
 def test_code_built_scenario_rejects_a_rule_naming_an_unknown_joint(trashcan):
     rule = trashcan.behaviors[0]
     ghost = dataclasses.replace(rule, effects=(aj.SetOpenState(joint="ghost", value=False),))
-    with pytest.raises(aj.AssetValidationError, match="unknown joint 'ghost'"):
+    with pytest.raises(aj.UnresolvedReferenceError, match="unknown joint 'ghost'"):
         simple_scenario(dataclasses.replace(trashcan, behaviors=(ghost,)), duration=0.1)
 
 
@@ -477,3 +497,40 @@ def test_runtime_tick_accepts_extra_forces(drawer):
         runtime.tick({"drawer/slide": 2.0})
     assert runtime.states["drawer/slide"].q > 0.005
     assert runtime.t == pytest.approx(0.2)
+
+
+def test_runtime_advances_each_joint_like_the_reference_stepper(drawer, microwave):
+    """With no rules, every tick of the runtime equals ``simulate_joint``
+    under that joint's summed schedule plus its extra forces, bit for bit."""
+    microwave = dataclasses.replace(microwave, behaviors=())
+    lo, hi = microwave.joint("door").bounds
+    scenario = aj.Scenario(
+        assemblies=(aj.Placement(name="drawer", assembly=drawer), aj.Placement(name="microwave", assembly=microwave)),
+        duration=0.3,
+        forces=(
+            aj.ForceSchedule("drawer/slide", aj.ConstantForce(value=3.0, t_end=0.15)),
+            aj.ForceSchedule("drawer/slide", aj.PiecewiseForce(steps=((0.05, -1.0), (0.2, 0.5)))),
+            aj.ForceSchedule("microwave/door", aj.PiecewiseForce(steps=((0.0, 0.4), (0.1, -0.8)))),
+        ),
+        initial={"microwave/door": aj.JointInit(q=lo + 0.25 * (hi - lo))},
+    )
+    n, dt = aj.steps_for(scenario.duration, scenario.dt), scenario.dt
+    extras = [{"microwave/button": 5.0, "drawer/slide": -0.5} if k % 7 == 3 else None for k in range(n)]
+    runtime, other = aj.ScenarioRuntime(scenario), aj.ScenarioRuntime(scenario)
+    live = dict(runtime.states)
+    assert not {id(s) for s in live.values()} & {id(s) for s in other.states.values()}
+    got = {ref: [(state.q, state.q_dot)] for ref, state in live.items()}
+    for extra in extras:
+        runtime.tick(extra)
+        assert all(runtime.states[ref] is state for ref, state in live.items())
+        for ref, state in live.items():
+            got[ref].append((state.q, state.q_dot))
+
+    assert len(got) == 3
+    for ref, state0 in aj.ScenarioRuntime(scenario).states.items():
+        profiles = [f.profile for f in scenario.forces if f.joint == ref]
+        forces = [sum(p.value_at(k * dt) for p in profiles) for k in range(n)]
+        forces = [f + extra[ref] if extra and ref in extra else f for f, extra in zip(forces, extras)]
+        series = aj.simulate_joint(scenario.joint(ref), lambda t: forces[round(t / dt)], scenario.duration, dt, state0)
+        assert [(s.q.hex(), s.q_dot.hex()) for s in series] == [(q.hex(), q_dot.hex()) for q, q_dot in got[ref]]
+        assert len({q for q, _ in got[ref]}) > 1, ref  # the joint moved
