@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Container, Iterable, Iterator, Mapping, Union
 
+import numpy as np
+
 from .errors import SignalLoopError, UnresolvedReferenceError
 
 SIGNAL_CHAIN_DEPTH_CAP = 16
@@ -199,10 +201,15 @@ def bind(assemblies: Mapping[str, "object"]) -> tuple[BehaviorRule, ...]:
 # evaluation and application
 
 
-def _crossed(trigger: ThresholdCrossed, prev_q: float, new_q: float) -> bool:
-    if trigger.direction == "rising":
-        return prev_q < trigger.value <= new_q
-    return prev_q > trigger.value >= new_q
+def first_crossing(trigger: ThresholdCrossed, q: list[float]) -> "int | None":
+    """The first ``i >= 1`` where the step from ``q[i - 1]`` to ``q[i]`` crosses
+    ``trigger.value`` in its direction (see the module doc), or None."""
+    lo, hi, value, rising = min(q), max(q), trigger.value, trigger.direction == "rising"
+    if not (lo < value <= hi if rising else lo <= value < hi):
+        return None  # the series never reaches the threshold from its firing side
+    prev, new = np.array(q[:-1]), np.array(q[1:])
+    hit = (prev < value) & (value <= new) if rising else (prev > value) & (value >= new)
+    return int(hit.argmax()) + 1 if hit.any() else None
 
 
 def _describe(effect: Effect) -> tuple[str, str]:
@@ -252,7 +259,7 @@ def evaluate(
     for rule in rules:
         trig = rule.trigger
         if isinstance(trig, ThresholdCrossed):
-            if _crossed(trig, prev_q[trig.joint], states[trig.joint].q):
+            if first_crossing(trig, [prev_q[trig.joint], states[trig.joint].q]):
                 fire(rule, f"{_TYPE_NAME[ThresholdCrossed]} {trig.joint} {trig.direction} {trig.value}")
 
     depth = 0

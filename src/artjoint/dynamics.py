@@ -223,11 +223,12 @@ def rollout(spec: JointSpec, forces: Sequence[float], dt: float, state0: JointSt
     return np.array(out, dtype=float)
 
 
-def _advance(spec: JointSpec, state: JointState, forces: Iterable[float], dt: float, out: list) -> None:
+def _advance(spec: JointSpec, state: JointState, forces: Iterable[float], dt: float, out: list, out_dot=None) -> None:
     """Apply each of ``forces`` in turn to ``state`` in place, appending
-    every new position to ``out``. The only code that does the drive,
-    friction, Euler and clamping arithmetic: the spec's constants are read
-    once, then each step works on plain floats. The caller checks ``dt``.
+    every new position to ``out`` and, if given, every new velocity to
+    ``out_dot``. The only code that does the drive, friction, Euler and
+    clamping arithmetic: the spec's constants are read once, then each step
+    works on plain floats. The caller checks ``dt``.
     """
     lo, hi = spec.q_lower_bound, spec.q_upper_bound
     damping, v_target = spec.damping_D, spec.target_velocity
@@ -241,12 +242,13 @@ def _advance(spec: JointSpec, state: JointState, forces: Iterable[float], dt: fl
         k = profile.k if profile.k > 0.0 else 0.0
     latched = not isinstance(policy, FixedTarget)
     if latched:
-        t_edge = policy.q_threshold
+        t_edge, q_target = policy.q_threshold, state.held_target  # a latch keeps its last target
     else:
         q_target = policy.q_target
     exp = math.exp
     static, kinetic = _STATIC, _KINETIC
-    q, q_dot, s_open, held, regime = state.q, state.q_dot, state.s_open, state.held_target, state.regime
+    q, q_dot, s_open, regime = state.q, state.q_dot, state.s_open, state.regime
+    dots = out_dot is not None  # a local flag: the fit's rollout pays one test per step, not an append
     for f in forces:
         if scheduled:
             if q <= lo:
@@ -259,16 +261,17 @@ def _advance(spec: JointSpec, state: JointState, forces: Iterable[float], dt: fl
                 k = 0.0
         if latched:
             if s_open:
-                q_target = hi if q > t_edge else held
+                q_target = hi if q > t_edge else q_target
             else:
-                q_target = lo if q < t_edge else held
-        held = q_target
+                q_target = lo if q < t_edge else q_target
         tau = k * (q_target - q) + damping * (v_target - q_dot)
         if q_dot == 0.0:
             breakaway = mu_s * abs(tau) + floor
             if abs(f) <= breakaway:
                 q_dot, regime = 0.0, static  # frozen, velocity exactly +0.0
                 out.append(q)
+                if dots:
+                    out_dot.append(0.0)
                 continue
             friction = -breakaway if f > 0.0 else breakaway
         else:
@@ -281,4 +284,6 @@ def _advance(spec: JointSpec, state: JointState, forces: Iterable[float], dt: fl
         elif q >= hi:
             q, q_dot = hi, 0.0
         out.append(q)
-    state.q, state.q_dot, state.regime, state.held_target = q, q_dot, regime, held
+        if dots:
+            out_dot.append(q_dot)
+    state.q, state.q_dot, state.regime, state.held_target = q, q_dot, regime, q_target

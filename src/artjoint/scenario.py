@@ -5,13 +5,14 @@ apply to joints over time, what to record, and optionally initial joint
 states and an environment block. Everything is addressed by qualified refs:
 ``"<assembly>/<joint>"`` or ``"<assembly>/<marker>"``.
 
-Per tick, in this order: sample the force schedules, advance every joint's
-state in place, evaluate behavior rules against the (previous position, new
-state) pairs, apply the fired effects, then store the values the recordings
-need. Marker channels come after the run, from one forward-kinematics call
-per placement over its whole joint series. Runs are seedless and
-bit-deterministic: the same scenario always yields the same bytes when
-exported.
+The runtime advances in segments, since only a tick where a
+``ThresholdCrossed`` fires needs the behavior rules. Per segment: sample the
+force schedules, step the joints the triggers watch, cut at the first tick
+where one fires, bring every joint to that tick, run the rules there and
+apply the fired effects, then store the values the recordings need. Marker
+channels come after the run, from one forward-kinematics call per placement
+over its whole joint series. Runs are seedless and bit-deterministic: the
+same scenario always yields the same bytes when exported.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import bisect
 import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Mapping, Union
+from typing import Iterator, Mapping, Union
 
 import numpy as np
 
@@ -49,6 +50,10 @@ class ConstantForce:
     def value_at(self, t: float) -> float:
         return self.value if self.t_start <= t < self.t_end else 0.0
 
+    def values_at(self, t: np.ndarray) -> np.ndarray:
+        """:meth:`value_at` at every sample time of ``t``, bit for bit."""
+        return np.where((self.t_start <= t) & (t < self.t_end), self.value, 0.0)
+
 
 @dataclass(frozen=True)
 class PiecewiseForce:
@@ -69,6 +74,10 @@ class PiecewiseForce:
     def value_at(self, t: float) -> float:
         idx = bisect.bisect_right(self._times, t) - 1
         return self.steps[idx][1] if idx >= 0 else 0.0
+
+    def values_at(self, t: np.ndarray) -> np.ndarray:
+        """:meth:`value_at` at every sample time of ``t``, bit for bit."""
+        return np.array([0.0] + [v for _, v in self.steps])[np.searchsorted(self._times, t, side="right")]
 
 
 ForceProfile = Union[ConstantForce, PiecewiseForce]
@@ -309,6 +318,8 @@ def load_scenario(path: "str | Path") -> Scenario:
 # --------------------------------------------------------------------------
 # runtime
 
+_CHUNK = 512  # the most ticks per segment: bounds the buffers
+
 
 def _marker_point(pl: Placement, marker: Marker, poses: Mapping[str, Pose]) -> Vec3:
     """World position of ``marker`` given its placement's module poses."""
@@ -319,11 +330,11 @@ class ScenarioRuntime:
     """Mutable run state shared by :func:`run` and the manipulation env.
 
     Owns one live joint state per joint, bound behavior rules, property bag,
-    and tick counter; :meth:`tick` advances ``states`` in place by one dt
-    (schedules plus any extra per-joint efforts), applies the fired effects to
-    them and returns the behavior event records for that tick. Marker geometry
-    at the current tick comes from :meth:`assembly_poses`, which runs forward
-    kinematics at most once per placement per tick.
+    and tick counter. :meth:`advance` moves ``states`` in place a segment at
+    a time: between firings the joints are independent, as effects never set
+    ``q`` or ``q_dot`` and a ``SignalReceived`` fires only in the tick of an
+    emit. Marker geometry at the current tick comes from :meth:`assembly_poses`,
+    which runs forward kinematics at most once per placement per tick.
     """
 
     def __init__(self, scenario: Scenario):
@@ -338,6 +349,10 @@ class ScenarioRuntime:
         self._profiles: dict[str, list[ForceProfile]] = {}
         for schedule in scenario.forces:
             self._profiles.setdefault(schedule.joint, []).append(schedule.profile)
+        self._thresholds = [r.trigger for r in self.rules if isinstance(r.trigger, bh.ThresholdCrossed)]
+        # the joints a trigger watches step first in a segment: they decide the cut
+        self._watched = {trigger.joint: self.states[trigger.joint] for trigger in self._thresholds}
+        self._others = {ref: state for ref, state in self.states.items() if ref not in self._watched}
         self._poses: dict[str, tuple[int, dict[str, Pose]]] = {}  # placement -> (k, module poses)
         self.k = 0  # completed ticks
 
@@ -345,25 +360,54 @@ class ScenarioRuntime:
     def t(self) -> float:
         return self.k * self.scenario.dt
 
-    def scheduled_forces(self, t: float) -> dict[str, float]:
-        return {ref: sum(p.value_at(t) for p in profiles) for ref, profiles in self._profiles.items()}
+    def scheduled_forces(self, k0: int, n: int) -> dict[str, list[float]]:
+        """Each scheduled joint's forces on ticks ``k0 .. k0 + n - 1``, bit for
+        bit ``sum(p.value_at(k * dt) for p in profiles)`` at each tick ``k``."""
+        if not self._profiles:
+            return {}
+        t = np.arange(k0, k0 + n) * self.scenario.dt
+        return {ref: sum((p.values_at(t) for p in ps), np.zeros(n)).tolist() for ref, ps in self._profiles.items()}
 
     def tick(self, extra_forces: "Mapping[str, float] | None" = None) -> list[bh.EventRecord]:
-        """Advance one step: forces -> advance joints -> behaviors -> apply."""
+        """Advance one step: ``advance(1, extra_forces)``."""
+        return self.advance(1, extra_forces)
+
+    def advance(self, n_ticks: int, extra_forces: "Mapping[str, float] | None" = None) -> list[bh.EventRecord]:
+        """Advance ``n_ticks`` steps, adding the per-joint ``extra_forces`` to
+        the schedules on each, and return their behavior event records."""
+        return [record for _, _, fired in self._segments(n_ticks, extra_forces or {}) for record in fired]
+
+    def _segments(self, n_ticks: int, extra_forces: Mapping[str, float]) -> Iterator[tuple[dict, dict, list]]:
+        """Advance ``n_ticks`` steps, yielding each segment's new positions
+        and velocities per joint and its records. A segment ends at a cut or
+        after ``_CHUNK`` ticks; the rules run at its last tick."""
         dt, joints, states = self.scenario.dt, self.joints, self.states
-        forces = self.scheduled_forces(self.t)
-        if extra_forces:
+        end = self.k + n_ticks
+        while self.k < end:
+            n = min(end - self.k, _CHUNK)
+            forces = self.scheduled_forces(self.k, n)
+            zeros = [0.0] * n
             for ref, value in extra_forces.items():
-                forces[ref] = forces.get(ref, 0.0) + value
-        prev_q = {ref: state.q for ref, state in states.items()}
-        positions: list[float] = []  # the stepper's output; the states carry the same values
-        for ref, state in states.items():
-            dynamics._advance(joints[ref], state, (forces.get(ref, 0.0),), dt, positions)
-        self.k += 1
-        effects, records = bh.evaluate(self.rules, prev_q, states, self.t)
-        if effects:
-            bh.apply(effects, states, self.properties)
-        return records
+                forces[ref] = [f + float(value) for f in forces.get(ref, zeros)]  # numpy scalars would slow each step
+            q, q_dot = {ref: [] for ref in states}, {ref: [] for ref in states}
+            start = {ref: (s.q, s.q_dot, s.regime, s.held_target) for ref, s in self._watched.items()}
+            for ref, state in self._watched.items():
+                dynamics._advance(joints[ref], state, forces.get(ref, zeros), dt, q[ref], q_dot[ref])
+            hits = (bh.first_crossing(trig, [start[trig.joint][0]] + q[trig.joint]) for trig in self._thresholds)
+            m = min((i for i in hits if i is not None), default=n) if n > 1 else 1  # one tick: nothing to cut
+            if m < n:  # a cut: step the watched joints again from the start, to the firing tick
+                for ref, state in self._watched.items():
+                    state.q, state.q_dot, state.regime, state.held_target = start[ref]
+                    q[ref], q_dot[ref] = [], []
+                    dynamics._advance(joints[ref], state, forces.get(ref, zeros)[:m], dt, q[ref], q_dot[ref])
+            for ref, state in self._others.items():
+                dynamics._advance(joints[ref], state, forces.get(ref, zeros)[:m], dt, q[ref], q_dot[ref])
+            self.k += m
+            prev_q = {ref: q[ref][-2] if m > 1 else start[ref][0] for ref in self._watched}
+            effects, records = bh.evaluate(self.rules, prev_q, states, self.t)
+            if effects:
+                bh.apply(effects, states, self.properties)
+            yield q, q_dot, records
 
     # -- geometry -------------------------------------------------------------
 
@@ -371,8 +415,8 @@ class ScenarioRuntime:
         """Module poses of ``pl`` in its assembly frame at the current tick.
 
         The runtime's only forward-kinematics call: memoized per placement
-        and keyed on the tick counter, since :meth:`tick` is the only writer
-        of ``states``. Callers must not mutate the returned dict.
+        and keyed on the tick counter, since :meth:`advance` is the only
+        writer of ``states``. Callers must not mutate the returned dict.
         """
         hit = self._poses.get(pl.name)
         if hit is None or hit[0] != self.k:
@@ -418,11 +462,11 @@ def run(scenario: Scenario) -> tuple[Trajectory, bh.EventLog]:
 
     The series includes the initial sample: ``steps_for(duration, dt) + 1``
     rows, sample k at ``t = k * dt``, recorded after that tick's effects.
-    Each tick stores only joint values: ``(q, q_dot)`` of every recorded
-    joint and ``q`` of every joint of a placement with a recorded marker.
-    After the loop, one forward-kinematics call per such placement over its
-    whole ``q`` series gives the marker channels, equal sample for sample to
-    :meth:`ScenarioRuntime.marker_position`.
+    Each runtime segment fills its rows of the joint columns: ``(q, q_dot)``
+    of every recorded joint and ``q`` of every joint of a placement with a
+    recorded marker. After the run, one forward-kinematics call per such
+    placement over its whole ``q`` series gives the marker channels, equal
+    sample for sample to :meth:`ScenarioRuntime.marker_position`.
     """
     runtime = ScenarioRuntime(scenario)
     n = dynamics.steps_for(scenario.duration, scenario.dt)
@@ -432,25 +476,26 @@ def run(scenario: Scenario) -> tuple[Trajectory, bh.EventLog]:
     marked: dict[str, tuple[Placement, list[tuple[str, Marker]]]] = {}  # name -> placement, its recorded markers
     for ref in scenario.recordings:
         if ref in runtime.joints:
-            channels[f"{ref}.q"] = q_series[ref] = np.empty(n + 1)
-            channels[f"{ref}.q_dot"] = q_dot_series[ref] = np.empty(n + 1)
+            state = runtime.states[ref]  # sample 0; the segments fill the rest
+            channels[f"{ref}.q"] = q_series[ref] = np.full(n + 1, state.q)
+            channels[f"{ref}.q_dot"] = q_dot_series[ref] = np.full(n + 1, state.q_dot)
         else:
             pl, marker = scenario.marker(ref)
             marked.setdefault(pl.name, (pl, []))[1].append((ref, marker))
             channels.update(dict.fromkeys((f"{ref}.x", f"{ref}.y", f"{ref}.z")))
     for pl, _ in marked.values():
         for joint in pl.assembly.joints:
-            q_series.setdefault(f"{pl.name}/{joint.id}", np.empty(n + 1))
+            ref = f"{pl.name}/{joint.id}"
+            q_series.setdefault(ref, np.full(n + 1, runtime.states[ref].q))
     log = bh.EventLog()
-    q_columns = [(runtime.states[ref], column) for ref, column in q_series.items()]
-    q_dot_columns = [(runtime.states[ref], column) for ref, column in q_dot_series.items()]
-    for k in range(n + 1):
-        if k:
-            log.extend(runtime.tick())
-        for state, column in q_columns:
-            column[k] = state.q
-        for state, column in q_dot_columns:
-            column[k] = state.q_dot
+    k = 1  # the first row a segment fills
+    for q, q_dot, records in runtime._segments(n, {}):
+        log.extend(records)
+        for ref, column in q_series.items():
+            column[k : runtime.k + 1] = q[ref]
+        for ref, column in q_dot_series.items():
+            column[k : runtime.k + 1] = q_dot[ref]
+        k = runtime.k + 1
 
     for pl, recorded in marked.values():
         poses = forward_kinematics(pl.assembly, {j.id: q_series[f"{pl.name}/{j.id}"] for j in pl.assembly.joints})

@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import DisjointTimeSpansError, MalformedCsvError
 
+_BLOCK_ROWS = 1024  # CSV data rows per write
+
 
 @dataclass
 class Trajectory:
@@ -137,17 +139,17 @@ def average(trajectories: "list[Trajectory]") -> Trajectory:
 
 
 def export_csv(trajectory: Trajectory, path: "str | Path") -> None:
-    """Write ``t,<channels...>`` rows with shortest round-trip floats."""
+    """Write ``t,<channels...>`` rows with shortest round-trip floats (whose ``repr`` needs no quoting)."""
     names = trajectory.channel_names
     for name in names:
         if "," in name or "\n" in name or '"' in name:
             raise ValueError(f"channel name {name!r} is not CSV-safe")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t"] + names)
+        csv.writer(fh, lineterminator="\n").writerow(["t"] + names)
         columns = [trajectory.times] + [trajectory.channels[n] for n in names]
-        for row in zip(*columns):
-            writer.writerow([repr(float(v)) for v in row])
+        for i in range(0, len(trajectory), _BLOCK_ROWS):
+            block = zip(*(column[i : i + _BLOCK_ROWS].tolist() for column in columns))
+            fh.write("".join([",".join(map(repr, row)) + "\n" for row in block]))
 
 
 def import_csv(path: "str | Path") -> Trajectory:
@@ -172,7 +174,7 @@ def import_csv(path: "str | Path") -> Trajectory:
             if len(row) != len(header):
                 raise MalformedCsvError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
             try:
-                rows.append([float(cell) for cell in row])
+                rows.append(list(map(float, row)))
             except ValueError as exc:
                 raise MalformedCsvError(f"{path}:{lineno}: {exc}") from None
     data = np.array(rows, dtype=float) if rows else np.empty((0, len(header)))

@@ -1,4 +1,4 @@
-"""Scenario loading, the tick loop, recordings, and force schedules."""
+"""Scenario loading, the segmented runtime, recordings, and force schedules."""
 
 import dataclasses
 import json
@@ -6,10 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import artjoint as aj
 from artjoint import assets, cli
 from artjoint import fixtures as fx
+from artjoint import scenario as scenario_mod
 from artjoint.geometry import quat_from_axis_angle
 
 
@@ -534,3 +537,224 @@ def test_runtime_advances_each_joint_like_the_reference_stepper(drawer, microwav
         series = aj.simulate_joint(scenario.joint(ref), lambda t: forces[round(t / dt)], scenario.duration, dt, state0)
         assert [(s.q.hex(), s.q_dot.hex()) for s in series] == [(q.hex(), q_dot.hex()) for q, q_dot in got[ref]]
         assert len({q for q, _ in got[ref]}) > 1, ref  # the joint moved
+
+
+# ---------------------------------------------------------------------------
+# the segmented runtime against the per-tick reference
+
+
+def event_log_text(log) -> str:
+    return "".join(f"{r.t!r}\t{r.kind}\t{r.rule_id}\t{r.detail}\t{r.effect_type}\n" for r in log)
+
+
+def per_tick_reference(scenario):
+    """Every channel of ``run(scenario)`` and its event log text, built with
+    one-tick ``advance`` calls and the runtime's own marker positions."""
+    runtime = aj.ScenarioRuntime(scenario)
+    n = aj.steps_for(scenario.duration, scenario.dt)
+    columns, log = {}, aj.EventLog()
+    for k in range(n + 1):
+        if k:
+            log.extend(runtime.advance(1) if k % 2 else runtime.tick())
+        for ref in scenario.recordings:
+            if ref in runtime.joints:
+                state = runtime.states[ref]
+                values = {f"{ref}.q": state.q, f"{ref}.q_dot": state.q_dot}
+            else:
+                values = dict(zip((f"{ref}.x", f"{ref}.y", f"{ref}.z"), runtime.marker_position(ref)))
+            for name, value in values.items():
+                columns.setdefault(name, []).append(float(value).hex())
+    return columns, event_log_text(log)
+
+
+def assert_run_matches_per_tick_reference(scenario):
+    trajectory, log = aj.run(scenario)
+    columns, events = per_tick_reference(scenario)
+    assert trajectory.channel_names == list(columns)
+    for name, expected in columns.items():
+        assert [float(v).hex() for v in trajectory.channels[name]] == expected, name
+    assert event_log_text(log) == events
+    return log
+
+
+def seeded_scene(seed: int, copies: int) -> aj.Scenario:
+    """``copies`` of every fixture scenario in one scene, each under its own
+    name and a random world pose, with every force scaled by up to 10%."""
+    rng = np.random.default_rng(seed)
+    placements, forces, recordings, initial = [], [], [], {}
+    for copy in range(copies):
+        for name in fx.FIXTURE_NAMES:
+            source = load(name)
+            (placement,) = source.assemblies
+            new = f"{placement.name}_{copy}"
+
+            def rename(ref):
+                return f"{new}/{ref.split('/', 1)[1]}"
+
+            angle = float(rng.uniform(0.0, 2.0 * math.pi))
+            pose = aj.Pose(position=tuple(float(x) for x in rng.uniform(-2.0, 2.0, size=3)),
+                           orientation=quat_from_axis_angle((0.0, 0.6, 0.8), angle))  # fmt: skip
+            placements.append(aj.Placement(name=new, assembly=placement.assembly, world_pose=pose))
+            for schedule in source.forces:
+                profile = dataclasses.replace(schedule.profile, value=schedule.profile.value * float(rng.uniform(0.9, 1.1)))
+                forces.append(aj.ForceSchedule(rename(schedule.joint), profile))
+            recordings += [rename(ref) for ref in source.recordings]
+            initial.update({rename(ref): init for ref, init in source.initial.items()})
+    return aj.Scenario(
+        assemblies=tuple(placements),
+        duration=max(load(name).duration for name in fx.FIXTURE_NAMES),
+        forces=tuple(forces),
+        recordings=tuple(recordings),
+        initial=initial,
+    )
+
+
+@pytest.mark.parametrize("name", fx.SCENARIO_NAMES)
+def test_run_equals_the_per_tick_reference_on_every_fixture(name):
+    assert_run_matches_per_tick_reference(load(name))
+
+
+def test_run_equals_the_per_tick_reference_on_a_seeded_multi_copy_scene():
+    log = assert_run_matches_per_tick_reference(seeded_scene(seed=7, copies=2))
+    assert log.count_effects("set_open_state") == 4  # each microwave and trashcan copy fires once
+
+
+CRAFTED_TICKS = 700
+
+
+def crafted_scene(drawer, trashcan, rising_tick, falling_tick=None):
+    """Two drawers and a trashcan. A rule on drawer ``pull`` fires on the
+    rising crossing at ``rising_tick`` and one on drawer ``push`` on the
+    falling crossing at ``falling_tick``; each emits a signal that a trashcan
+    rule turns into effects, one through a second emit. The thresholds are
+    the slides' own positions at those ticks in a run without rules."""
+    pull = aj.ForceSchedule("pull/slide", aj.ConstantForce(value=2.0))
+    push = aj.ForceSchedule("push/slide", aj.ConstantForce(value=-2.0))
+    base = aj.Scenario(
+        assemblies=(aj.Placement(name="pull", assembly=drawer), aj.Placement(name="push", assembly=drawer)),
+        duration=CRAFTED_TICKS * 0.001,
+        forces=(pull, push),
+        recordings=("pull/slide", "push/slide"),
+        initial={"push/slide": aj.JointInit(q=0.3)},
+    )
+    free, _ = aj.run(base)
+
+    def drawer_with(rule_id, direction, tick, signal):
+        if tick is None:
+            return drawer
+        value = float(free.channels[f"{rule_id}/slide.q"][tick])
+        rule = aj.BehaviorRule(rule_id, aj.ThresholdCrossed("slide", value, direction), (aj.EmitSignal(signal),))
+        return dataclasses.replace(drawer, behaviors=(rule,))
+
+    chained = (
+        aj.BehaviorRule("slam", aj.SignalReceived("pulled"), (aj.SetOpenState("lid", False), aj.SetFixedTarget("lid", 0.0))),
+        aj.BehaviorRule("relay", aj.SignalReceived("pushed"), (aj.EmitSignal("relayed"),)),
+        aj.BehaviorRule("mark", aj.SignalReceived("relayed"), (aj.SetProperty("lid", "marked", True), aj.SetFixedTarget("button", 0.004))),
+    )  # fmt: skip
+    return dataclasses.replace(
+        base,
+        assemblies=(
+            aj.Placement(name="pull", assembly=drawer_with("pull", "rising", rising_tick, "pulled")),
+            aj.Placement(name="push", assembly=drawer_with("push", "falling", falling_tick, "pushed")),
+            aj.Placement(name="bin", assembly=dataclasses.replace(trashcan, behaviors=trashcan.behaviors + chained)),
+        ),
+        recordings=("pull/slide", "push/slide", "bin/lid", "bin/button", "bin/lid_rim"),
+        initial={**base.initial, "bin/lid": aj.JointInit(q=1.8, s_open=True)},
+    )
+
+
+@pytest.mark.parametrize(
+    "rising_tick, falling_tick",
+    [
+        (1, None),  # the first tick
+        (CRAFTED_TICKS, None),  # the last tick
+        (scenario_mod._CHUNK, None),  # the last tick of the first chunk
+        (scenario_mod._CHUNK + 1, None),  # the first tick of the second chunk
+        (None, scenario_mod._CHUNK),
+        (300, 300),  # two triggers in one tick
+        (200, scenario_mod._CHUNK - 1),  # two cuts in one chunk
+    ],
+)
+def test_run_equals_the_per_tick_reference_at_crafted_crossings(drawer, trashcan, rising_tick, falling_tick):
+    scenario = crafted_scene(drawer, trashcan, rising_tick, falling_tick)
+    log = assert_run_matches_per_tick_reference(scenario)
+    fired = sorted((r.t, r.rule_id) for r in log if r.kind == "trigger")
+    expected = [(rising_tick * 0.001, "pull/pull"), (rising_tick * 0.001, "bin/slam")] if rising_tick else []
+    if falling_tick:
+        expected += [(falling_tick * 0.001, "push/push"), (falling_tick * 0.001, "bin/relay"), (falling_tick * 0.001, "bin/mark")]
+    assert fired == sorted(expected)
+
+    # one advance over the whole run ends in the same live states
+    runtime, reference = aj.ScenarioRuntime(scenario), aj.ScenarioRuntime(scenario)
+    live = dict(runtime.states)
+    runtime.advance(CRAFTED_TICKS)
+    for _ in range(CRAFTED_TICKS):
+        reference.tick()
+    assert all(runtime.states[ref] is state for ref, state in live.items())
+    assert runtime.states == reference.states
+    assert runtime.properties == reference.properties == ({"bin/lid.marked": True} if falling_tick else {})
+
+
+@pytest.mark.parametrize("tick", [1, 200, scenario_mod._CHUNK, scenario_mod._CHUNK + 1])
+def test_signal_loop_leaves_the_runtime_at_the_firing_tick(drawer, trashcan, tick):
+    """The tick whose rules raise SignalLoopError is stepped and counted, and
+    none of its effects apply, as with one-tick advances."""
+    looping = (
+        aj.BehaviorRule("ping", aj.SignalReceived("pulled"), (aj.SetOpenState("lid", False), aj.EmitSignal("pong"))),
+        aj.BehaviorRule("pong", aj.SignalReceived("pong"), (aj.EmitSignal("pulled"),)),
+    )
+    scenario = crafted_scene(drawer, dataclasses.replace(trashcan, behaviors=looping), tick)
+    free = aj.ScenarioRuntime(dataclasses.replace(scenario, assemblies=tuple(
+        dataclasses.replace(pl, assembly=dataclasses.replace(pl.assembly, behaviors=())) for pl in scenario.assemblies
+    )))  # fmt: skip
+    for _ in range(tick):
+        free.tick()
+    with pytest.raises(aj.SignalLoopError, match=f"t={tick * 0.001}"):
+        aj.run(scenario)
+    for step in ("advance", "tick"):
+        runtime = aj.ScenarioRuntime(scenario)
+        with pytest.raises(aj.SignalLoopError):
+            if step == "advance":
+                runtime.advance(CRAFTED_TICKS)
+            else:
+                for _ in range(CRAFTED_TICKS):
+                    runtime.tick()
+        assert runtime.k == tick
+        assert runtime.states == free.states  # the lid is still open: no effect applied
+        assert runtime.states["bin/lid"].s_open
+        assert runtime.properties == {}
+
+
+# ---------------------------------------------------------------------------
+# force sampling
+
+
+def sample_times(dt):
+    """Sample times ``k * dt`` of a window, or any float, infinities included."""
+    on_grid = st.integers(-5, 1200).map(lambda k: k * dt)
+    return st.one_of(on_grid, st.floats(-1.0, 2.0), st.sampled_from([-math.inf, math.inf]))
+
+
+@st.composite
+def profiles(draw, dt):
+    values = st.one_of(st.sampled_from([-0.0, 0.0, 1.5, -2.25]), st.floats(-1e3, 1e3, allow_nan=False))
+    if draw(st.booleans()):
+        t_start, t_end = draw(sample_times(dt)), draw(sample_times(dt))
+        return aj.ConstantForce(value=draw(values), t_start=min(t_start, t_end), t_end=max(t_start, t_end))
+    times = sorted(set(draw(st.lists(sample_times(dt).filter(math.isfinite), min_size=1, max_size=5))))
+    return aj.PiecewiseForce(steps=tuple((t, draw(values)) for t in times))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_schedule_sampler_equals_the_scalar_sum(data, drawer):
+    dt = data.draw(st.sampled_from([0.001, 0.0005, 0.003, 0.01, 1 / 700]))
+    mix = data.draw(st.lists(profiles(dt), min_size=1, max_size=4))
+    k0, n = data.draw(st.integers(0, 1000)), data.draw(st.integers(1, 300))
+    scenario = simple_scenario(drawer, dt=dt, forces=[aj.ForceSchedule("drawer/slide", p) for p in mix])
+    sampled = aj.ScenarioRuntime(scenario).scheduled_forces(k0, n)["drawer/slide"]
+    ticks = range(k0, k0 + n)
+    assert [f.hex() for f in sampled] == [float(sum(p.value_at(k * dt) for p in mix)).hex() for k in ticks]
+    t = np.arange(k0, k0 + n) * dt
+    for profile in mix:  # each profile on its own, signbit included
+        assert [float(v).hex() for v in profile.values_at(t)] == [float(profile.value_at(k * dt)).hex() for k in ticks]

@@ -1,5 +1,6 @@
 """Trajectory container, comparison metrics, averaging, and CSV round-trip."""
 
+import csv
 import math
 
 import numpy as np
@@ -171,6 +172,43 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
     path2 = tmp_path / "t2.csv"
     aj.export_csv(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def reference_export_csv(trajectory, path):
+    """The row-at-a-time writer: one ``csv.writer`` row of ``repr(float(v))`` per sample."""
+    names = trajectory.channel_names
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["t"] + names)
+        for row in zip(trajectory.times, *(trajectory.channels[n] for n in names)):
+            writer.writerow([repr(float(v)) for v in row])
+
+
+@pytest.mark.parametrize("odd_name", ["odd name", "odd\rname"])
+def test_csv_export_writes_the_reference_bytes(tmp_path, odd_name):
+    n = 2 * 1024 + 37  # more rows than one block
+    rng = np.random.default_rng(5)
+    specials = np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-7, 1e16, 0.0])
+    t = make_trajectory(
+        np.arange(n) * 0.001,
+        **{
+            "a/b.q": np.resize(specials, n),
+            odd_name: rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, size=n),
+            "c.x": np.where(np.arange(n) % 3 == 0, -0.0, rng.uniform(-1.0, 1.0, size=n)),
+        },
+    )
+    got, expected = tmp_path / "got.csv", tmp_path / "expected.csv"
+    aj.export_csv(t, got)
+    reference_export_csv(t, expected)
+    assert got.read_bytes() == expected.read_bytes()
+    if "\r" in odd_name:
+        return  # csv.writer leaves a lone CR unquoted, and csv.reader splits the header there
+
+    back = aj.import_csv(got)
+    assert back.channel_names == t.channel_names
+    for name in ["t"] + t.channel_names:
+        a, b = (back.times, t.times) if name == "t" else (back.channels[name], t.channels[name])
+        assert [float(v).hex() for v in a] == [float(v).hex() for v in b], name  # nan, signbit and all
 
 
 def test_csv_header_layout(tmp_path):
