@@ -33,7 +33,7 @@ from .assets import _BOOL, _FLOAT, _SHAPES, _STR, _VEC3, _Codec, _declare, _list
 from .errors import AssetSyntaxError, UnknownJointError
 from .geometry import Pose, Vec3, vec_cross, vec_sub
 from .kinematics import find_marker, forward_kinematics
-from .trajectory import Trajectory
+from .trajectory import Trajectory, check_csv_safe
 
 # --------------------------------------------------------------------------
 # force schedules
@@ -142,9 +142,9 @@ class Scenario:
     unique slash-free assembly names, placed assemblies that pass
     :func:`assets.validate`, ``duration > 0``, the
     :func:`dynamics.check_dt` rule, env limits > 0, reward weight names,
-    initial positions within their joint's limits, unique recordings, and
-    that every ref resolves. :meth:`joint` and :meth:`marker` are the only
-    ref lookups.
+    initial positions within their joint's limits, unique and CSV-safe
+    recordings, and that every ref resolves. :meth:`joint` and
+    :meth:`marker` are the only ref lookups.
     """
 
     assemblies: tuple[Placement, ...]
@@ -187,6 +187,10 @@ class Scenario:
         for i, ref in enumerate(self.recordings):
             if ref in self.recordings[:i]:
                 raise AssetSyntaxError(f"duplicate recording '{ref}'", f"recordings[{i}]")
+            try:
+                check_csv_safe(ref)  # the stem of every channel name the recording writes
+            except ValueError as exc:
+                raise AssetSyntaxError(str(exc), f"recordings[{i}]") from None
             if ref not in self._joints:
                 self.marker(ref)
         if self.env is not None:

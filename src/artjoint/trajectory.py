@@ -1,13 +1,23 @@
 """Uniformly sampled time series, comparison metrics, and CSV round-trip.
 
 CSV layout: header ``t,<channel>,...`` then one row per sample. Floats are
-written with shortest round-trip precision, so export/import is lossless and
-repeated runs produce bit-identical bytes.
+written with shortest round-trip precision (``repr``), so export/import is
+lossless and repeated runs produce bit-identical bytes. Export formats each
+distinct float of a 1,024-row block once; a channel name must be CSV-safe
+(:func:`check_csv_safe`).
+
+Import reads the header with :mod:`csv` and accepts every data cell that
+``float()`` accepts: padded, quoted, ``1_0``, ``nan``/``inf`` in any case,
+with ``\n``, ``\r\n`` or lone ``\r`` line ends; blank lines are skipped.
+Plain numeric rows parse in one ``np.loadtxt`` call; any other file is read
+again row by row, which raises :class:`MalformedCsvError` with the line
+number of the first bad row.
 """
 
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -138,18 +148,32 @@ def average(trajectories: "list[Trajectory]") -> Trajectory:
     return Trajectory(times=first.times.copy(), channels=channels)
 
 
+def check_csv_safe(name: str) -> None:
+    """Raise ``ValueError`` if ``name`` holds a comma, quote, CR or LF: a
+    header cell that :func:`export_csv` writes unquoted must read back whole."""
+    if "," in name or '"' in name or "\n" in name or "\r" in name:
+        raise ValueError(f"channel name {name!r} is not CSV-safe")
+
+
 def export_csv(trajectory: Trajectory, path: "str | Path") -> None:
     """Write ``t,<channels...>`` rows with shortest round-trip floats (whose ``repr`` needs no quoting)."""
     names = trajectory.channel_names
     for name in names:
-        if "," in name or "\n" in name or '"' in name:
-            raise ValueError(f"channel name {name!r} is not CSV-safe")
+        check_csv_safe(name)
+    columns = [np.asarray(c, dtype=np.float64) for c in [trajectory.times, *trajectory.channels.values()]]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(["t"] + names)
-        columns = [trajectory.times] + [trajectory.channels[n] for n in names]
         for i in range(0, len(trajectory), _BLOCK_ROWS):
-            block = zip(*(column[i : i + _BLOCK_ROWS].tolist() for column in columns))
-            fh.write("".join([",".join(map(repr, row)) + "\n" for row in block]))
+            cells = [_reprs(column[i : i + _BLOCK_ROWS]) for column in columns]
+            fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
+
+
+def _reprs(values: np.ndarray) -> list[str]:
+    """``repr`` of each float, called once per distinct bit pattern (so
+    ``-0.0`` and ``0.0`` stay apart) and gathered back in order."""
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    text = list(map(repr, bits.view(np.float64).tolist()))
+    return [text[j] for j in index.tolist()]
 
 
 def import_csv(path: "str | Path") -> Trajectory:
@@ -167,17 +191,15 @@ def import_csv(path: "str | Path") -> Trajectory:
         names = header[1:]
         if len(set(names)) != len(names):
             raise MalformedCsvError(f"{path}: duplicate channel names in header")
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise MalformedCsvError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
-            try:
-                rows.append(list(map(float, row)))
-            except ValueError as exc:
-                raise MalformedCsvError(f"{path}:{lineno}: {exc}") from None
-    data = np.array(rows, dtype=float) if rows else np.empty((0, len(header)))
+        try:
+            with warnings.catch_warnings():  # a header-only file is a valid, empty trajectory
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                data = np.loadtxt(_plain_lines(fh), delimiter=",", comments=None, dtype=float, ndmin=2)
+        except ValueError:
+            data = None
+        if data is None or data.shape[1] != len(header):
+            fh.seek(0)
+            data = _read_rows(csv.reader(fh), path)
     try:
         return Trajectory(
             times=data[:, 0],
@@ -185,3 +207,32 @@ def import_csv(path: "str | Path") -> Trajectory:
         )
     except ValueError as exc:
         raise MalformedCsvError(f"{path}: {exc}") from None
+
+
+def _plain_lines(lines):
+    """``lines`` for ``np.loadtxt``, raising ``ValueError`` at a line holding
+    U+001C..U+001F, which loadtxt strips around a number and ``float()``
+    rejects."""
+    for line in lines:
+        if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
+            raise ValueError("information separator in a data line")
+        yield line
+
+
+def _read_rows(reader, path) -> np.ndarray:
+    """The row-by-row reader behind :func:`import_csv`: each row after the
+    header through ``float()``, with a line-numbered error at the first bad
+    row. The only path for what ``np.loadtxt`` refuses (quoted cells,
+    ``1_0``, ...) and for the error texts."""
+    header = next(reader)
+    rows: list[list[float]] = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise MalformedCsvError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
+        try:
+            rows.append(list(map(float, row)))
+        except ValueError as exc:
+            raise MalformedCsvError(f"{path}:{lineno}: {exc}") from None
+    return np.array(rows, dtype=float) if rows else np.empty((0, len(header)))

@@ -53,6 +53,51 @@ def fk_calls(monkeypatch) -> list[str]:
     return calls
 
 
+def press_and_close(env: aj.ManipulationEnv):
+    """The scripted trashcan_env controller: hover over the pedal, press it
+    (the latch releases the lid), travel to the open rim, then push the lid
+    shut. Yields ``(phase, obs, reward, done)`` after each step until done
+    or 6,001 steps."""
+    obs = env.reset()
+
+    def clip(a, lim=9.9):
+        n = float(np.linalg.norm(a))
+        return a * (lim / n) if n > lim else a
+
+    def servo(target):
+        return clip(60.0 * (np.asarray(target) - obs[:3]) - 14.0 * obs[3:6])
+
+    cap = np.array([0.0, 0.16, 0.30])
+    cq, sq = math.cos(1.8), math.sin(1.8)
+    rim_open = np.array([0.0, -0.15 + 0.30 * cq - 0.02 * sq, 0.60 + 0.30 * sq + 0.02 * cq])
+
+    done = False
+    steps = 0
+    phase = "approach"
+    press_ticks = 0
+    while not done and steps < 6001:
+        pos, vel = obs[:3], obs[3:6]
+        if phase == "approach":
+            hover = cap + np.array([0.0, 0.035, 0.0])
+            action = servo(hover)
+            if np.linalg.norm(pos - hover) < 0.02 and np.linalg.norm(vel) < 0.5:
+                phase = "press"
+        elif phase == "press":
+            action = clip(np.array([0.0, -6.0, 0.0]) - 8.0 * vel)
+            press_ticks += 1
+            if press_ticks >= 300:
+                phase = "travel"
+        elif phase == "travel":
+            action = servo(rim_open + np.array([0.0, -0.05, 0.02]))
+            if np.linalg.norm(pos - rim_open) < 0.048 and np.linalg.norm(vel) < 0.8:
+                phase = "push_lid"
+        else:
+            action = clip(np.array([0.0, 8.0, -2.0]) - 6.0 * vel)
+        obs, r, done = env.step(action)
+        steps += 1
+        yield phase, obs, r, done
+
+
 def make_joint(**overrides) -> aj.JointSpec:
     """A plain prismatic joint — frictionless, undriven, wide limits — so a
     test can override exactly the parameters it exercises."""

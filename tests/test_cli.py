@@ -174,6 +174,20 @@ def test_simulate_rejects_scenarios_that_share_an_output(tmp_path):
     assert list(out.iterdir()) == []
 
 
+def test_simulate_rejects_a_csv_unsafe_recording_at_load(tmp_path):
+    data = json.loads(fx.scenario_path("drawer").read_text(encoding="utf-8"))
+    data["assemblies"][0].update(asset=str(fx.asset_path("drawer")), name="draw,er")
+    data["forces"][0]["joint"] = "draw,er/slide"
+    data["recordings"] = ["draw,er/slide"]
+    data["initial"] = {}
+    path = tmp_path / "comma.scenario.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    proc = run_cli("simulate", path, "--out", tmp_path / "x.csv")
+    assert proc.returncode == 1, proc.stderr
+    assert "recordings[0]" in proc.stderr and "CSV-safe" in proc.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # compare
 

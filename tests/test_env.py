@@ -8,6 +8,7 @@ import pytest
 
 import artjoint as aj
 from artjoint import fixtures as fx
+from conftest import press_and_close
 
 
 @pytest.fixture()
@@ -156,47 +157,9 @@ def test_zero_actions_run_to_timeout(env):
 def test_scripted_press_and_close(env):
     """Hover to the pedal, press it (latch releases the lid), then ride the
     falling lid shut. Mirrors how the fixture is meant to be used."""
-    obs = env.reset()
-
-    def clip(a, lim=9.9):
-        n = float(np.linalg.norm(a))
-        return a * (lim / n) if n > lim else a
-
-    def servo(target):
-        return clip(60.0 * (np.asarray(target) - obs[:3]) - 14.0 * obs[3:6])
-
-    cap = np.array([0.0, 0.16, 0.30])
-    cq, sq = math.cos(1.8), math.sin(1.8)
-    rim_open = np.array([0.0, -0.15 + 0.30 * cq - 0.02 * sq, 0.60 + 0.30 * sq + 0.02 * cq])
-
-    done = False
-    steps = 0
-    phase = "approach"
-    press_ticks = 0
-    rewards = []
-    while not done and steps < 6001:
-        pos, vel = obs[:3], obs[3:6]
-        if phase == "approach":
-            hover = cap + np.array([0.0, 0.035, 0.0])
-            action = servo(hover)
-            if np.linalg.norm(pos - hover) < 0.02 and np.linalg.norm(vel) < 0.5:
-                phase = "press"
-        elif phase == "press":
-            action = clip(np.array([0.0, -6.0, 0.0]) - 8.0 * vel)
-            press_ticks += 1
-            if press_ticks >= 300:
-                phase = "travel"
-        elif phase == "travel":
-            action = servo(rim_open + np.array([0.0, -0.05, 0.02]))
-            if np.linalg.norm(pos - rim_open) < 0.048 and np.linalg.norm(vel) < 0.8:
-                phase = "push_lid"
-        else:
-            action = clip(np.array([0.0, 8.0, -2.0]) - 6.0 * vel)
-        obs, r, done = env.step(action)
-        rewards.append(r)
-        steps += 1
-
-    assert done and steps < 6000, f"rollout did not finish (phase={phase}, steps={steps})"
+    steps = list(press_and_close(env))
+    phase, obs, reward, done = steps[-1]
+    assert done and len(steps) < 6000, f"rollout did not finish (phase={phase}, steps={len(steps)})"
     assert obs[6] == 0.0  # lid slammed fully shut
-    assert rewards[-1] > 10.0  # the closure term dominates at the end
+    assert reward > 10.0  # the closure term dominates at the end
     assert env.runtime.states["trashcan/lid"].s_open is False  # pedal re-latched it

@@ -1,5 +1,6 @@
-"""Byte gate: each bundled scenario's exported CSV and event log hash to the
-digests committed in ``tests/data/golden_digests.json``.
+"""Byte gate: each bundled scenario's exported CSV and event log, and one
+scripted trashcan_env episode, hash to the digests committed in
+``tests/data/golden_digests.json``.
 
 A refactor that is meant to keep simulation output unchanged must leave
 these digests alone. A change that moves output on purpose regenerates them
@@ -18,6 +19,7 @@ import pytest
 
 import artjoint as aj
 from artjoint import fixtures as fx
+from conftest import press_and_close
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DIGESTS_PATH = Path(__file__).resolve().parent / "data" / "golden_digests.json"
@@ -39,6 +41,18 @@ def scenario_digests(name: str, work_dir: Path) -> tuple[str, str]:
     )
 
 
+def env_episode_digest() -> str:
+    """sha256 over each step of the scripted press-and-close episode on
+    trashcan_env: the observation's float64 bytes, ``float(reward).hex()``
+    and ``done``."""
+    digest = hashlib.sha256()
+    env = aj.ManipulationEnv(aj.load_scenario(fx.scenario_path("trashcan_env")))
+    for _, obs, reward, done in press_and_close(env):
+        digest.update(obs.tobytes())  # float64
+        digest.update(f"{float(reward).hex()}\t{done}\n".encode("utf-8"))
+    return digest.hexdigest()
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(DIGESTS_PATH.read_text(encoding="utf-8"))
@@ -49,6 +63,10 @@ def test_scenario_output_matches_golden_digests(name, golden, tmp_path):
     csv_digest, events_digest = scenario_digests(name, tmp_path)
     assert csv_digest == golden["csv_sha256"][name]
     assert events_digest == golden["events_sha256"][name]
+
+
+def test_env_episode_matches_golden_digest(golden):
+    assert env_episode_digest() == golden["env_episode_sha256"]["trashcan_env"]
 
 
 def test_golden_csv_digests_agree_with_the_benchmark(golden):
@@ -63,6 +81,7 @@ if __name__ == "__main__":
     doc = {
         "csv_sha256": {name: pair[0] for name, pair in pairs.items()},
         "events_sha256": {name: pair[1] for name, pair in pairs.items()},
+        "env_episode_sha256": {"trashcan_env": env_episode_digest()},
     }
     DIGESTS_PATH.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     sys.stdout.write(f"wrote {DIGESTS_PATH}\n")

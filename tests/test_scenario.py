@@ -203,6 +203,18 @@ def test_duplicate_assembly_names_rejected(tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("name", ["draw,er", "draw\ner", "draw\rer", 'draw"er'])
+def test_recording_with_a_csv_unsafe_name_rejected(tmp_path, drawer, name):
+    data = scenario_dict(assemblies=[{"asset": str(fx.asset_path("drawer")), "name": name}], recordings=[f"{name}/slide"])
+    with pytest.raises(aj.AssetSyntaxError, match="CSV-safe") as exc:
+        write_and_load(tmp_path, data)
+    assert exc.value.location == "recordings[0]"
+    placement = aj.Placement(name=name, assembly=drawer)
+    aj.Scenario(assemblies=(placement,), duration=1.0)  # the name alone is fine; recording under it is not
+    with pytest.raises(aj.AssetSyntaxError, match="CSV-safe"):
+        aj.Scenario(assemblies=(placement,), duration=1.0, recordings=(f"{name}/handle",))
+
+
 def test_code_built_scenario_rejects_an_invalid_assembly(trashcan):
     lid = dataclasses.replace(trashcan.joint("lid"), axis=(2.0, 0.0, 0.0))
     bent = dataclasses.replace(trashcan, joints=tuple(lid if j.id == "lid" else j for j in trashcan.joints))

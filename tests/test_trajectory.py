@@ -5,8 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import artjoint as aj
+from artjoint import fixtures as fx
+from artjoint import trajectory as trajectory_mod
 
 
 def make_trajectory(times, **channels):
@@ -184,31 +188,35 @@ def reference_export_csv(trajectory, path):
             writer.writerow([repr(float(v)) for v in row])
 
 
-@pytest.mark.parametrize("odd_name", ["odd name", "odd\rname"])
+@pytest.mark.parametrize("odd_name", ["odd name"])
 def test_csv_export_writes_the_reference_bytes(tmp_path, odd_name):
     n = 2 * 1024 + 37  # more rows than one block
     rng = np.random.default_rng(5)
     specials = np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-7, 1e16, 0.0])
+    # NaNs of several payloads, both signs: distinct bit patterns that all write as 'nan'
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF,
+                     0x7FF4000000000000, 0xFFF0000000000ABC], dtype=np.uint64).view(np.float64)
     t = make_trajectory(
         np.arange(n) * 0.001,
         **{
             "a/b.q": np.resize(specials, n),
             odd_name: rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, size=n),
             "c.x": np.where(np.arange(n) % 3 == 0, -0.0, rng.uniform(-1.0, 1.0, size=n)),
+            "const": np.repeat([0.25, -1e-300, 7.0], 1024)[:n],  # one value per block
+            "zeros": np.where(rng.random(n) < 0.5, 0.0, -0.0),
+            "nans": np.where(rng.random(n) < 0.8, nans[rng.integers(0, len(nans), size=n)], 1.5),
         },
     )
     got, expected = tmp_path / "got.csv", tmp_path / "expected.csv"
     aj.export_csv(t, got)
     reference_export_csv(t, expected)
     assert got.read_bytes() == expected.read_bytes()
-    if "\r" in odd_name:
-        return  # csv.writer leaves a lone CR unquoted, and csv.reader splits the header there
 
     back = aj.import_csv(got)
     assert back.channel_names == t.channel_names
     for name in ["t"] + t.channel_names:
         a, b = (back.times, t.times) if name == "t" else (back.channels[name], t.channels[name])
-        assert [float(v).hex() for v in a] == [float(v).hex() for v in b], name  # nan, signbit and all
+        assert [float(v).hex() for v in a] == [float(v).hex() for v in b], name  # signbit and all
 
 
 def test_csv_header_layout(tmp_path):
@@ -230,10 +238,13 @@ def test_empty_trajectory_exports_header_only(tmp_path):
     assert back.channel_names == ["q"]
 
 
-def test_csv_safe_channel_names_enforced(tmp_path):
-    t = make_trajectory([0.0], **{"a,b": [1.0]})
+@pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb", 'a"b'])
+def test_csv_safe_channel_names_enforced(tmp_path, name):
+    # csv.writer would quote ',', '"' and LF but not a lone CR, and csv.reader splits the header there
+    t = make_trajectory([0.0], **{name: [1.0]})
     with pytest.raises(ValueError, match="CSV-safe"):
         aj.export_csv(t, tmp_path / "x.csv")
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -252,3 +263,126 @@ def test_malformed_csv(tmp_path, content, hint):
     path.write_text(content, encoding="utf-8")
     with pytest.raises(aj.MalformedCsvError, match=hint):
         aj.import_csv(path)
+
+
+def reference_import_csv(path):
+    """The row-at-a-time reader: ``csv.reader`` rows through ``float()``, with
+    the texts of every :class:`MalformedCsvError`."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise aj.MalformedCsvError(f"{path}: empty file (no header)") from None
+        if not header or header[0] != "t":
+            raise aj.MalformedCsvError(f"{path}: first header column must be 't', got {header[:1]}")
+        names = header[1:]
+        if len(set(names)) != len(names):
+            raise aj.MalformedCsvError(f"{path}: duplicate channel names in header")
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise aj.MalformedCsvError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
+            try:
+                rows.append(list(map(float, row)))
+            except ValueError as exc:
+                raise aj.MalformedCsvError(f"{path}:{lineno}: {exc}") from None
+    data = np.array(rows, dtype=float) if rows else np.empty((0, len(header)))
+    try:
+        return aj.Trajectory(times=data[:, 0], channels={name: data[:, i + 1] for i, name in enumerate(names)})
+    except ValueError as exc:
+        raise aj.MalformedCsvError(f"{path}: {exc}") from None
+
+
+def import_outcome(read, path):
+    """Channel names and the bits of every value, or the exception's type and text."""
+    try:
+        t = read(path)
+    except Exception as exc:  # noqa: BLE001 - the outcome under comparison
+        return type(exc), str(exc)
+    columns = [t.times] + [t.channels[n] for n in t.channel_names]
+    return t.channel_names, [np.asarray(c).view(np.int64).tolist() for c in columns]
+
+
+_FLOAT_TEXT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True).map(repr),
+    st.sampled_from(["-0.0", "0.0", "nan", "inf", "-inf", "5e-324", "-2.2250738585072014e-308", "1e16"]),
+)
+_ODD_CELL = st.sampled_from(
+    ["", " ", "#", "#1", "1_0", "-nan", "NaN", "+Infinity", "1e5", ".5", "5.", "abc", "0x10",
+     "\x1c1.0", "1.0\x1f", "\u0661", "\xa02.5", "\t3\x0b"]
+)
+_PAD = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def csv_texts(draw):
+    """A header, then rows of ``repr`` floats under an increasing time column,
+    with up to three edits: an odd or quoted or padded cell, a blank or
+    whitespace-only line, a ragged row. Each line gets its own line end."""
+    width = draw(st.integers(1, 4))
+    header = ["t"] + [f"c{i}" for i in range(width - 1)]
+    if draw(st.integers(0, 19)) == 0:
+        header = draw(st.sampled_from([["time"], ["t", "c", "c"], ['"t"', "c"]]))
+    rows = [[repr(0.5 * k)] + [draw(_FLOAT_TEXT) for _ in range(width - 1)] for k in range(draw(st.integers(0, 6)))]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        col = draw(st.integers(0, len(row) - 1))
+        edit = draw(st.integers(0, 5))
+        if edit == 0:
+            row[col] = draw(_ODD_CELL)
+        elif edit == 1:
+            row[col] = f'"{row[col]}"'
+        elif edit == 2:
+            row[col] = draw(_PAD) + row[col] + draw(_PAD)
+        elif edit == 3:
+            rows.insert(draw(st.integers(0, len(rows))), [draw(st.sampled_from(["", " ", "\t"]))])
+        elif edit == 4:
+            if len(row) > 1 and draw(st.booleans()):
+                row.pop()
+            else:
+                row.append(draw(_FLOAT_TEXT))
+        else:
+            row[0] = draw(_FLOAT_TEXT)  # times out of order
+    ends = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+    text = "".join(",".join(line) + draw(ends) for line in [header] + rows)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no end after the last line
+    return text
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=csv_texts())
+@example(text="t,c0\n0.0,\x1c1.0\n")  # loadtxt strips U+001C as whitespace, float() does not
+@example(text="t,c0\r0.0,-0.0\r0.5,nan\r")
+@example(text='t,c0\n0.0,"1.0"\n')
+def test_import_csv_agrees_with_the_row_reader(tmp_path, text):
+    path = tmp_path / "x.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert import_outcome(aj.import_csv, path) == import_outcome(reference_import_csv, path)
+
+
+def test_import_csv_agrees_on_a_header_only_file(tmp_path, recwarn):
+    for text in ["t,q\n", "t,q", "t\n", "t,q\n\n\r\n"]:
+        path = tmp_path / "h.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert import_outcome(aj.import_csv, path) == import_outcome(reference_import_csv, path)
+    assert not recwarn.list  # no "input contained no data"
+
+
+def test_bundled_csvs_import_without_the_row_reader(tmp_path, monkeypatch):
+    paths = [fx.fixtures_dir() / "drawer_sprung_observed.csv"]
+    for name in fx.SCENARIO_NAMES:
+        trajectory, _ = aj.run(aj.load_scenario(fx.scenario_path(name)))
+        paths.append(tmp_path / f"{name}.csv")
+        aj.export_csv(trajectory, paths[-1])
+    calls = []
+    reader = csv.reader
+    monkeypatch.setattr(trajectory_mod.csv, "reader", lambda *a, **k: calls.append(a) or reader(*a, **k))
+    for path in paths:
+        calls.clear()
+        back = aj.import_csv(path)
+        assert len(calls) == 1, path  # the header's reader; a second one is the row-by-row re-read
+        assert import_outcome(lambda p: back, path) == import_outcome(reference_import_csv, path)
