@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -35,7 +36,7 @@ from .assets import (
 )
 from .errors import ArtjointError, AssetSyntaxError, UnknownJointError, UnstableDtError
 from .scenario import _FORCE_PROFILE, Scenario, load_scenario, run
-from .sysid import DEFAULT_BUDGET, FitProblem, apply_params, fit
+from .sysid import FitProblem, apply_params, fit
 from .trajectory import Trajectory, average, compare, export_csv, import_csv
 
 
@@ -214,30 +215,38 @@ def _load_fit_problem(path: Path) -> FitProblem:
         raise AssetSyntaxError(str(exc), "fitspec") from None
 
 
+def _finite_or_none(value: "float | None") -> "float | None":
+    """``value`` for a JSON document, which has no infinity."""
+    return value if value is not None and math.isfinite(value) else None
+
+
 def cmd_fit(args) -> int:
     problem = _load_fit_problem(Path(args.fitspec))
     result = fit(problem)
+    errors = result.standard_errors
     payload = {
         "params": dict(sorted(result.params.items())),
         "residual_sse": result.residual_sse,
         "iterations": result.iterations,
         "n_evals": result.n_evals,
         "converged": result.converged,
+        "stop_reason": result.stop_reason,
+        "standard_errors": None if errors is None else {name: _finite_or_none(errors[name]) for name in sorted(errors)},
+        "condition_number": _finite_or_none(result.condition_number),
     }
     out = Path(args.out)
     out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     doc = {"command": "fit", "fitspec": str(args.fitspec), "out": str(out), **payload}
-    if result.converged:
-        status = "converged"
-    elif result.n_evals >= DEFAULT_BUDGET:
-        status = "budget exhausted"
-    else:
-        status = "sweep limit reached"
-    lines = [f"{name} = {value:.6g}" for name, value in sorted(result.params.items())]
+    lines = [
+        f"{name} = {value:.6g}" + ("" if errors is None else f" (standard error {errors[name]:.2g})")
+        for name, value in sorted(result.params.items())
+    ]
     lines.append(
         f"residual sse {result.residual_sse:.6g} after {result.n_evals} evaluations "
-        f"({result.iterations} sweeps, {status})"
+        f"({result.iterations} sweeps, {result.stop_reason})"
     )
+    if result.condition_number is not None:
+        lines.append(f"condition number {result.condition_number:.3g} (box-scaled Jacobian)")
     lines.append(f"wrote {out}")
     _emit(args, doc, lines)
     return 0

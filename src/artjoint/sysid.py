@@ -2,13 +2,22 @@
 
 A :class:`FitProblem` pairs an observed position series with a joint spec
 template and a set of free parameter paths (e.g. ``"damping_D"``,
-``"stiffness.k_max"``). The objective forward-simulates the candidate at the
-observed sample times and sums squared position error. :func:`fit` minimizes
-it by coordinate-wise golden-section line searches over the parameter boxes,
-restarting the sweep over the full box until a sweep improves the SSE by less
-than 1e-8 relative; the evaluation budget (default 5000) and the sweep limit
-(60) return best-so-far with ``converged = False`` when reached. Everything is
-deterministic: ties inside a line search keep the smaller parameter value.
+``"stiffness.k_max"``). :func:`residuals` forward-simulates the candidate at
+the observed sample times and subtracts the observation; :func:`objective`
+is their sum of squares. :func:`fit` minimizes it in two stages:
+
+- a global stage of coordinate-wise golden-section sweeps over the whole
+  parameter boxes, which leaves the stiction plateau (where the joint never
+  breaks away and the SSE is flat) but then gains little per sweep;
+- once a sweep lowers the SSE by less than ``HANDOVER_FRACTION`` of its
+  starting SSE, a projected Levenberg-Marquardt polish on a forward-difference
+  Jacobian, which also yields standard errors and a condition number.
+
+The evaluation budget (default 5000) caps both stages together.
+:attr:`FitResult.stop_reason` says why a fit ended. Everything is
+deterministic: ties inside a line search keep the smaller parameter value,
+the difference steps and their order are fixed, and every reduction runs in
+numpy's own loops or plain floats, never in a threaded BLAS or LAPACK call.
 
 Simulation convention: the forward run starts at rest at the first observed
 sample (``q0 = observed[0]``, ``q_dot0 = 0``), with the open flag from the
@@ -33,8 +42,18 @@ from .trajectory import Trajectory
 
 MIN_OBSERVED_SAMPLES = 10
 DEFAULT_BUDGET = 5000
-SWEEP_RELATIVE_TOLERANCE = 1e-8
+# Hand over to the polish once a sweep lowers the SSE by less than this share
+# of its starting SSE. On the bundled drawer_sprung fitspec a sweep that
+# leaves the stiction plateau cuts the SSE 1,000-fold or more, a later one at
+# most 7-fold.
+HANDOVER_FRACTION = 0.99
 MAX_SWEEPS = 60
+_LINE_TOLERANCE = 1e-4  # a line search stops at this bracket, relative to the box
+_DIFF_STEP = 1e-7  # forward-difference step, relative to the box
+_STEP_TOLERANCE = 1e-10  # the polish converges below this step, relative to every box
+_INITIAL_DAMPING = 1e-6  # times the largest eigenvalue of J^T J: the golden stage starts it close
+_DAMPING_FACTOR = 10.0  # damping divides by this after an accepted step, multiplies after a rejected one
+_MAX_REJECTIONS = 6  # rejected steps in a row after which the polish has stalled
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # interval shrink ratio per iteration
 
 
@@ -165,30 +184,52 @@ def apply_params(spec: JointSpec, params: Mapping[str, float]) -> JointSpec:
     return out
 
 
-def objective(problem: FitProblem, params: Mapping[str, float]) -> float:
-    """Sum of squared position error of the candidate's forward simulation at
-    the observed sample times. The simulation is
-    :func:`~artjoint.dynamics.rollout` on the problem's memoized force
-    samples: the stepper the scenario runtime uses, keeping positions only."""
+def residuals(problem: FitProblem, params: Mapping[str, float]) -> np.ndarray:
+    """Simulated minus observed position at each observed sample time. The
+    simulation is :func:`~artjoint.dynamics.rollout` on the problem's
+    memoized force samples: the stepper the scenario runtime uses, keeping
+    positions only."""
     spec = apply_params(problem.spec_template, params)
     observed = problem.observed.channels[problem.channel]
-    n = len(observed)
-    dt = problem.dt
-    q0 = float(observed[0])
-    q0 = min(max(q0, spec.q_lower_bound), spec.q_upper_bound)
+    q0 = min(max(float(observed[0]), spec.q_lower_bound), spec.q_upper_bound)
     state0 = initial_state(spec, q=q0, s_open=problem.s_open0)
-    sim = rollout(spec, problem._sampled_forces(), dt, state0)
-    diff = sim[:n] - observed
-    return float(np.dot(diff, diff))
+    sim = rollout(spec, problem._sampled_forces(), problem.dt, state0)
+    return sim[: len(observed)] - observed
+
+
+def _sum_sq(a: np.ndarray, b: np.ndarray) -> float:
+    """``a . b`` by numpy's own pairwise summation: BLAS ``dot`` threads long
+    vectors, and its result then depends on the thread count."""
+    return float(np.sum(a * b))
+
+
+def objective(problem: FitProblem, params: Mapping[str, float]) -> float:
+    """Sum of squared position error of the candidate's forward simulation at
+    the observed sample times: ``r . r`` of :func:`residuals`."""
+    r = residuals(problem, params)
+    return _sum_sq(r, r)
 
 
 @dataclass(frozen=True)
 class FitResult:
+    """``iterations`` counts golden sweeps. ``stop_reason`` is
+    ``"converged"`` (the only one that sets ``converged``), ``"budget
+    exhausted"``, ``"sweep limit reached"`` or ``"polish stalled"``.
+    ``standard_errors`` (per free parameter, in its units) and
+    ``condition_number`` (of the box-scaled Jacobian) come from the polish's
+    last Jacobian, and are ``None`` if the fit stopped before the polish
+    built one. A rank-deficient Jacobian has an infinite condition number,
+    and an infinite standard error for each parameter in its null space."""
+
     params: dict[str, float]
     residual_sse: float
     iterations: int
     n_evals: int
     converged: bool
+    stop_reason: str
+    standard_errors: dict[str, float] | None = None
+    condition_number: float | None = None
+
 
 
 class _BudgetExhausted(Exception):
@@ -197,21 +238,35 @@ class _BudgetExhausted(Exception):
 
 @dataclass
 class _Tracker:
-    fn: Callable[[Mapping[str, float]], float]
+    """Counts every forward run against the budget and remembers the best
+    point evaluated. The golden stage calls :func:`objective`, the polish
+    :func:`residuals`; both look the function up at call time."""
+
+    problem: FitProblem
     budget: int
     n_evals: int = 0
     best_sse: float = math.inf
     best_params: dict[str, float] = field(default_factory=dict)
 
-    def __call__(self, params: Mapping[str, float]) -> float:
+    def _count(self) -> None:
         if self.n_evals >= self.budget:
             raise _BudgetExhausted
         self.n_evals += 1
-        value = self.fn(params)
+
+    def _record(self, params: Mapping[str, float], value: float) -> float:
         if value < self.best_sse:
             self.best_sse = value
             self.best_params = dict(params)
         return value
+
+    def __call__(self, params: Mapping[str, float]) -> float:
+        self._count()
+        return self._record(params, objective(self.problem, params))
+
+    def residuals(self, params: Mapping[str, float]) -> tuple[np.ndarray, float]:
+        self._count()
+        r = residuals(self.problem, params)
+        return r, self._record(params, _sum_sq(r, r))
 
 
 def _golden_line(track: _Tracker, params: dict[str, float], name: str, lo: float, hi: float) -> None:
@@ -230,8 +285,8 @@ def _golden_line(track: _Tracker, params: dict[str, float], name: str, lo: float
     for x, f in ((c, fc), (d, fd)):
         if f < best_f or (f == best_f and x < best_x):
             best_x, best_f = x, f
-    # Shrink until the bracket is negligible relative to the box.
-    tol = 1e-7 * (hi - lo)
+    # Shrink until the bracket is small against the box: the polish refines.
+    tol = _LINE_TOLERANCE * (hi - lo)
     while (b - a) > tol:
         if fc <= fd:
             b, d, fd = d, c, fc
@@ -248,43 +303,146 @@ def _golden_line(track: _Tracker, params: dict[str, float], name: str, lo: float
     params[name] = best_x
 
 
-def fit(problem: FitProblem, budget: int = DEFAULT_BUDGET) -> FitResult:
-    """Coordinate-wise golden-section refinement with full-box restarts.
+def _eigh(a: list[list[float]]) -> tuple[list[float], list[list[float]]]:
+    """Eigenvalues and eigenvectors (the columns of the second result) of a
+    small symmetric matrix by cyclic Jacobi rotations (Numerical Recipes
+    section 11.1), in plain floats: the same bits whatever BLAS or LAPACK
+    numpy links and however many threads it runs."""
+    p = len(a)
+    a = [row[:] for row in a]
+    v = [[float(i == j) for j in range(p)] for i in range(p)]
+    for _ in range(50):
+        for i, j in itertools.combinations(range(p), 2):
+            off = 100.0 * abs(a[i][j])
+            if abs(a[i][i]) + off != abs(a[i][i]) or abs(a[j][j]) + off != abs(a[j][j]):
+                theta = (a[j][j] - a[i][i]) / (2.0 * a[i][j])
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+                c = 1.0 / math.hypot(t, 1.0)
+                s = t * c
+                for m in (a, v):  # columns i and j
+                    for row in m:
+                        row[i], row[j] = c * row[i] - s * row[j], s * row[i] + c * row[j]
+                a[i], a[j] = [c * x - s * y for x, y in zip(a[i], a[j])], [s * x + c * y for x, y in zip(a[i], a[j])]
+            a[i][j] = a[j][i] = 0.0
+        if not any(a[i][j] for i, j in itertools.combinations(range(p), 2)):
+            break
+    return [a[i][i] for i in range(p)], v
 
-    Each sweep line-searches every free parameter over its whole box (the
-    restart), in the declared order. Converged when a full sweep improves the
-    best SSE by less than ``SWEEP_RELATIVE_TOLERANCE`` relative to the
-    problem's scale (the larger of the SSE at ``init`` and the current SSE, so
-    near-exact fits terminate instead of chasing rounding noise). Hitting
-    ``budget`` objective evaluations or ``MAX_SWEEPS`` sweeps returns the
-    best-so-far with ``converged = False``.
+
+@dataclass
+class _Polish:
+    """Projected Levenberg-Marquardt (More 1978) on the box-scaled parameters
+    ``u = (x - lo) / (hi - lo)``. Each iteration takes a forward-difference
+    Jacobian, eigendecomposes ``J^T J`` once and solves the damped normal
+    equations ``(J^T J + damping I) du = -J^T r`` for as many dampings as it
+    needs; every candidate is clipped to the box. The uncertainty fields
+    describe the last Jacobian built."""
+
+    track: _Tracker
+    standard_errors: dict[str, float] | None = None
+    condition_number: float | None = None
+
+    def run(self, params: dict[str, float]) -> str:
+        """Polish from ``params`` and return the stop reason. Raises
+        ``_BudgetExhausted`` from the tracker."""
+        problem = self.track.problem
+        r, sse = self.track.residuals(params)
+        damping = None
+        while True:
+            vals, vecs, grad = self._linearize(params, r, sse)
+            vals = [max(val, 0.0) for val in vals]  # J^T J is positive semidefinite
+            if damping is None:
+                damping = _INITIAL_DAMPING * max(vals) or 1.0
+            for _ in range(_MAX_REJECTIONS):
+                # du = -(J^T J + damping I)^-1 J^T r through the eigensystem
+                coeffs = [sum(row[k] * g for row, g in zip(vecs, grad)) / (val + damping) for k, val in enumerate(vals)]
+                trial = {}
+                for name, row in zip(problem.free, vecs):
+                    lo, hi = problem.bounds[name]
+                    du = -sum(x * coeff for x, coeff in zip(row, coeffs))
+                    trial[name] = min(max(params[name] + du * (hi - lo), lo), hi)
+                if all(abs(trial[name] - params[name]) <= _STEP_TOLERANCE * (hi - lo) for name, (lo, hi) in problem.bounds.items()):
+                    return "converged"
+                r_trial, sse_trial = self.track.residuals(trial)
+                if sse_trial < sse:
+                    params, r, sse = trial, r_trial, sse_trial
+                    damping /= _DAMPING_FACTOR
+                    break
+                damping *= _DAMPING_FACTOR
+            else:
+                return "polish stalled"
+
+    def _linearize(self, params, r, sse):
+        """The Jacobian at ``params`` in box units, as the eigensystem of
+        ``J^T J`` and the gradient ``J^T r``: one forward run per free
+        parameter, in ``free`` order, a step of ``_DIFF_STEP`` of its box up
+        (down where that would leave the box). Sets the uncertainty fields."""
+        problem = self.track.problem
+        columns = []
+        for name in problem.free:
+            lo, hi = problem.bounds[name]
+            x = params[name]
+            shifted = x + _DIFF_STEP * (hi - lo)
+            if shifted > hi:
+                shifted = x - _DIFF_STEP * (hi - lo)
+            r_shifted, _ = self.track.residuals({**params, name: shifted})
+            columns.append((r_shifted - r) * ((hi - lo) / (shifted - x)))
+        normal = [[_sum_sq(a, b) for b in columns] for a in columns]
+        vals, vecs = _eigh(normal)
+        # Standard errors sqrt(diag(s2 (J^T J)^-1)) with s2 = SSE / (n - p),
+        # scaled back from box units: infinite for a parameter with a share
+        # in a null direction of J. The condition number of J.
+        s2 = sse / (len(r) - len(columns)) if len(r) > len(columns) else math.inf
+        self.standard_errors = {}
+        for name, row in zip(problem.free, vecs):
+            lo, hi = problem.bounds[name]
+            variance = sum(x * x / val if val > 0.0 else math.inf for x, val in zip(row, vals) if x)
+            self.standard_errors[name] = (hi - lo) * math.sqrt(s2 * variance) if variance < math.inf else math.inf
+        self.condition_number = math.sqrt(max(vals) / min(vals)) if min(vals) > 0.0 else math.inf
+        return vals, vecs, [_sum_sq(column, r) for column in columns]
+
+
+def fit(problem: FitProblem, budget: int = DEFAULT_BUDGET) -> FitResult:
+    """Minimize :func:`objective` in two stages.
+
+    The global stage sweeps coordinate-wise golden-section line searches,
+    each over its parameter's whole box, in the declared order. Once a sweep
+    lowers the best SSE by at most ``HANDOVER_FRACTION`` of that sweep's
+    starting SSE, a projected Levenberg-Marquardt polish starts from the best
+    point; it converges when its step falls below ``_STEP_TOLERANCE`` of
+    every box and stalls after ``_MAX_REJECTIONS`` rejected steps in a row.
+    ``budget`` caps the forward runs of both stages together; reaching it, or
+    ``MAX_SWEEPS`` sweeps without a handover, returns the best point so far
+    with ``converged = False``.
     """
-    track = _Tracker(fn=lambda p: objective(problem, p), budget=budget)
+    track = _Tracker(problem=problem, budget=budget)
+    polish = _Polish(track)
     params = {name: float(problem.init[name]) for name in problem.free}
-    converged = False
     sweeps = 0
+    reason = "sweep limit reached"
     try:
         before = track(params)
-        scale = before
         while sweeps < MAX_SWEEPS:
             sweeps += 1
             for name in problem.free:
                 lo, hi = problem.bounds[name]
                 _golden_line(track, params, name, lo, hi)
             after = track.best_sse
-            if before - after <= SWEEP_RELATIVE_TOLERANCE * max(scale, after):
-                converged = True
+            if before - after <= HANDOVER_FRACTION * before:
+                reason = polish.run(dict(track.best_params))
                 break
             before = after
     except _BudgetExhausted:
-        converged = False
-    best = dict(track.best_params) if track.best_params else dict(params)
+        reason = "budget exhausted"
     return FitResult(
-        params=best,
+        params=dict(track.best_params) if track.best_params else params,
         residual_sse=track.best_sse,
         iterations=sweeps,
         n_evals=track.n_evals,
-        converged=converged,
+        converged=reason == "converged",
+        stop_reason=reason,
+        standard_errors=polish.standard_errors,
+        condition_number=polish.condition_number,
     )
 
 

@@ -10,8 +10,9 @@ Import reads the header with :mod:`csv` and accepts every data cell that
 ``float()`` accepts: padded, quoted, ``1_0``, ``nan``/``inf`` in any case,
 with ``\n``, ``\r\n`` or lone ``\r`` line ends; blank lines are skipped.
 Plain numeric rows parse in one ``np.loadtxt`` call; any other file is read
-again row by row, which raises :class:`MalformedCsvError` with the line
-number of the first bad row.
+again row by row, which raises :class:`MalformedCsvError` with the file
+line where the first bad row starts. Header channel names must be CSV-safe,
+as on export.
 """
 
 from __future__ import annotations
@@ -191,6 +192,11 @@ def import_csv(path: "str | Path") -> Trajectory:
         names = header[1:]
         if len(set(names)) != len(names):
             raise MalformedCsvError(f"{path}: duplicate channel names in header")
+        for name in names:
+            try:
+                check_csv_safe(name)
+            except ValueError as exc:
+                raise MalformedCsvError(f"{path}: header {exc}") from None
         try:
             with warnings.catch_warnings():  # a header-only file is a valid, empty trajectory
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -221,12 +227,15 @@ def _plain_lines(lines):
 
 def _read_rows(reader, path) -> np.ndarray:
     """The row-by-row reader behind :func:`import_csv`: each row after the
-    header through ``float()``, with a line-numbered error at the first bad
-    row. The only path for what ``np.loadtxt`` refuses (quoted cells,
-    ``1_0``, ...) and for the error texts."""
+    header through ``float()``, with an error naming the file line where the
+    first bad row starts (a quoted cell may span lines). The only path for
+    what ``np.loadtxt`` refuses (quoted cells, ``1_0``, ...) and for the
+    error texts."""
     header = next(reader)
     rows: list[list[float]] = []
-    for lineno, row in enumerate(reader, start=2):
+    first = reader.line_num + 1
+    for row in reader:
+        lineno, first = first, reader.line_num + 1  # the file line the record starts on
         if not row:
             continue
         if len(row) != len(header):

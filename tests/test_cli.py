@@ -1,6 +1,7 @@
 """End-to-end checks of the ``python -m artjoint`` command line."""
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -307,9 +308,44 @@ def test_fit_reports_the_sweep_limit(tmp_path, monkeypatch, capsys):
     assert payload["converged"] is False
     assert payload["iterations"] == 1
     assert payload["n_evals"] < sysid.DEFAULT_BUDGET
+    assert payload["stop_reason"] == "sweep limit reached"
+    assert (payload["standard_errors"], payload["condition_number"]) == (None, None)  # no polish ran
     stdout = capsys.readouterr().out
     assert "sweep limit reached" in stdout
     assert "budget exhausted" not in stdout
+
+
+def test_fit_reports_stop_reason_and_uncertainty(tmp_path, capsys):
+    out = tmp_path / "params.json"
+    assert cli.main(["fit", str(fx.fitspec_path("drawer_sprung")), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["stop_reason"] == "converged"
+    assert sorted(payload["standard_errors"]) == sorted(payload["params"])
+    assert all(0.0 <= se < 1e-9 for se in payload["standard_errors"].values())  # an exact fit
+    assert 1.0 < payload["condition_number"] < 1e6
+    stdout = capsys.readouterr().out
+    assert "sweeps, converged)" in stdout
+    assert "damping_D = 2 (standard error " in stdout
+    assert "condition number " in stdout
+
+
+def test_fit_writes_null_for_an_infinite_uncertainty(tmp_path, monkeypatch):
+    result = sysid.FitResult(
+        params={"damping_D": 2.0},
+        residual_sse=1.0,
+        iterations=2,
+        n_evals=40,
+        converged=False,
+        stop_reason="polish stalled",
+        standard_errors={"damping_D": math.inf},
+        condition_number=math.inf,
+    )
+    monkeypatch.setattr(cli, "fit", lambda problem: result)
+    out = tmp_path / "params.json"
+    assert cli.main(["fit", str(fx.fitspec_path("drawer_sprung")), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text(), parse_constant=lambda name: pytest.fail(f"non-JSON constant {name}"))
+    assert (payload["standard_errors"], payload["condition_number"]) == ({"damping_D": None}, None)
+    assert (payload["stop_reason"], payload["converged"]) == ("polish stalled", False)
 
 
 # ---------------------------------------------------------------------------

@@ -265,6 +265,36 @@ def test_malformed_csv(tmp_path, content, hint):
         aj.import_csv(path)
 
 
+@pytest.mark.parametrize("name", ["a\nb", "a\rb", "a,b", 'a""b'])
+def test_import_csv_rejects_a_header_name_export_would_refuse(tmp_path, name):
+    # csv.reader reads each of these from a quoted cell; export_csv refuses the name
+    path = tmp_path / "bad.csv"
+    path.write_bytes(f't,"{name}"\n0.0,1.0\n'.encode("utf-8"))
+    shown = repr(name.replace('""', '"'))
+    with pytest.raises(aj.MalformedCsvError) as err:
+        aj.import_csv(path)
+    assert str(err.value) == f"{path}: header channel name {shown} is not CSV-safe"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a quoted header cell holding LF fails at the header, before any row
+        ('t,"a\nb"\n0.0,1.0\n0.1,x\n', "{path}: header channel name 'a\\nb' is not CSV-safe"),
+        # a quoted cell spans lines 2 and 3; the bad row is the file's line 4
+        ('t,a\n"0.0\n",1.0\n0.1,x\n', "{path}:4: could not convert string to float: 'x'"),
+        # the same with CRLF inside the cell and a blank line before the short row
+        ('t,a\n"0.0\r\n",1.0\n\n0.1\n', "{path}:5: expected 2 columns, got 1"),
+    ],
+)
+def test_import_csv_errors_name_the_file_line(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(aj.MalformedCsvError) as err:
+        aj.import_csv(path)
+    assert str(err.value) == message.format(path=path)
+
+
 def reference_import_csv(path):
     """The row-at-a-time reader: ``csv.reader`` rows through ``float()``, with
     the texts of every :class:`MalformedCsvError`."""
@@ -279,8 +309,13 @@ def reference_import_csv(path):
         names = header[1:]
         if len(set(names)) != len(names):
             raise aj.MalformedCsvError(f"{path}: duplicate channel names in header")
+        for name in names:
+            if any(c in name for c in ',"\r\n'):
+                raise aj.MalformedCsvError(f"{path}: header channel name {name!r} is not CSV-safe")
         rows = []
-        for lineno, row in enumerate(reader, start=2):
+        first = reader.line_num + 1
+        for row in reader:
+            lineno, first = first, reader.line_num + 1
             if not row:
                 continue
             if len(row) != len(header):
