@@ -1,9 +1,9 @@
 """Parameter identification for a single joint from an observed trajectory.
 
-A :class:`FitProblem` pairs an observed position series with a joint spec
-template and a set of free parameter paths (e.g. ``"damping_D"``,
-``"stiffness.k_max"``). :func:`residuals` forward-simulates the candidate at
-the observed sample times and subtracts the observation; :func:`objective`
+A :class:`FitProblem`, frozen and derived once when built, pairs an observed
+position series with a joint spec template and a set of free parameter
+paths (e.g. ``"damping_D"``, ``"stiffness.k_max"``). :func:`residuals` is
+one forward run of the candidate minus the observed samples; :func:`objective`
 is their sum of squares. :func:`fit` minimizes it in two stages:
 
 - a global stage of coordinate-wise golden-section sweeps over the whole
@@ -36,9 +36,9 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .assets import JointSpec, ValidationReport, check_joint
-from .dynamics import check_dt, initial_state, rollout, simulate_joint, steps_for
+from .dynamics import check_dt, initial_state, rollout, simulate_joint
 from .errors import InsufficientDataError
-from .trajectory import Trajectory
+from .trajectory import Trajectory, pairwise_dot
 
 MIN_OBSERVED_SAMPLES = 10
 DEFAULT_BUDGET = 5000
@@ -57,16 +57,20 @@ _MAX_REJECTIONS = 6  # rejected steps in a row after which the polish has stalle
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # interval shrink ratio per iteration
 
 
-@dataclass
+@dataclass(frozen=True)
 class FitProblem:
-    """One-joint identification problem.
+    """One-joint identification problem, frozen and complete when built.
 
     ``free`` lists parameter paths on the spec template; every free parameter
     needs a box in ``bounds`` and a start in ``init`` (inside the box), and
     both name free parameters only. The joint must pass
-    :func:`~artjoint.assets.check_joint` everywhere in the box, and the
-    observed sample step must pass :func:`~artjoint.dynamics.check_dt`.
-    ``channel`` defaults to the observed trajectory's single channel.
+    :func:`~artjoint.assets.check_joint` everywhere in the box, the observed
+    sample step must pass :func:`~artjoint.dynamics.check_dt` and every
+    observed sample must be finite. ``channel`` defaults to the observed
+    trajectory's single channel. Construction (``dataclasses.replace``
+    included) checks all this and derives ``dt``, a read-only copy of the
+    channel (``observed_q``) and ``force_samples``, ``forces(k * dt)`` for
+    ``k < len(observed) - 1``: the times simulate_joint samples.
     """
 
     observed: Trajectory
@@ -77,13 +81,13 @@ class FitProblem:
     init: Mapping[str, float]
     channel: str = ""
     s_open0: bool = False
-    # forces at the simulated step times, sampled on first use; replace()
-    # leaves it unset, so a changed schedule or trajectory is sampled afresh
-    _force_samples: tuple[float, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    dt: float = field(init=False, repr=False, compare=False)
+    observed_q: np.ndarray = field(init=False, repr=False, compare=False)
+    force_samples: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if hasattr(self.forces, "value_at"):
-            self.forces = self.forces.value_at
+            object.__setattr__(self, "forces", self.forces.value_at)
         if len(self.observed) < MIN_OBSERVED_SAMPLES:
             raise InsufficientDataError(
                 f"need at least {MIN_OBSERVED_SAMPLES} observed samples, got {len(self.observed)}"
@@ -94,12 +98,21 @@ class FitProblem:
             names = self.observed.channel_names
             if len(names) != 1:
                 raise ValueError(f"observed trajectory has {len(names)} channels; pass channel= explicitly")
-            self.channel = names[0]
+            object.__setattr__(self, "channel", names[0])
         if self.channel not in self.observed.channels:
             raise ValueError(f"observed trajectory has no channel '{self.channel}'")
+        object.__setattr__(self, "observed_q", np.array(self.observed.channels[self.channel], dtype=float))
+        self.observed_q.flags.writeable = False
+        bad = np.flatnonzero(~np.isfinite(self.observed_q))
+        if len(bad):
+            raise ValueError(
+                f"observed channel '{self.channel}' has a non-finite sample "
+                f"({self.observed_q[bad[0]]}) at t = {self.observed.times[bad[0]]}"
+            )
         steps = np.diff(self.observed.times)
-        if len(steps) == 0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
+        if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
             raise ValueError("observed trajectory must be uniformly sampled")
+        object.__setattr__(self, "dt", float(steps[0]))
         for name in self.free:
             if name not in self.bounds:
                 raise ValueError(f"free parameter '{name}' has no bounds")
@@ -131,20 +144,7 @@ class FitProblem:
                     f"bounds for {', '.join(map(repr, names))} admit an invalid joint: "
                     f"at {', '.join(f'{name} = {params[name]}' for name in names)}, {report.issues[0].message}"
                 )
-
-    @property
-    def dt(self) -> float:
-        return float(self.observed.times[1] - self.observed.times[0])
-
-    def _sampled_forces(self) -> tuple[float, ...]:
-        """``forces(k * dt)`` for every step of the forward run over the
-        observed window, sampled once per problem at the times
-        :func:`simulate_joint` samples."""
-        if self._force_samples is None:
-            dt = self.dt
-            n = steps_for((len(self.observed) - 1) * dt, dt)
-            self._force_samples = tuple(self.forces(k * dt) for k in range(n))
-        return self._force_samples
+        object.__setattr__(self, "force_samples", tuple(self.forces(k * self.dt) for k in range(len(self.observed_q) - 1)))
 
 
 @functools.cache
@@ -186,28 +186,20 @@ def apply_params(spec: JointSpec, params: Mapping[str, float]) -> JointSpec:
 
 def residuals(problem: FitProblem, params: Mapping[str, float]) -> np.ndarray:
     """Simulated minus observed position at each observed sample time. The
-    simulation is :func:`~artjoint.dynamics.rollout` on the problem's
-    memoized force samples: the stepper the scenario runtime uses, keeping
-    positions only."""
+    simulation is :func:`~artjoint.dynamics.rollout` on the problem's force
+    samples from rest at the clamped first sample: the stepper the scenario
+    runtime uses, keeping positions only."""
     spec = apply_params(problem.spec_template, params)
-    observed = problem.observed.channels[problem.channel]
-    q0 = min(max(float(observed[0]), spec.q_lower_bound), spec.q_upper_bound)
+    q0 = min(max(float(problem.observed_q[0]), spec.q_lower_bound), spec.q_upper_bound)
     state0 = initial_state(spec, q=q0, s_open=problem.s_open0)
-    sim = rollout(spec, problem._sampled_forces(), problem.dt, state0)
-    return sim[: len(observed)] - observed
-
-
-def _sum_sq(a: np.ndarray, b: np.ndarray) -> float:
-    """``a . b`` by numpy's own pairwise summation: BLAS ``dot`` threads long
-    vectors, and its result then depends on the thread count."""
-    return float(np.sum(a * b))
+    return rollout(spec, problem.force_samples, problem.dt, state0) - problem.observed_q
 
 
 def objective(problem: FitProblem, params: Mapping[str, float]) -> float:
     """Sum of squared position error of the candidate's forward simulation at
     the observed sample times: ``r . r`` of :func:`residuals`."""
     r = residuals(problem, params)
-    return _sum_sq(r, r)
+    return pairwise_dot(r, r)
 
 
 @dataclass(frozen=True)
@@ -266,7 +258,7 @@ class _Tracker:
     def residuals(self, params: Mapping[str, float]) -> tuple[np.ndarray, float]:
         self._count()
         r = residuals(self.problem, params)
-        return r, self._record(params, _sum_sq(r, r))
+        return r, self._record(params, pairwise_dot(r, r))
 
 
 def _golden_line(track: _Tracker, params: dict[str, float], name: str, lo: float, hi: float) -> None:
@@ -387,7 +379,7 @@ class _Polish:
                 shifted = x - _DIFF_STEP * (hi - lo)
             r_shifted, _ = self.track.residuals({**params, name: shifted})
             columns.append((r_shifted - r) * ((hi - lo) / (shifted - x)))
-        normal = [[_sum_sq(a, b) for b in columns] for a in columns]
+        normal = [[pairwise_dot(a, b) for b in columns] for a in columns]
         vals, vecs = _eigh(normal)
         # Standard errors sqrt(diag(s2 (J^T J)^-1)) with s2 = SSE / (n - p),
         # scaled back from box units: infinite for a parameter with a share
@@ -399,7 +391,7 @@ class _Polish:
             variance = sum(x * x / val if val > 0.0 else math.inf for x, val in zip(row, vals) if x)
             self.standard_errors[name] = (hi - lo) * math.sqrt(s2 * variance) if variance < math.inf else math.inf
         self.condition_number = math.sqrt(max(vals) / min(vals)) if min(vals) > 0.0 else math.inf
-        return vals, vecs, [_sum_sq(column, r) for column in columns]
+        return vals, vecs, [pairwise_dot(column, r) for column in columns]
 
 
 def fit(problem: FitProblem, budget: int = DEFAULT_BUDGET) -> FitResult:
@@ -454,12 +446,11 @@ def generate_synthetic(
     noise_sd: float = 0.0,
     seed: int = 0,
     q0: float = 0.0,
-    q_dot0: float = 0.0,
     s_open0: bool = False,
 ) -> Trajectory:
-    """Simulate ``spec`` and return its position channel (named
-    ``"<joint id>.q"``) with seeded Gaussian noise added."""
-    state0 = initial_state(spec, q=q0, q_dot=q_dot0, s_open=s_open0)
+    """Simulate ``spec`` from rest at ``q0``, as a fit does, and return its
+    position channel (named ``"<joint id>.q"``) with seeded Gaussian noise."""
+    state0 = initial_state(spec, q=q0, s_open=s_open0)
     series = simulate_joint(spec, forces, duration=duration, dt=dt, state0=state0)
     q = np.fromiter((s.q for s in series), dtype=float, count=len(series))
     if noise_sd > 0.0:

@@ -82,6 +82,12 @@ class ComparisonResult:
     n_samples: int
 
 
+def pairwise_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``a . b`` by numpy's own pairwise summation: BLAS ``dot`` threads long
+    vectors, and its result then depends on the thread count."""
+    return float(np.sum(a * b))
+
+
 def compare(a: Trajectory, b: Trajectory) -> ComparisonResult:
     """Per-channel and pooled RMSE / max-abs error between two trajectories.
 
@@ -118,7 +124,7 @@ def compare(a: Trajectory, b: Trajectory) -> ComparisonResult:
     pooled_max = 0.0
     for name in a.channel_names:
         diff = a.channels[name][keep] - sample_b[name]
-        sq = float(np.dot(diff, diff))
+        sq = pairwise_dot(diff, diff)
         max_abs = float(np.max(np.abs(diff))) if len(diff) else 0.0
         per_channel[name] = ChannelStats(rmse=float(np.sqrt(sq / len(diff))), max_abs=max_abs)
         total_sq += sq

@@ -1,28 +1,32 @@
 """The benchmark's tracer (``perfbench/tracing.py``) wraps ``artjoint``
 attributes by name, and its fit workload loads fitspecs through the CLI's
-loader. Renaming or deleting any of them breaks a ``--trace 1`` run, so this
-checks each name here, where the fast suite notices."""
+loader and derives its seeded starts with ``dataclasses.replace``. Renaming
+or deleting any of them, or changing how a ``FitProblem`` is rebuilt, breaks
+a benchmark run, so this checks each here, where the fast suite notices."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from artjoint import cli
+from artjoint import cli, sysid
 
-TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING_PATH)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH_DIR / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 
 
-tracing = load_tracing()
+tracing = load_perfbench("tracing")
 
 
 @pytest.mark.parametrize("span, owner_name, attr", tracing.TARGETS)
@@ -33,3 +37,16 @@ def test_tracer_target_is_defined_on_its_owner(span, owner_name, attr):
 
 def test_fit_workload_loader_exists():
     assert callable(cli.__dict__.get("_load_fit_problem"))
+
+
+def test_fit_workload_setup_builds_every_start(tmp_path):
+    workloads = load_perfbench("workloads")
+    expected = json.loads((PERFBENCH_DIR / "expected.json").read_text(encoding="utf-8"))
+    fit = workloads.Fit(seed=4, small=False, work_dir=tmp_path, expected=expected)
+    fit.setup()
+    assert [label for label, _ in fit.problems] == ["shipped", "seeded1", "seeded2", "seeded3"]
+    shipped = fit.problems[0][1]
+    for _, problem in fit.problems:
+        assert isinstance(problem, sysid.FitProblem)
+        assert problem.force_samples == shipped.force_samples
+    assert len({tuple(problem.init.values()) for _, problem in fit.problems}) == 4

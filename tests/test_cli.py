@@ -269,7 +269,13 @@ def test_fit_rejects_malformed_fitspec(tmp_path):
     coarse = tmp_path / "coarse.csv"
     times = np.arange(20) * 0.02
     aj.export_csv(aj.Trajectory(times=times, channels={"slide.q": np.full(len(times), 0.35)}), coarse)
+    holed = tmp_path / "holed.csv"
+    bundled = aj.import_csv(shipped["observed"])
+    q = bundled.channel("slide.q").copy()
+    q[800] = math.nan
+    aj.export_csv(aj.Trajectory(times=bundled.times, channels={"slide.q": q}), holed)
     for change, hint in (
+        ({"observed": str(holed)}, "observed channel 'slide.q' has a non-finite sample (nan) at t = 1.6"),
         ({"init": {**shipped["init"], "damping_D": 99.0}}, "init for 'damping_D' (99.0) outside bounds"),
         ({"overrides": {"nope": 1.0}}, "spec has no parameter 'nope'"),
         ({"overrides": {"bounds": 1.0}}, "spec has no parameter 'bounds'"),

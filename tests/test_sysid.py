@@ -131,6 +131,31 @@ def test_observed_step_past_the_dt_guard_rejected(slide):
         problem_for(slide, coarse, ["damping_D"], {"damping_D": (1.0, 30.0)}, {"damping_D": 10.0})
 
 
+def test_non_finite_observed_sample_rejected(slide):
+    observed = observed_for(slide)
+    for bad in (math.nan, math.inf, -math.inf):
+        q = observed.channel("slide.q").copy()
+        q[400] = bad
+        holed = aj.Trajectory(times=observed.times, channels={"slide.q": q})
+        with pytest.raises(ValueError, match=rf"observed channel 'slide.q' has a non-finite sample \({bad}\) at t = 0.8"):
+            problem_for(slide, holed, ["damping_D"], {"damping_D": (1.0, 30.0)}, {"damping_D": 10.0})
+
+
+def test_problem_is_frozen_and_replace_derives_afresh(slide):
+    observed = observed_for(slide)
+    prob = problem_for(slide, observed, ["damping_D"], {"damping_D": (5.0, 40.0)}, {"damping_D": 15.0})
+    for name, value in (("forces", lambda t: 0.0), ("observed", observed), ("dt", 1e-3)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(prob, name, value)
+    with pytest.raises(ValueError):
+        prob.observed_q[0] = 1.0  # a read-only copy: the finiteness check holds for good
+    shorter = aj.Trajectory(times=observed.times[:100], channels={"slide.q": observed.channel("slide.q")[:100]})
+    cut = dataclasses.replace(prob, observed=shorter)
+    assert cut.force_samples == prob.force_samples[:99]
+    assert len(sysid.residuals(cut, {"damping_D": 30.0})) == 100
+    assert np.array_equal(sysid.residuals(cut, {"damping_D": 30.0}), sysid.residuals(prob, {"damping_D": 30.0})[:100])
+
+
 # ---------------------------------------------------------------------------
 # apply_params
 
@@ -183,7 +208,7 @@ def test_objective_samples_the_forces_once_per_problem(slide):
 
     prob = problem_for(slide, observed, ["damping_D"], {"damping_D": (5.0, 40.0)}, {"damping_D": 15.0})
     prob = dataclasses.replace(prob, forces=counting)
-    assert times == []  # sampled on first use, not at construction
+    assert times == [k * prob.dt for k in range(len(observed) - 1)]  # sampled at construction
     assert aj.objective(prob, {"damping_D": 15.0}) == 0.0
     assert times == [k * prob.dt for k in range(len(observed) - 1)]  # the times simulate_joint samples
     assert aj.objective(prob, {"damping_D": 30.0}) > 0.0

@@ -2,6 +2,10 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,6 +132,24 @@ def test_compare_empty_rejected():
     empty = make_trajectory([], q=[])
     with pytest.raises(ValueError):
         aj.compare(empty, empty)
+
+
+def test_compare_is_bit_identical_with_one_blas_thread(tmp_path):
+    # 20,001 samples: past the length at which BLAS dot products may split
+    # over threads, so a BLAS reduction in compare would show here
+    rng = np.random.default_rng(3)
+    times = np.arange(20_001) * 1e-3
+    for name in ("a", "b"):
+        aj.export_csv(make_trajectory(times, q=rng.normal(size=len(times)), r=rng.normal(size=len(times))), tmp_path / f"{name}.csv")
+    script = "import sys; import artjoint as aj; print(repr(aj.compare(aj.import_csv(sys.argv[1]), aj.import_csv(sys.argv[2]))))"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(aj.__file__).parents[1]), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "a.csv"), str(tmp_path / "b.csv")], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    in_process = aj.compare(aj.import_csv(tmp_path / "a.csv"), aj.import_csv(tmp_path / "b.csv"))
+    assert proc.stdout == repr(in_process) + "\n"
 
 
 # ---------------------------------------------------------------------------
