@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fixtures
+from . import dynamics, fixtures
 from .assets import (
     _as_bool,
     _as_float,
@@ -247,6 +247,7 @@ def cmd_fit(args) -> int:
     )
     if result.condition_number is not None:
         lines.append(f"condition number {result.condition_number:.3g} (box-scaled Jacobian)")
+    lines.append("stepper: {} ({})".format(*dynamics._stepper()))
     lines.append(f"wrote {out}")
     _emit(args, doc, lines)
     return 0

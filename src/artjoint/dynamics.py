@@ -22,18 +22,33 @@ pure float arithmetic in a fixed order, so repeated runs are bit-identical.
 
 One loop, :func:`_advance`, runs this arithmetic over plain floats and
 advances a :class:`JointState` in place: each of the scenario runtime's
-live states, or a copy of the start state in :func:`step`,
-:func:`simulate_joint` and :func:`rollout`, so all simulate one model.
+live states, or a copy of the start state in :func:`step` and
+:func:`simulate_joint`, so all simulate one model. It reads the joint's
+constants from its packed record (:func:`joint_record`, slots in
+:data:`RECORD_SLOTS`), built once per spec. :func:`rollout`, the fit's
+forward run, steps the same record through ``_stepper.c``, a C copy of the
+loop built on the first rollout with ``cc -O2 -fPIC -shared
+-ffp-contract=off``: no fused multiply-add and the C library's ``exp``,
+the one ``math.exp`` calls, so it gives the loop's bits. The library is
+cached under ``$XDG_CACHE_HOME/artjoint`` (else ``~/.cache/artjoint``),
+named by a hash of the source, the compiler's ``--version`` and the
+flags; with no compiler, or if the build or load fails, rollout runs
+:func:`_advance` and :func:`_stepper` says why.
 :func:`stiffness_at`, :func:`target_at`, :func:`drive_effort` and
 :func:`friction_effort` state the same formulas one instant at a time; a
-property test holds the loop to them bit for bit.
+property test holds both loops to them bit for bit.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass, replace
 from enum import Enum
+from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -51,6 +66,32 @@ class Regime(str, Enum):
 
 # Enum member lookups are slow on CPython 3.11; the stepper binds these.
 _STATIC, _KINETIC = Regime.STATIC, Regime.KINETIC
+
+# The packed joint record: every constant the stepper reads, one float64 per
+# slot, keyed by the parameter path that sets it (``sysid`` writes a fit's
+# free parameters straight into their slots). One slot holds a latch's
+# threshold or a fixed target; two more flag a scheduled stiffness and a
+# latch target. ``_stepper.c`` names the same slots in the same order.
+RECORD_SLOTS = {
+    "q_lower_bound": 0,
+    "q_upper_bound": 1,
+    "damping_D": 2,
+    "target_velocity": 3,
+    "mu_s": 4,
+    "coulomb_floor": 5,
+    "effective_inertia": 6,
+    "stiffness.k": 7,
+    "stiffness.k_high": 8,
+    "stiffness.k_low": 9,
+    "stiffness.k_max": 10,
+    "stiffness.alpha": 11,
+    "stiffness.lambda_": 12,
+    "stiffness.q_threshold": 13,
+    "target_policy.q_threshold": 14,
+    "target_policy.q_target": 14,
+}
+_SCHEDULED, _LATCHED, _RECORD_SIZE = 15, 16, 17
+_REST_SLOTS = [RECORD_SLOTS["q_lower_bound"], RECORD_SLOTS["q_upper_bound"], RECORD_SLOTS["target_policy.q_target"], _LATCHED]
 
 
 @dataclass(slots=True)
@@ -156,7 +197,7 @@ def step(spec: JointSpec, state: JointState, f_ext: float, dt: float) -> JointSt
     """
     check_dt(dt)
     state = replace(state)
-    _advance(spec, state, (f_ext,), dt, [])
+    _advance(joint_record(spec), state, (f_ext,), dt, [])
     return state
 
 
@@ -167,14 +208,41 @@ def initial_state(spec: JointSpec, q: float = 0.0, q_dot: float = 0.0, s_open: b
         raise ValueError(
             f"initial q={q} outside limits [{spec.q_lower_bound}, {spec.q_upper_bound}] of joint '{spec.id}'"
         )
-    held = target_at(spec.target_policy, q, s_open, q, (spec.q_lower_bound, spec.q_upper_bound))
-    return JointState(
-        q=q,
-        q_dot=q_dot,
-        s_open=s_open,
-        regime=Regime.STATIC if q_dot == 0.0 else Regime.KINETIC,
-        held_target=held,
-    )
+    state = _rest_state(joint_record(spec), q, s_open)
+    state.q_dot, state.regime = q_dot, (Regime.STATIC if q_dot == 0.0 else Regime.KINETIC)
+    return state
+
+
+def _rest_state(record: np.ndarray, q: float, s_open: bool) -> JointState:
+    """The joint of ``record`` at rest at ``q`` clamped into its limits, with
+    :func:`initial_state`'s held target: the target policy evaluated with
+    ``prev_target = q``. A fit's forward run starts here."""
+    lo, hi, target, latched = record[_REST_SLOTS].tolist()
+    q = min(max(q, lo), hi)
+    if not latched:
+        held = target
+    elif s_open:
+        held = hi if q > target else q
+    else:
+        held = lo if q < target else q
+    return JointState(q=q, s_open=s_open, held_target=held)
+
+
+def joint_record(spec: JointSpec) -> np.ndarray:
+    """The packed record of ``spec`` (read-only): each slot of
+    :data:`RECORD_SLOTS` holds the spec's value at that path, or 0.0 where
+    its stiffness or target type has no such field; then 1.0 or 0.0 for a
+    scheduled stiffness and for a latch target."""
+    record = np.zeros(_RECORD_SIZE)
+    for path, slot in RECORD_SLOTS.items():
+        owner, _, name = path.rpartition(".")
+        component = getattr(spec, owner) if owner else spec
+        if hasattr(component, name):
+            record[slot] = getattr(component, name)
+    record[_SCHEDULED] = not isinstance(spec.stiffness, ConstantStiffness)
+    record[_LATCHED] = not isinstance(spec.target_policy, FixedTarget)
+    record.flags.writeable = False
+    return record
 
 
 def steps_for(duration: float, dt: float) -> int:
@@ -202,9 +270,10 @@ def simulate_joint(
     n = steps_for(duration, dt)
     state = replace(state0) if state0 is not None else initial_state(spec, q=min(max(0.0, spec.q_lower_bound), spec.q_upper_bound))
     series = [state]
+    record = joint_record(spec)
     for k in range(n):
         state = replace(state)
-        _advance(spec, state, (force_schedule(k * dt),), dt, [])
+        _advance(record, state, (force_schedule(k * dt),), dt, [])
         series.append(state)
     return series
 
@@ -216,35 +285,40 @@ def rollout(spec: JointSpec, forces: Sequence[float], dt: float, state0: JointSt
     at ``t = k * dt``). Returns ``len(forces) + 1`` positions, the first
     being ``state0.q``: the ``q`` series of :func:`simulate_joint` under the
     same forces, without a state object per step. ``state0`` is untouched.
+    Runs the compiled stepper where it loads (see the module doc).
     """
     check_dt(dt)
-    out = [state0.q]
-    _advance(spec, replace(state0), forces, dt, out)
-    return np.array(out, dtype=float)
+    return _rollout(joint_record(spec), np.ascontiguousarray(forces, dtype=float), dt, state0)
 
 
-def _advance(spec: JointSpec, state: JointState, forces: Iterable[float], dt: float, out: list, out_dot=None) -> None:
+def _rollout(record: np.ndarray, forces: np.ndarray, dt: float, state0: JointState) -> np.ndarray:
+    """:func:`rollout` of a packed ``record`` over a float64 ``forces``
+    array: one call of the compiled stepper, or :func:`_advance` without
+    it. The caller checks ``dt``."""
+    kernel = _kernel()[0]
+    if kernel is None:
+        out = [state0.q]
+        _advance(record, replace(state0), forces.tolist(), dt, out)
+        return np.array(out, dtype=float)
+    state = np.array([state0.q, state0.q_dot, state0.s_open, state0.regime == _KINETIC, state0.held_target])
+    out = np.empty(len(forces) + 1)
+    out[0] = state0.q
+    kernel(record.ctypes.data, state.ctypes.data, forces.ctypes.data, len(forces), dt, out.ctypes.data + out.itemsize)
+    return out
+
+
+def _advance(record: np.ndarray, state: JointState, forces: Iterable[float], dt: float, out: list, out_dot=None) -> None:
     """Apply each of ``forces`` in turn to ``state`` in place, appending
     every new position to ``out`` and, if given, every new velocity to
-    ``out_dot``. The only code that does the drive, friction, Euler and
-    clamping arithmetic: the spec's constants are read once, then each step
-    works on plain floats. The caller checks ``dt``.
+    ``out_dot``. The Python stepper: the joint's packed ``record`` is read
+    once, then each step works on plain floats. ``_stepper.c`` is the same
+    function in C; both change together. The caller checks ``dt``.
     """
-    lo, hi = spec.q_lower_bound, spec.q_upper_bound
-    damping, v_target = spec.damping_D, spec.target_velocity
-    mu_s, floor, inertia = spec.mu_s, spec.coulomb_floor, spec.effective_inertia
-    profile, policy = spec.stiffness, spec.target_policy
-    scheduled = not isinstance(profile, ConstantStiffness)
-    if scheduled:
-        k_high, k_low, k_max = profile.k_high, profile.k_low, profile.k_max
-        alpha, lam, k_edge = profile.alpha, profile.lambda_, profile.q_threshold
-    else:
-        k = profile.k if profile.k > 0.0 else 0.0
-    latched = not isinstance(policy, FixedTarget)
-    if latched:
-        t_edge, q_target = policy.q_threshold, state.held_target  # a latch keeps its last target
-    else:
-        q_target = policy.q_target
+    (lo, hi, damping, v_target, mu_s, floor, inertia, k, k_high, k_low, k_max, alpha, lam, k_edge, t_edge,
+     scheduled, latched) = record.tolist()
+    if not k > 0.0:
+        k = 0.0
+    q_target = state.held_target if latched else t_edge  # a latch keeps its last target
     exp = math.exp
     static, kinetic = _STATIC, _KINETIC
     q, q_dot, s_open, regime = state.q, state.q_dot, state.s_open, state.regime
@@ -287,3 +361,88 @@ def _advance(spec: JointSpec, state: JointState, forces: Iterable[float], dt: fl
         if dots:
             out_dot.append(q_dot)
     state.q, state.q_dot, state.regime, state.held_target = q, q_dot, regime, q_target
+
+
+# -- the compiled stepper ----------------------------------------------------
+
+_SOURCE = Path(__file__).with_name("_stepper.c")
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+# (the compiled stepper or None, why): None until the first rollout loads it.
+# Tests set (None, reason) here to run the Python loop.
+_compiled: "tuple[Callable | None, str] | None" = None
+
+
+def _kernel() -> "tuple[Callable | None, str]":
+    global _compiled
+    if _compiled is None:
+        _compiled = _load_kernel()
+    return _compiled
+
+
+def _stepper() -> tuple[str, str]:
+    """``("compiled", library path)`` or ``("python", why not compiled)``:
+    the stepper :func:`rollout` runs, loaded if no rollout has run yet."""
+    kernel, why = _kernel()
+    return ("compiled" if kernel is not None else "python"), why
+
+
+def _load_kernel() -> "tuple[Callable | None, str]":
+    """Find ``_stepper.c``'s library in the cache, building it there on a
+    miss, and load it: ``(function, library path)``, or ``(None, why not)``.
+
+    The file name carries a hash of the source, the compiler's ``--version``
+    and the flags, so a build of other source, by another compiler or with
+    other flags is never loaded; a build lands under its name by
+    ``os.replace``, so a half-written one never is. If the cache directory
+    cannot be written, the library is built in a temporary directory for
+    this process and removed once loaded.
+    """
+    import hashlib  # imported here: a process that never rolls out pays nothing
+    import subprocess
+
+    cc = shutil.which("cc")
+    if cc is None:
+        return None, "no C compiler (cc) on PATH"
+    try:
+        version = subprocess.run([cc, "--version"], capture_output=True, check=True, timeout=60).stdout
+        source = _SOURCE.read_bytes()
+        digest = hashlib.sha256(b"\0".join([source, version, " ".join(_CFLAGS).encode()])).hexdigest()
+        name = f"_stepper-{digest[:16]}.so"
+        cache = Path(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")) / "artjoint"
+        try:
+            cache.mkdir(parents=True, exist_ok=True)
+            if not (cache / name).exists():
+                _build(cc, source, cache / name)
+        except OSError:  # an unwritable cache: build for this process only
+            with tempfile.TemporaryDirectory(prefix="artjoint-") as tmp:
+                path = Path(tmp) / name
+                _build(cc, source, path)
+                return _bind(path), f"{path}, removed once loaded ({cache} is not writable)"
+        return _bind(cache / name), str(cache / name)
+    except subprocess.CalledProcessError as exc:  # the first error line, for a one-line reason
+        lines = exc.stderr.decode(errors="replace").splitlines() or [f"exit status {exc.returncode}"]
+        return None, "cc failed: " + next((line for line in lines if "error" in line), lines[-1]).strip()
+    except (OSError, AttributeError, subprocess.SubprocessError) as exc:
+        return None, f"the compiled stepper did not build or load: {exc}"
+
+
+def _build(cc: str, source: bytes, path: Path) -> None:
+    """Compile ``source`` with ``cc`` to ``path``, through a temporary file
+    in the same directory that is renamed over ``path`` once complete."""
+    import subprocess
+
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
+    os.close(fd)
+    try:
+        subprocess.run([cc, *_CFLAGS, "-o", tmp, "-x", "c", "-", "-lm"], input=source, capture_output=True, check=True, timeout=120)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _bind(path: Path) -> Callable:
+    kernel = ctypes.CDLL(str(path)).artjoint_advance
+    kernel.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_double, ctypes.c_void_p)
+    kernel.restype = None
+    return kernel

@@ -344,6 +344,7 @@ class ScenarioRuntime:
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.joints = scenario._joints
+        self.joint_records = {ref: dynamics.joint_record(joint) for ref, joint in self.joints.items()}
         self.states: dict[str, dynamics.JointState] = {}
         for ref, joint in self.joints.items():
             init = scenario.initial.get(ref) or JointInit(q=min(max(0.0, joint.q_lower_bound), joint.q_upper_bound))
@@ -385,7 +386,7 @@ class ScenarioRuntime:
         """Advance ``n_ticks`` steps, yielding each segment's new positions
         and velocities per joint and its records. A segment ends at a cut or
         after ``_CHUNK`` ticks; the rules run at its last tick."""
-        dt, joints, states = self.scenario.dt, self.joints, self.states
+        dt, joint_records, states = self.scenario.dt, self.joint_records, self.states
         end = self.k + n_ticks
         while self.k < end:
             n = min(end - self.k, _CHUNK)
@@ -396,16 +397,16 @@ class ScenarioRuntime:
             q, q_dot = {ref: [] for ref in states}, {ref: [] for ref in states}
             start = {ref: (s.q, s.q_dot, s.regime, s.held_target) for ref, s in self._watched.items()}
             for ref, state in self._watched.items():
-                dynamics._advance(joints[ref], state, forces.get(ref, zeros), dt, q[ref], q_dot[ref])
+                dynamics._advance(joint_records[ref], state, forces.get(ref, zeros), dt, q[ref], q_dot[ref])
             hits = (bh.first_crossing(trig, [start[trig.joint][0]] + q[trig.joint]) for trig in self._thresholds)
             m = min((i for i in hits if i is not None), default=n) if n > 1 else 1  # one tick: nothing to cut
             if m < n:  # a cut: step the watched joints again from the start, to the firing tick
                 for ref, state in self._watched.items():
                     state.q, state.q_dot, state.regime, state.held_target = start[ref]
                     q[ref], q_dot[ref] = [], []
-                    dynamics._advance(joints[ref], state, forces.get(ref, zeros)[:m], dt, q[ref], q_dot[ref])
+                    dynamics._advance(joint_records[ref], state, forces.get(ref, zeros)[:m], dt, q[ref], q_dot[ref])
             for ref, state in self._others.items():
-                dynamics._advance(joints[ref], state, forces.get(ref, zeros)[:m], dt, q[ref], q_dot[ref])
+                dynamics._advance(joint_records[ref], state, forces.get(ref, zeros)[:m], dt, q[ref], q_dot[ref])
             self.k += m
             prev_q = {ref: q[ref][-2] if m > 1 else start[ref][0] for ref in self._watched}
             effects, records = bh.evaluate(self.rules, prev_q, states, self.t)

@@ -30,13 +30,14 @@ import dataclasses
 import functools
 import itertools
 import math
+import types
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .assets import JointSpec, ValidationReport, check_joint
-from .dynamics import check_dt, initial_state, rollout, simulate_joint
+from .dynamics import RECORD_SLOTS, _rest_state, _rollout, check_dt, initial_state, joint_record, simulate_joint
 from .errors import InsufficientDataError
 from .trajectory import Trajectory, pairwise_dot
 
@@ -83,11 +84,16 @@ class FitProblem:
     s_open0: bool = False
     dt: float = field(init=False, repr=False, compare=False)
     observed_q: np.ndarray = field(init=False, repr=False, compare=False)
-    force_samples: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    force_samples: np.ndarray = field(init=False, repr=False, compare=False)
+    record: np.ndarray = field(init=False, repr=False, compare=False)
+    slots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if hasattr(self.forces, "value_at"):
             object.__setattr__(self, "forces", self.forces.value_at)
+        object.__setattr__(self, "free", tuple(self.free))
+        object.__setattr__(self, "bounds", types.MappingProxyType({name: tuple(pair) for name, pair in self.bounds.items()}))
+        object.__setattr__(self, "init", types.MappingProxyType(dict(self.init)))
         if len(self.observed) < MIN_OBSERVED_SAMPLES:
             raise InsufficientDataError(
                 f"need at least {MIN_OBSERVED_SAMPLES} observed samples, got {len(self.observed)}"
@@ -144,7 +150,14 @@ class FitProblem:
                     f"bounds for {', '.join(map(repr, names))} admit an invalid joint: "
                     f"at {', '.join(f'{name} = {params[name]}' for name in names)}, {report.issues[0].message}"
                 )
-        object.__setattr__(self, "force_samples", tuple(self.forces(k * self.dt) for k in range(len(self.observed_q) - 1)))
+        samples = np.array([self.forces(k * self.dt) for k in range(len(self.observed_q) - 1)], dtype=float)
+        samples.flags.writeable = False
+        object.__setattr__(self, "force_samples", samples)
+        # every path passed apply_params above, so each names a record slot
+        object.__setattr__(self, "record", joint_record(self.spec_template))
+        slots = np.array([RECORD_SLOTS[name] for name in self.free])
+        slots.flags.writeable = False
+        object.__setattr__(self, "slots", slots)
 
 
 @functools.cache
@@ -185,14 +198,19 @@ def apply_params(spec: JointSpec, params: Mapping[str, float]) -> JointSpec:
 
 
 def residuals(problem: FitProblem, params: Mapping[str, float]) -> np.ndarray:
-    """Simulated minus observed position at each observed sample time. The
-    simulation is :func:`~artjoint.dynamics.rollout` on the problem's force
-    samples from rest at the clamped first sample: the stepper the scenario
-    runtime uses, keeping positions only."""
-    spec = apply_params(problem.spec_template, params)
-    q0 = min(max(float(problem.observed_q[0]), spec.q_lower_bound), spec.q_upper_bound)
-    state0 = initial_state(spec, q=q0, s_open=problem.s_open0)
-    return rollout(spec, problem.force_samples, problem.dt, state0) - problem.observed_q
+    """Simulated minus observed position at each observed sample time, for
+    ``params`` giving each free parameter a value. The simulation is
+    :func:`~artjoint.dynamics.rollout` of the template's record with those
+    values in their slots, on the problem's force samples from rest at the
+    clamped first sample (:func:`~artjoint.dynamics.initial_state`'s rule),
+    keeping positions only."""
+    values = [params[name] for name in problem.free]
+    if len(params) != len(values):
+        raise ValueError(f"params name(s) {sorted(set(params) - set(problem.free))} are not free parameters")
+    record = problem.record.copy()
+    record[problem.slots] = values
+    state0 = _rest_state(record, float(problem.observed_q[0]), problem.s_open0)
+    return _rollout(record, problem.force_samples, problem.dt, state0) - problem.observed_q
 
 
 def objective(problem: FitProblem, params: Mapping[str, float]) -> float:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import artjoint as aj
+from artjoint import dynamics
 from artjoint import fixtures as fx
 from artjoint import scenario as scenario_mod
 from artjoint.geometry import quat_from_axis_angle
@@ -36,6 +37,13 @@ def oven() -> aj.Assembly:
 @pytest.fixture(scope="session")
 def trashcan() -> aj.Assembly:
     return load_assembly("trashcan")
+
+
+@pytest.fixture()
+def python_stepper(monkeypatch):
+    """``rollout`` and the fit run the Python loop, as where the compiled
+    stepper cannot be built."""
+    monkeypatch.setattr(dynamics, "_compiled", (None, "the Python loop, chosen by the test"))
 
 
 @pytest.fixture()

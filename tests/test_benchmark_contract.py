@@ -11,6 +11,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from artjoint import cli, sysid
@@ -48,5 +49,5 @@ def test_fit_workload_setup_builds_every_start(tmp_path):
     shipped = fit.problems[0][1]
     for _, problem in fit.problems:
         assert isinstance(problem, sysid.FitProblem)
-        assert problem.force_samples == shipped.force_samples
+        assert np.array_equal(problem.force_samples, shipped.force_samples)
     assert len({tuple(problem.init.values()) for _, problem in fit.problems}) == 4

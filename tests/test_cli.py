@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import artjoint as aj
-from artjoint import cli, sysid
+from artjoint import cli, dynamics, sysid
 from artjoint import fixtures as fx
 
 PKG_ROOT = Path(__file__).resolve().parents[1]
@@ -333,6 +333,8 @@ def test_fit_reports_stop_reason_and_uncertainty(tmp_path, capsys):
     assert "sweeps, converged)" in stdout
     assert "damping_D = 2 (standard error " in stdout
     assert "condition number " in stdout
+    kind, why = dynamics._stepper()
+    assert stdout.count("stepper: ") == 1 and f"stepper: {kind} ({why})\n" in stdout
 
 
 def test_fit_writes_null_for_an_infinite_uncertainty(tmp_path, monkeypatch):

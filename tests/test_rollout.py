@@ -1,7 +1,8 @@
 """The stepper against a reference written here from the public effort
 primitives: for random joints, starts and force schedules every state of
 ``simulate_joint`` and every position of ``rollout`` equal the reference's
-bit for bit, signed zeros included."""
+bit for bit, signed zeros included, on the compiled stepper (where it
+loads) and on the Python loop; so does the compiled stepper's end state."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import artjoint as aj
+from artjoint import dynamics
 
 from conftest import make_joint
 
@@ -141,6 +143,28 @@ def test_simulate_joint_and_rollout_match_the_reference_step(case):
     stepped = aj.step(spec, state0, forces[0], dt)
     assert fields(stepped) == fields(reference[1])
     assert stepped is not state0 and fields(state0) == start
+    end = compiled_end_state(spec, state0, forces, dt)
+    if end is not None:
+        assert end == fields(reference[-1])
+
+
+def compiled_end_state(spec, state0, forces, dt):
+    """The compiled stepper's end state from ``state0`` under ``forces``, as
+    :func:`fields` gives it, or None where the Python loop runs."""
+    kernel = dynamics._kernel()[0]
+    if kernel is None:
+        return None
+    record = dynamics.joint_record(spec)
+    forces = np.array(forces, dtype=float)
+    state = np.array([state0.q, state0.q_dot, state0.s_open, state0.regime is aj.Regime.KINETIC, state0.held_target])
+    out = np.empty(len(forces))
+    kernel(record.ctypes.data, state.ctypes.data, forces.ctypes.data, len(forces), dt, out.ctypes.data)
+    q, q_dot, s_open, regime, held = state.tolist()
+    return bits(q), bits(q_dot), bool(s_open), (aj.Regime.KINETIC if regime else aj.Regime.STATIC), bits(held)
+
+
+def test_the_python_loop_matches_the_reference_step(python_stepper):
+    test_simulate_joint_and_rollout_match_the_reference_step()
 
 
 def test_rollout_starts_at_the_initial_position_and_checks_dt():

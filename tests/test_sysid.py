@@ -151,9 +151,32 @@ def test_problem_is_frozen_and_replace_derives_afresh(slide):
         prob.observed_q[0] = 1.0  # a read-only copy: the finiteness check holds for good
     shorter = aj.Trajectory(times=observed.times[:100], channels={"slide.q": observed.channel("slide.q")[:100]})
     cut = dataclasses.replace(prob, observed=shorter)
-    assert cut.force_samples == prob.force_samples[:99]
+    assert np.array_equal(cut.force_samples, prob.force_samples[:99])
     assert len(sysid.residuals(cut, {"damping_D": 30.0})) == 100
     assert np.array_equal(sysid.residuals(cut, {"damping_D": 30.0}), sysid.residuals(prob, {"damping_D": 30.0})[:100])
+
+
+def test_problem_box_and_start_are_read_only_copies(slide):
+    observed = observed_for(slide)
+    free, bounds, init = ["damping_D"], {"damping_D": (5.0, 40.0)}, {"damping_D": 15.0}
+    prob = problem_for(slide, observed, free, bounds, init)
+    with pytest.raises(TypeError):
+        prob.bounds["damping_D"] = (-5.0, 6.0)  # would get past the box check
+    with pytest.raises(TypeError):
+        prob.init["damping_D"] = 99.0
+    free.append("mu_s")
+    bounds["damping_D"], init["damping_D"] = (-5.0, 6.0), 99.0
+    assert (prob.free, dict(prob.bounds), dict(prob.init)) == (("damping_D",), {"damping_D": (5.0, 40.0)}, {"damping_D": 15.0})
+    seeded = dataclasses.replace(prob, init={"damping_D": 20.0})  # the benchmark's seeded starts
+    assert dict(seeded.init) == {"damping_D": 20.0} and seeded.bounds == prob.bounds
+
+
+def test_residuals_take_exactly_the_free_parameters(slide):
+    prob = problem_for(slide, observed_for(slide), ["damping_D"], {"damping_D": (5.0, 40.0)}, {"damping_D": 15.0})
+    with pytest.raises(ValueError, match=r"params name\(s\) \['mu_s'\] are not free parameters"):
+        sysid.residuals(prob, {"damping_D": 15.0, "mu_s": 0.1})
+    with pytest.raises(KeyError):
+        sysid.residuals(prob, {})
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +498,10 @@ def test_fit_reaches_the_truth_from_every_benchmark_start(drawer_sprung):
         assert result.n_evals <= EVALS_PER_FIT, seed
         for name, value in DRAWER_SPRUNG_TRUTH.items():
             assert abs(result.params[name] - value) <= 0.01 * abs(value), (seed, name, result.params[name])
+
+
+def test_fit_reaches_the_truth_from_every_benchmark_start_on_the_python_loop(drawer_sprung, python_stepper):
+    test_fit_reaches_the_truth_from_every_benchmark_start(drawer_sprung)
 
 
 def noisy_drawer_sprung(problem, seed, duration=3.2):
