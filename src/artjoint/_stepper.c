@@ -2,7 +2,8 @@
 
    artjoint.dynamics builds this file with
        cc -O2 -fPIC -shared -ffp-contract=off -lm
-   and calls it through ctypes; it is the fit's forward run (dynamics.rollout).
+   and calls it through ctypes (dynamics._run): the fit's forward run and every
+   scenario runtime segment of more than one tick.
    The flags keep the arithmetic Python's: every operation is one IEEE double
    operation in the order written (no fused multiply-add, no -ffast-math),
    and exp is the C library's, the function math.exp calls. A change to the
@@ -13,7 +14,8 @@
    state:  q, q_dot, s_open, regime (0 static, 1 kinetic), held_target;
            advanced in place.
    forces: n external efforts, one per step.
-   out:    receives the n new positions. */
+   out:    receives the n new positions.
+   out_dot: receives the n new velocities, or is NULL for positions only. */
 
 #include <math.h>
 
@@ -22,7 +24,8 @@ enum { LO, HI, DAMPING, V_TARGET, MU_S, FLOOR, INERTIA, K, K_HIGH, K_LOW, K_MAX,
 enum { Q, Q_DOT, S_OPEN, REGIME, HELD_TARGET };
 enum { STATIC, KINETIC };
 
-void artjoint_advance(const double *record, double *state, const double *forces, long n, double dt, double *out)
+void artjoint_advance(const double *record, double *state, const double *forces, long n, double dt, double *out,
+                      double *out_dot)
 {
     const double lo = record[LO], hi = record[HI];
     const double damping = record[DAMPING], v_target = record[V_TARGET];
@@ -61,6 +64,8 @@ void artjoint_advance(const double *record, double *state, const double *forces,
             if (fabs(f) <= breakaway) {
                 q_dot = 0.0, regime = STATIC; /* frozen, velocity exactly +0.0 */
                 out[i] = q;
+                if (out_dot)
+                    out_dot[i] = 0.0;
                 continue;
             }
             friction = f > 0.0 ? -breakaway : breakaway;
@@ -75,6 +80,8 @@ void artjoint_advance(const double *record, double *state, const double *forces,
         else if (q >= hi)
             q = hi, q_dot = 0.0;
         out[i] = q;
+        if (out_dot)
+            out_dot[i] = q_dot;
     }
     state[Q] = q, state[Q_DOT] = q_dot, state[REGIME] = regime, state[HELD_TARGET] = q_target;
 }

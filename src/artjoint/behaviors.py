@@ -201,13 +201,20 @@ def bind(assemblies: Mapping[str, "object"]) -> tuple[BehaviorRule, ...]:
 # evaluation and application
 
 
-def first_crossing(trigger: ThresholdCrossed, q: list[float]) -> "int | None":
+def first_crossing(trigger: ThresholdCrossed, q: "list[float] | np.ndarray") -> "int | None":
     """The first ``i >= 1`` where the step from ``q[i - 1]`` to ``q[i]`` crosses
-    ``trigger.value`` in its direction (see the module doc), or None."""
-    lo, hi, value, rising = min(q), max(q), trigger.value, trigger.direction == "rising"
-    if not (lo < value <= hi if rising else lo <= value < hi):
-        return None  # the series never reaches the threshold from its firing side
-    prev, new = np.array(q[:-1]), np.array(q[1:])
+    ``trigger.value`` in its direction (see the module doc), or None.
+
+    ``q`` is a runtime segment's float64 series or :func:`evaluate`'s list
+    of two positions, which is ruled out in plain floats where it cannot
+    cross."""
+    value, rising = trigger.value, trigger.direction == "rising"
+    if isinstance(q, list):
+        lo, hi = min(q), max(q)
+        if not (lo < value <= hi if rising else lo <= value < hi):
+            return None  # the series never reaches the threshold from its firing side
+        q = np.array(q)
+    prev, new = q[:-1], q[1:]
     hit = (prev < value) & (value <= new) if rising else (prev > value) & (value >= new)
     return int(hit.argmax()) + 1 if hit.any() else None
 

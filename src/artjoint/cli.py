@@ -118,6 +118,7 @@ def cmd_simulate(args) -> int:
             }
         )
         lines.append(f"{path} -> {target} ({len(trajectory)} samples, dt={scenario.dt})")
+    lines.append("stepper: {} ({})".format(*dynamics._stepper()))
     _emit(args, {"command": "simulate", "runs": runs}, lines)
     return 0
 

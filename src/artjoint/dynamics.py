@@ -25,15 +25,19 @@ advances a :class:`JointState` in place: each of the scenario runtime's
 live states, or a copy of the start state in :func:`step` and
 :func:`simulate_joint`, so all simulate one model. It reads the joint's
 constants from its packed record (:func:`joint_record`, slots in
-:data:`RECORD_SLOTS`), built once per spec. :func:`rollout`, the fit's
-forward run, steps the same record through ``_stepper.c``, a C copy of the
-loop built on the first rollout with ``cc -O2 -fPIC -shared
--ffp-contract=off``: no fused multiply-add and the C library's ``exp``,
-the one ``math.exp`` calls, so it gives the loop's bits. The library is
-cached under ``$XDG_CACHE_HOME/artjoint`` (else ``~/.cache/artjoint``),
-named by a hash of the source, the compiler's ``--version`` and the
-flags; with no compiler, or if the build or load fails, rollout runs
-:func:`_advance` and :func:`_stepper` says why.
+:data:`RECORD_SLOTS`), built once per spec. ``_stepper.c`` is a C copy of
+the loop, built with ``cc -O2 -fPIC -shared -ffp-contract=off``: no fused
+multiply-add and the C library's ``exp``, the one ``math.exp`` calls, so it
+gives the loop's bits. :func:`_run` steps a joint over a run of forces
+through it: :func:`rollout`, the fit's forward run, and every scenario
+runtime segment of more than one tick. A single step (:func:`step`,
+:func:`simulate_joint`, and the runtime's one-tick segments, which are the
+env's tick) stays in :func:`_advance`, where one step costs less than one
+kernel call. The library is built on the first run of more than one step,
+never on import, cached under ``$XDG_CACHE_HOME/artjoint`` (else
+``~/.cache/artjoint``), named by a hash of the source, the compiler's
+``--version`` and the flags; with no compiler, or if the build or load
+fails, :func:`_run` runs :func:`_advance` and :func:`_stepper` says why.
 :func:`stiffness_at`, :func:`target_at`, :func:`drive_effort` and
 :func:`friction_effort` state the same formulas one instant at a time; a
 property test holds both loops to them bit for bit.
@@ -53,7 +57,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .assets import ConstantStiffness, FixedTarget, JointSpec, StiffnessProfile, TargetPolicy
+from .assets import ConstantStiffness, FixedTarget, JointSpec, StiffnessProfile, TargetPolicy, ValidationReport
+from .assets import check_joint, raise_on_issues
 from .errors import NonPositiveDtError, UnstableDtError
 
 DT_MAX = 0.01  # stability guard for the explicit part of the stepper
@@ -285,26 +290,56 @@ def rollout(spec: JointSpec, forces: Sequence[float], dt: float, state0: JointSt
     at ``t = k * dt``). Returns ``len(forces) + 1`` positions, the first
     being ``state0.q``: the ``q`` series of :func:`simulate_joint` under the
     same forces, without a state object per step. ``state0`` is untouched.
-    Runs the compiled stepper where it loads (see the module doc).
+    ``spec`` must pass :func:`assets.check_joint`, raising as
+    :func:`assets.validate` does otherwise, so both steppers meet only the
+    joints they agree on. Runs the compiled stepper where it loads (see
+    the module doc).
     """
     check_dt(dt)
-    return _rollout(joint_record(spec), np.ascontiguousarray(forces, dtype=float), dt, state0)
+    report = ValidationReport()
+    check_joint(report, spec, "spec")
+    raise_on_issues(report)
+    return _rollout(joint_record(spec), np.ascontiguousarray(forces, dtype=float), dt, replace(state0))
 
 
-def _rollout(record: np.ndarray, forces: np.ndarray, dt: float, state0: JointState) -> np.ndarray:
+def _rollout(record: np.ndarray, forces: np.ndarray, dt: float, state: JointState) -> np.ndarray:
     """:func:`rollout` of a packed ``record`` over a float64 ``forces``
-    array: one call of the compiled stepper, or :func:`_advance` without
-    it. The caller checks ``dt``."""
-    kernel = _kernel()[0]
-    if kernel is None:
-        out = [state0.q]
-        _advance(record, replace(state0), forces.tolist(), dt, out)
-        return np.array(out, dtype=float)
-    state = np.array([state0.q, state0.q_dot, state0.s_open, state0.regime == _KINETIC, state0.held_target])
+    array, advancing ``state`` in place, with no checks: the caller checks
+    ``dt`` and the joint."""
     out = np.empty(len(forces) + 1)
-    out[0] = state0.q
-    kernel(record.ctypes.data, state.ctypes.data, forces.ctypes.data, len(forces), dt, out.ctypes.data + out.itemsize)
+    _run(record, state, forces, dt, out)
     return out
+
+
+def _run(record: np.ndarray, state: JointState, forces: np.ndarray, dt: float, out: np.ndarray, out_dot=None) -> None:
+    """Advance ``state`` in place over the contiguous float64 ``forces``,
+    writing its position before the first step and after each into ``out``
+    (contiguous float64, at least ``len(forces) + 1`` long) and, if given,
+    its velocities likewise into ``out_dot``. The caller checks ``dt``.
+
+    A run of more than one step is one call of the compiled stepper (built
+    on the first such run), or :func:`_advance` where it does not load. A
+    single step always runs :func:`_advance`: the buffers and ``ctypes``
+    conversions of a kernel call cost more than the step, so the runtime's
+    one-tick segments, the env's tick, step in floats and never load it.
+    """
+    kernel = _kernel()[0] if len(forces) > 1 else None
+    if kernel is None:
+        q, q_dot = [state.q], [state.q_dot]
+        _advance(record, state, forces.tolist(), dt, q, q_dot if out_dot is not None else None)
+        out[: len(q)] = q
+        if out_dot is not None:
+            out_dot[: len(q_dot)] = q_dot
+        return
+    packed = np.array([state.q, state.q_dot, state.s_open, state.regime is _KINETIC, state.held_target])
+    out[0] = state.q
+    dots = None
+    if out_dot is not None:
+        out_dot[0] = state.q_dot
+        dots = out_dot.ctypes.data + out_dot.itemsize
+    kernel(record.ctypes.data, packed.ctypes.data, forces.ctypes.data, len(forces), dt, out.ctypes.data + out.itemsize, dots)
+    state.q, state.q_dot, _, regime, state.held_target = packed.tolist()
+    state.regime = _KINETIC if regime else _STATIC
 
 
 def _advance(record: np.ndarray, state: JointState, forces: Iterable[float], dt: float, out: list, out_dot=None) -> None:
@@ -367,7 +402,8 @@ def _advance(record: np.ndarray, state: JointState, forces: Iterable[float], dt:
 
 _SOURCE = Path(__file__).with_name("_stepper.c")
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
-# (the compiled stepper or None, why): None until the first rollout loads it.
+# (the compiled stepper or None, why): None until the first run of more than
+# one step (or _stepper) loads it.
 # Tests set (None, reason) here to run the Python loop.
 _compiled: "tuple[Callable | None, str] | None" = None
 
@@ -381,7 +417,7 @@ def _kernel() -> "tuple[Callable | None, str]":
 
 def _stepper() -> tuple[str, str]:
     """``("compiled", library path)`` or ``("python", why not compiled)``:
-    the stepper :func:`rollout` runs, loaded if no rollout has run yet."""
+    the stepper :func:`_run` runs, loaded if no run has loaded it yet."""
     kernel, why = _kernel()
     return ("compiled" if kernel is not None else "python"), why
 
@@ -397,7 +433,7 @@ def _load_kernel() -> "tuple[Callable | None, str]":
     cannot be written, the library is built in a temporary directory for
     this process and removed once loaded.
     """
-    import hashlib  # imported here: a process that never rolls out pays nothing
+    import hashlib  # imported here: a process that never loads the kernel pays nothing
     import subprocess
 
     cc = shutil.which("cc")
@@ -443,6 +479,7 @@ def _build(cc: str, source: bytes, path: Path) -> None:
 
 def _bind(path: Path) -> Callable:
     kernel = ctypes.CDLL(str(path)).artjoint_advance
-    kernel.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_double, ctypes.c_void_p)
+    pointer = ctypes.c_void_p
+    kernel.argtypes = (pointer, pointer, pointer, ctypes.c_long, ctypes.c_double, pointer, pointer)
     kernel.restype = None
     return kernel

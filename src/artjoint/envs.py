@@ -101,7 +101,7 @@ class ManipulationEnv:
             raise ValueError("scenario has no env block")
         self.scenario = scenario
         self.config = scenario.env
-        self.params = RewardParams(**dict(self.config.reward_weights))
+        self.params = RewardParams(**self.config.reward_weights)
         self._goal = self.config.goal_joint
         self._goal_spec = scenario.joint(self._goal)
         self._markers = [f"{pl.name}/{m.name}" for pl in scenario.assemblies for m in pl.assembly.markers()]

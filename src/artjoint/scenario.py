@@ -9,7 +9,12 @@ The runtime advances in segments, since only a tick where a
 ``ThresholdCrossed`` fires needs the behavior rules. Per segment: sample the
 force schedules, step the joints the triggers watch, cut at the first tick
 where one fires, bring every joint to that tick, run the rules there and
-apply the fired effects, then store the values the recordings need. Marker
+apply the fired effects, then store the values the recordings need. A
+segment of more than one tick, such as each of :func:`run`'s, steps each
+joint with one call of the compiled stepper (``dynamics._run``) into
+float64 arrays, which ``run`` copies into its columns. A one-tick segment,
+the env's tick, steps each joint through ``dynamics._advance`` in plain
+floats, since a kernel call costs more than one step there. Marker
 channels come after the run, from one forward-kinematics call per placement
 over its whole joint series. Runs are seedless and bit-deterministic: the
 same scenario always yields the same bytes when exported.
@@ -21,6 +26,7 @@ import bisect
 import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterator, Mapping, Union
 
 import numpy as np
@@ -123,7 +129,8 @@ class RewardParams:
 class EnvConfig:
     """Environment block: goal joint, its handle marker, and the point-agent
     effector parameters. ``reward_weights`` optionally overrides the default
-    :class:`RewardParams` by field name."""
+    :class:`RewardParams` by field name; construction stores a read-only
+    copy of it."""
 
     goal_joint: str
     handle_marker: str
@@ -131,6 +138,9 @@ class EnvConfig:
     action_max: float = 10.0
     contact_radius: float = 0.05
     reward_weights: Mapping[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "reward_weights", MappingProxyType(dict(self.reward_weights)))
 
 
 @dataclass(frozen=True)
@@ -143,8 +153,8 @@ class Scenario:
     :func:`assets.validate`, ``duration > 0``, the
     :func:`dynamics.check_dt` rule, env limits > 0, reward weight names,
     initial positions within their joint's limits, unique and CSV-safe
-    recordings, and that every ref resolves. :meth:`joint` and
-    :meth:`marker` are the only ref lookups.
+    recordings, and that every ref resolves. It stores a read-only copy of
+    ``initial``. :meth:`joint` and :meth:`marker` are the only ref lookups.
     """
 
     assemblies: tuple[Placement, ...]
@@ -159,6 +169,7 @@ class Scenario:
     _markers: dict[str, tuple[Placement, Marker]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "initial", MappingProxyType(dict(self.initial)))
         by_name: dict[str, Placement] = {}
         for i, pl in enumerate(self.assemblies):
             loc = f"assemblies[{i}].name"
@@ -365,13 +376,13 @@ class ScenarioRuntime:
     def t(self) -> float:
         return self.k * self.scenario.dt
 
-    def scheduled_forces(self, k0: int, n: int) -> dict[str, list[float]]:
+    def scheduled_forces(self, k0: int, n: int) -> dict[str, np.ndarray]:
         """Each scheduled joint's forces on ticks ``k0 .. k0 + n - 1``, bit for
         bit ``sum(p.value_at(k * dt) for p in profiles)`` at each tick ``k``."""
         if not self._profiles:
             return {}
         t = np.arange(k0, k0 + n) * self.scenario.dt
-        return {ref: sum((p.values_at(t) for p in ps), np.zeros(n)).tolist() for ref, ps in self._profiles.items()}
+        return {ref: sum((p.values_at(t) for p in ps), np.zeros(n)) for ref, ps in self._profiles.items()}
 
     def tick(self, extra_forces: "Mapping[str, float] | None" = None) -> list[bh.EventRecord]:
         """Advance one step: ``advance(1, extra_forces)``."""
@@ -380,39 +391,52 @@ class ScenarioRuntime:
     def advance(self, n_ticks: int, extra_forces: "Mapping[str, float] | None" = None) -> list[bh.EventRecord]:
         """Advance ``n_ticks`` steps, adding the per-joint ``extra_forces`` to
         the schedules on each, and return their behavior event records."""
-        return [record for _, _, fired in self._segments(n_ticks, extra_forces or {}) for record in fired]
+        return [record for *_, fired in self._segments(n_ticks, extra_forces or {}) for record in fired]
 
-    def _segments(self, n_ticks: int, extra_forces: Mapping[str, float]) -> Iterator[tuple[dict, dict, list]]:
-        """Advance ``n_ticks`` steps, yielding each segment's new positions
-        and velocities per joint and its records. A segment ends at a cut or
-        after ``_CHUNK`` ticks; the rules run at its last tick."""
+    def _segments(self, n_ticks: int, extra_forces: Mapping[str, float]) -> Iterator[tuple[int, dict, dict, list]]:
+        """Advance ``n_ticks`` steps, yielding each segment's length ``m``,
+        per joint its positions and velocities at the segment's start and
+        after each of its ``m`` ticks, and its records. A segment ends at a
+        cut or after ``_CHUNK`` ticks; the rules run at its last tick. A
+        segment of more than one tick steps each joint with one
+        :func:`dynamics._run` call over float64 arrays; a one-tick segment
+        steps in floats (see there)."""
         dt, joint_records, states = self.scenario.dt, self.joint_records, self.states
         end = self.k + n_ticks
         while self.k < end:
             n = min(end - self.k, _CHUNK)
             forces = self.scheduled_forces(self.k, n)
-            zeros = [0.0] * n
-            for ref, value in extra_forces.items():
-                forces[ref] = [f + float(value) for f in forces.get(ref, zeros)]  # numpy scalars would slow each step
-            q, q_dot = {ref: [] for ref in states}, {ref: [] for ref in states}
-            start = {ref: (s.q, s.q_dot, s.regime, s.held_target) for ref, s in self._watched.items()}
-            for ref, state in self._watched.items():
-                dynamics._advance(joint_records[ref], state, forces.get(ref, zeros), dt, q[ref], q_dot[ref])
-            hits = (bh.first_crossing(trig, [start[trig.joint][0]] + q[trig.joint]) for trig in self._thresholds)
-            m = min((i for i in hits if i is not None), default=n) if n > 1 else 1  # one tick: nothing to cut
-            if m < n:  # a cut: step the watched joints again from the start, to the firing tick
+            if n == 1:  # the env's tick: plain floats (see dynamics._run)
+                m = 1
+                forces = {ref: f.item() for ref, f in forces.items()}
+                for ref, value in extra_forces.items():
+                    forces[ref] = forces.get(ref, 0.0) + float(value)
+                q, q_dot = {}, {}
+                for ref, state in states.items():
+                    q[ref], q_dot[ref] = [state.q], [state.q_dot]
+                    dynamics._advance(joint_records[ref], state, (forces.get(ref, 0.0),), dt, q[ref], q_dot[ref])
+            else:
+                zeros = np.zeros(n)
+                for ref, value in extra_forces.items():
+                    forces[ref] = forces.get(ref, zeros) + float(value)
+                q, q_dot = {ref: np.empty(n + 1) for ref in states}, {ref: np.empty(n + 1) for ref in states}
+                start = {ref: (s.q, s.q_dot, s.regime, s.held_target) for ref, s in self._watched.items()}
                 for ref, state in self._watched.items():
-                    state.q, state.q_dot, state.regime, state.held_target = start[ref]
-                    q[ref], q_dot[ref] = [], []
-                    dynamics._advance(joint_records[ref], state, forces.get(ref, zeros)[:m], dt, q[ref], q_dot[ref])
-            for ref, state in self._others.items():
-                dynamics._advance(joint_records[ref], state, forces.get(ref, zeros)[:m], dt, q[ref], q_dot[ref])
+                    dynamics._run(joint_records[ref], state, forces.get(ref, zeros), dt, q[ref], q_dot[ref])
+                hits = (bh.first_crossing(trig, q[trig.joint]) for trig in self._thresholds)
+                m = min((i for i in hits if i is not None), default=n)
+                if m < n:  # a cut: step the watched joints again from the start, to the firing tick
+                    for ref, state in self._watched.items():
+                        state.q, state.q_dot, state.regime, state.held_target = start[ref]
+                        dynamics._run(joint_records[ref], state, forces.get(ref, zeros)[:m], dt, q[ref], q_dot[ref])
+                for ref, state in self._others.items():
+                    dynamics._run(joint_records[ref], state, forces.get(ref, zeros)[:m], dt, q[ref], q_dot[ref])
             self.k += m
-            prev_q = {ref: q[ref][-2] if m > 1 else start[ref][0] for ref in self._watched}
+            prev_q = {ref: float(q[ref][m - 1]) for ref in self._watched}
             effects, records = bh.evaluate(self.rules, prev_q, states, self.t)
             if effects:
                 bh.apply(effects, states, self.properties)
-            yield q, q_dot, records
+            yield m, q, q_dot, records
 
     # -- geometry -------------------------------------------------------------
 
@@ -494,13 +518,13 @@ def run(scenario: Scenario) -> tuple[Trajectory, bh.EventLog]:
             q_series.setdefault(ref, np.full(n + 1, runtime.states[ref].q))
     log = bh.EventLog()
     k = 1  # the first row a segment fills
-    for q, q_dot, records in runtime._segments(n, {}):
+    for m, q, q_dot, records in runtime._segments(n, {}):
         log.extend(records)
         for ref, column in q_series.items():
-            column[k : runtime.k + 1] = q[ref]
+            column[k : k + m] = q[ref][1 : m + 1]
         for ref, column in q_dot_series.items():
-            column[k : runtime.k + 1] = q_dot[ref]
-        k = runtime.k + 1
+            column[k : k + m] = q_dot[ref][1 : m + 1]
+        k += m
 
     for pl, recorded in marked.values():
         poses = forward_kinematics(pl.assembly, {j.id: q_series[f"{pl.name}/{j.id}"] for j in pl.assembly.joints})

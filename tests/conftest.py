@@ -41,8 +41,9 @@ def trashcan() -> aj.Assembly:
 
 @pytest.fixture()
 def python_stepper(monkeypatch):
-    """``rollout`` and the fit run the Python loop, as where the compiled
-    stepper cannot be built."""
+    """Every run of more than one step (``rollout``, the fit and the
+    runtime's segments) runs the Python loop, as where the compiled stepper
+    cannot be built."""
     monkeypatch.setattr(dynamics, "_compiled", (None, "the Python loop, chosen by the test"))
 
 

@@ -120,6 +120,16 @@ def test_simulate_writes_loadable_csv(tmp_path):
     assert "drawer/slide.q" in trajectory.channel_names
 
 
+def test_simulate_reports_the_stepper_in_text_output_only(tmp_path, capsys):
+    out = tmp_path / "drawer.csv"
+    assert cli.main(["simulate", str(fx.scenario_path("drawer")), "--out", str(out)]) == 0
+    kind, why = dynamics._stepper()
+    stdout = capsys.readouterr().out
+    assert stdout.count("stepper: ") == 1 and stdout.endswith(f"stepper: {kind} ({why})\n")
+    assert cli.main(["simulate", str(fx.scenario_path("drawer")), "--out", str(out), "--json"]) == 0
+    assert "stepper" not in json.loads(capsys.readouterr().out)
+
+
 def test_simulate_is_bit_stable_across_runs(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run_cli("simulate", fx.scenario_path("microwave"), "--out", a)

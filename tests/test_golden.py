@@ -1,6 +1,7 @@
 """Byte gate: each bundled scenario's exported CSV and event log, and one
 scripted trashcan_env episode, hash to the digests committed in
-``tests/data/golden_digests.json``.
+``tests/data/golden_digests.json``, on the compiled stepper (where it loads)
+and on the Python loop.
 
 A refactor that is meant to keep simulation output unchanged must leave
 these digests alone. A change that moves output on purpose regenerates them
@@ -67,6 +68,15 @@ def test_scenario_output_matches_golden_digests(name, golden, tmp_path):
 
 def test_env_episode_matches_golden_digest(golden):
     assert env_episode_digest() == golden["env_episode_sha256"]["trashcan_env"]
+
+
+@pytest.mark.parametrize("name", fx.SCENARIO_NAMES)
+def test_scenario_output_matches_golden_digests_on_the_python_loop(python_stepper, name, golden, tmp_path):
+    test_scenario_output_matches_golden_digests(name, golden, tmp_path)
+
+
+def test_env_episode_matches_golden_digest_on_the_python_loop(python_stepper, golden):
+    test_env_episode_matches_golden_digest(golden)
 
 
 def test_golden_csv_digests_agree_with_the_benchmark(golden):

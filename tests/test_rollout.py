@@ -2,7 +2,8 @@
 primitives: for random joints, starts and force schedules every state of
 ``simulate_joint`` and every position of ``rollout`` equal the reference's
 bit for bit, signed zeros included, on the compiled stepper (where it
-loads) and on the Python loop; so does the compiled stepper's end state."""
+loads) and on the Python loop; so do the compiled stepper's positions,
+velocities and end state when called directly."""
 
 import numpy as np
 import pytest
@@ -143,28 +144,47 @@ def test_simulate_joint_and_rollout_match_the_reference_step(case):
     stepped = aj.step(spec, state0, forces[0], dt)
     assert fields(stepped) == fields(reference[1])
     assert stepped is not state0 and fields(state0) == start
-    end = compiled_end_state(spec, state0, forces, dt)
-    if end is not None:
-        assert end == fields(reference[-1])
+    compiled = compiled_run(spec, state0, forces, dt)
+    if compiled is not None:
+        assert compiled == ([bits(s.q) for s in reference[1:]], [bits(s.q_dot) for s in reference[1:]], fields(reference[-1]))
 
 
-def compiled_end_state(spec, state0, forces, dt):
-    """The compiled stepper's end state from ``state0`` under ``forces``, as
-    :func:`fields` gives it, or None where the Python loop runs."""
+def compiled_run(spec, state0, forces, dt):
+    """The compiled stepper's new positions and velocities from ``state0``
+    under ``forces``, and its end state as :func:`fields` gives it; or None
+    where the Python loop runs."""
     kernel = dynamics._kernel()[0]
     if kernel is None:
         return None
     record = dynamics.joint_record(spec)
     forces = np.array(forces, dtype=float)
     state = np.array([state0.q, state0.q_dot, state0.s_open, state0.regime is aj.Regime.KINETIC, state0.held_target])
-    out = np.empty(len(forces))
-    kernel(record.ctypes.data, state.ctypes.data, forces.ctypes.data, len(forces), dt, out.ctypes.data)
+    out, out_dot = np.empty(len(forces)), np.empty(len(forces))
+    kernel(record.ctypes.data, state.ctypes.data, forces.ctypes.data, len(forces), dt, out.ctypes.data, out_dot.ctypes.data)
     q, q_dot, s_open, regime, held = state.tolist()
-    return bits(q), bits(q_dot), bool(s_open), (aj.Regime.KINETIC if regime else aj.Regime.STATIC), bits(held)
+    end = bits(q), bits(q_dot), bool(s_open), (aj.Regime.KINETIC if regime else aj.Regime.STATIC), bits(held)
+    return list(map(bits, out)), list(map(bits, out_dot)), end
 
 
 def test_the_python_loop_matches_the_reference_step(python_stepper):
     test_simulate_joint_and_rollout_match_the_reference_step()
+
+
+def test_rollout_rejects_a_joint_that_fails_its_checks_on_both_steppers(monkeypatch):
+    """A joint built in code and never validated, with a negative surge
+    rate: ``math.exp`` overflows where the C ``exp`` returns ``inf``, so the
+    two steppers would part ways. ``rollout`` checks the joint first, as
+    ``assets.validate`` does, and raises the same error on both."""
+    spec = make_joint(
+        q_lower_bound=0.0,
+        q_upper_bound=2.0,
+        stiffness=aj.StiffnessSchedule(k_high=10.0, k_low=1.0, k_max=5.0, alpha=1.0, lambda_=-1000.0, q_threshold=2.0),
+    )
+    state0 = aj.initial_state(spec, q=1.0)
+    for compiled in (dynamics._compiled, (None, "the Python loop, chosen by the test")):
+        monkeypatch.setattr(dynamics, "_compiled", compiled)
+        with pytest.raises(aj.AssetValidationError, match=r"spec\.stiffness: .* lambda_ must be >= 0"):
+            aj.rollout(spec, [0.0] * 3, 0.001, state0)
 
 
 def test_rollout_starts_at_the_initial_position_and_checks_dt():

@@ -172,6 +172,27 @@ def test_unknown_scenario_key_rejected(tmp_path):
         dataclasses.replace(scenario, env=dataclasses.replace(scenario.env, reward_weights={"nope": 1.0}))
 
 
+def test_initial_states_and_reward_weights_are_read_only_copies(drawer):
+    initial, weights = {"drawer/slide": aj.JointInit(q=0.1)}, {"lambda3": 0.0}
+    env = aj.EnvConfig(goal_joint="drawer/slide", handle_marker="drawer/handle", effector_start=(0.0, 0.0, 0.0), reward_weights=weights)
+    scenario = dataclasses.replace(simple_scenario(drawer, initial=initial), env=env)
+    with pytest.raises(TypeError):
+        scenario.initial["drawer/slide"] = aj.JointInit(q=9.0)  # would get past the limit check
+    with pytest.raises(TypeError):
+        scenario.env.reward_weights["nope"] = 1.0  # would get past the weight-name check
+    initial["drawer/slide"], weights["nope"] = aj.JointInit(q=9.0), 1.0
+    assert dict(scenario.initial) == {"drawer/slide": aj.JointInit(q=0.1)}
+    assert dict(scenario.env.reward_weights) == {"lambda3": 0.0}
+    longer = dataclasses.replace(scenario, duration=2.0)
+    assert (longer.initial, longer.env) == (scenario.initial, scenario.env)
+    with pytest.raises(TypeError):
+        longer.initial["drawer/slide"] = aj.JointInit(q=9.0)
+    document = json.loads(json.dumps(assets._write(scenario)))
+    assert document["initial"] == {"drawer/slide": {"q": 0.1, "q_dot": 0.0, "s_open": False}}
+    assert document["env"]["reward_weights"] == {"lambda3": 0.0}
+    assert aj.Scenario(assemblies=scenario.assemblies, **assets._SHAPES[aj.Scenario].args(document, "")) == scenario
+
+
 def test_missing_required_scenario_key_rejected(tmp_path):
     data = scenario_dict()
     del data["duration"]
@@ -515,13 +536,23 @@ def test_runtime_tick_accepts_extra_forces(drawer):
 
 
 def test_runtime_advances_each_joint_like_the_reference_stepper(drawer, microwave):
-    """With no rules, every tick of the runtime equals ``simulate_joint``
-    under that joint's summed schedule plus its extra forces, bit for bit."""
+    """After every ``advance`` call, of 1, 7 or more than ``_CHUNK`` ticks,
+    each joint's state equals ``simulate_joint``'s under that joint's summed
+    schedule plus the call's extra forces, bit for bit; the first 30 calls
+    are single ticks, so every one of those ticks is compared. The one rule
+    only marks a property, so it moves no joint; it fires mid-segment, so
+    the runtime cuts there and steps the watched joint again."""
+    mark = aj.BehaviorRule(
+        id="mark",
+        trigger=aj.ThresholdCrossed(joint="slide", value=0.0125, direction="rising"),
+        effects=(aj.SetProperty(target="tray", key="past_mark", value=True),),
+    )
+    drawer = dataclasses.replace(drawer, behaviors=(mark,))
     microwave = dataclasses.replace(microwave, behaviors=())
     lo, hi = microwave.joint("door").bounds
     scenario = aj.Scenario(
         assemblies=(aj.Placement(name="drawer", assembly=drawer), aj.Placement(name="microwave", assembly=microwave)),
-        duration=0.3,
+        duration=1.3,
         forces=(
             aj.ForceSchedule("drawer/slide", aj.ConstantForce(value=3.0, t_end=0.15)),
             aj.ForceSchedule("drawer/slide", aj.PiecewiseForce(steps=((0.05, -1.0), (0.2, 0.5)))),
@@ -530,25 +561,46 @@ def test_runtime_advances_each_joint_like_the_reference_stepper(drawer, microwav
         initial={"microwave/door": aj.JointInit(q=lo + 0.25 * (hi - lo))},
     )
     n, dt = aj.steps_for(scenario.duration, scenario.dt), scenario.dt
-    extras = [{"microwave/button": 5.0, "drawer/slide": -0.5} if k % 7 == 3 else None for k in range(n)]
+    press = {"microwave/button": 5.0, "drawer/slide": -0.5}
+    long = (scenario_mod._CHUNK + 88, None)
+    calls = [(1, press if k % 7 == 3 else None) for k in range(30)]
+    calls += [(7, press), (1, press), long, (7, {"microwave/door": -0.3}), (1, None)]
+    calls.append((n - sum(ticks for ticks, _ in calls), {"drawer/slide": 0.25}))
+    assert calls[-1][0] > scenario_mod._CHUNK
     runtime, other = aj.ScenarioRuntime(scenario), aj.ScenarioRuntime(scenario)
     live = dict(runtime.states)
     assert not {id(s) for s in live.values()} & {id(s) for s in other.states.values()}
-    got = {ref: [(state.q, state.q_dot)] for ref, state in live.items()}
-    for extra in extras:
-        runtime.tick(extra)
+    got, ends, log = [], [], []
+    for ticks, extra in calls:
+        log += runtime.advance(ticks, extra)
         assert all(runtime.states[ref] is state for ref, state in live.items())
-        for ref, state in live.items():
-            got[ref].append((state.q, state.q_dot))
+        got.append({ref: fields(state) for ref, state in live.items()})
+        ends.append(runtime.k)
+    assert ends[-1] == n
 
-    assert len(got) == 3
+    extras = [extra for ticks, extra in calls for _ in range(ticks)]
     for ref, state0 in aj.ScenarioRuntime(scenario).states.items():
         profiles = [f.profile for f in scenario.forces if f.joint == ref]
         forces = [sum(p.value_at(k * dt) for p in profiles) for k in range(n)]
         forces = [f + extra[ref] if extra and ref in extra else f for f, extra in zip(forces, extras)]
         series = aj.simulate_joint(scenario.joint(ref), lambda t: forces[round(t / dt)], scenario.duration, dt, state0)
-        assert [(s.q.hex(), s.q_dot.hex()) for s in series] == [(q.hex(), q_dot.hex()) for q, q_dot in got[ref]]
-        assert len({q for q, _ in got[ref]}) > 1, ref  # the joint moved
+        assert [fields(series[k]) for k in ends] == [state[ref] for state in got], ref
+        assert len({s.q for s in series}) > 1, ref  # the joint moved
+        if ref == "drawer/slide":
+            crossing = next(k for k, s in enumerate(series) if s.q >= mark.trigger.value)
+    (fired,) = [r for r in log if r.kind == "effect"]
+    start = ends[calls.index(long) - 1]
+    assert fired.t == crossing * dt and start < crossing < start + scenario_mod._CHUNK
+    assert runtime.properties == {"drawer/tray.past_mark": True}
+
+
+def test_runtime_advances_each_joint_like_the_reference_stepper_on_the_python_loop(python_stepper, drawer, microwave):
+    test_runtime_advances_each_joint_like_the_reference_stepper(drawer, microwave)
+
+
+def fields(state):
+    """Every field of a joint state, floats exactly (signed zeros included)."""
+    return state.q.hex(), state.q_dot.hex(), state.s_open, state.regime, state.held_target.hex()
 
 
 # ---------------------------------------------------------------------------

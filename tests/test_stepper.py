@@ -2,7 +2,8 @@
 library is cached under a name that changes with the source, a stale,
 half-written or failed build is never loaded, an unwritable cache falls
 back to a temporary directory, and without a compiler the fit runs the
-Python loop to the same bits."""
+Python loop to the same bits. Nothing is built before a run of more than
+one step: not for a fit problem, nor for an env episode."""
 
 import importlib.resources
 import shutil
@@ -10,9 +11,11 @@ from pathlib import Path
 
 import pytest
 
+import artjoint as aj
 from artjoint import cli, dynamics, fixtures, sysid
 
 import test_sysid
+from conftest import press_and_close
 
 
 @pytest.fixture()
@@ -42,6 +45,18 @@ def test_nothing_is_built_before_the_first_rollout(monkeypatch):
     problem = cli._load_fit_problem(fixtures.fitspec_path("drawer_sprung"))
     assert dynamics._compiled is None
     sysid.residuals(problem, dict(problem.init))
+    assert dynamics._compiled is not None
+
+
+def test_an_env_episode_builds_nothing_and_the_first_run_does(monkeypatch):
+    """The env's ticks are one-tick segments, which step in floats, so env
+    set-up and a scripted episode never pay for a build; the first
+    multi-tick run loads the kernel."""
+    monkeypatch.setattr(dynamics, "_compiled", None)
+    scenario = aj.load_scenario(fixtures.scenario_path("trashcan_env"))
+    *_, (_, _, _, done) = press_and_close(aj.ManipulationEnv(scenario))
+    assert done and dynamics._compiled is None
+    aj.run(scenario)
     assert dynamics._compiled is not None
 
 
