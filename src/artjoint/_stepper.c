@@ -2,8 +2,8 @@
 
    artjoint.dynamics builds this file with
        cc -O2 -fPIC -shared -ffp-contract=off -lm
-   and calls it through ctypes (dynamics._run): the fit's forward run and every
-   scenario runtime segment of more than one tick.
+   and calls it through ctypes from dynamics._run; the dynamics module doc says
+   which runs reach it.
    The flags keep the arithmetic Python's: every operation is one IEEE double
    operation in the order written (no fused multiply-add, no -ffast-math),
    and exp is the C library's, the function math.exp calls. A change to the

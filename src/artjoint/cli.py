@@ -36,7 +36,7 @@ from .assets import (
 )
 from .errors import ArtjointError, AssetSyntaxError, UnknownJointError, UnstableDtError
 from .scenario import _FORCE_PROFILE, Scenario, load_scenario, run
-from .sysid import FitProblem, apply_params, fit
+from .sysid import FitProblem, fit
 from .trajectory import Trajectory, average, compare, export_csv, import_csv
 
 
@@ -199,7 +199,7 @@ def _load_fit_problem(path: Path) -> FitProblem:
     # parameter path; in a file that is a syntax error at the fitspec.
     try:
         if overrides:
-            template = apply_params(template, overrides)
+            template = dynamics.apply_params(template, overrides)
         return FitProblem(
             observed=import_csv(path.parent / _as_str(spec["observed"], "fitspec.observed")),
             forces=_FORCE_PROFILE.read(spec["forces"], "fitspec.forces"),

@@ -24,20 +24,22 @@ One loop, :func:`_advance`, runs this arithmetic over plain floats and
 advances a :class:`JointState` in place: each of the scenario runtime's
 live states, or a copy of the start state in :func:`step` and
 :func:`simulate_joint`, so all simulate one model. It reads the joint's
-constants from its packed record (:func:`joint_record`, slots in
-:data:`RECORD_SLOTS`), built once per spec. ``_stepper.c`` is a C copy of
-the loop, built with ``cc -O2 -fPIC -shared -ffp-contract=off``: no fused
-multiply-add and the C library's ``exp``, the one ``math.exp`` calls, so it
-gives the loop's bits. :func:`_run` steps a joint over a run of forces
-through it: :func:`rollout`, the fit's forward run, and every scenario
-runtime segment of more than one tick. A single step (:func:`step`,
-:func:`simulate_joint`, and the runtime's one-tick segments, which are the
-env's tick) stays in :func:`_advance`, where one step costs less than one
-kernel call. The library is built on the first run of more than one step,
-never on import, cached under ``$XDG_CACHE_HOME/artjoint`` (else
-``~/.cache/artjoint``), named by a hash of the source, the compiler's
-``--version`` and the flags; with no compiler, or if the build or load
-fails, :func:`_run` runs :func:`_advance` and :func:`_stepper` says why.
+constants from its packed record (:func:`joint_record`, slots keyed by
+parameter path in :data:`RECORD_SLOTS`), built once per spec. ``_stepper.c``
+is a C copy of the loop, built with ``cc -O2 -fPIC -shared
+-ffp-contract=off``: no fused multiply-add and the C library's ``exp``, the
+one ``math.exp`` calls, so it gives the loop's bits.
+
+:func:`_run` is the one entry that steps a joint over an array of forces,
+for :func:`rollout`, ``sysid.residuals`` and every scenario runtime segment
+of more than one tick: one call of the compiled stepper, whatever the
+length. The library is built on the first :func:`_run`, never on import,
+cached under ``$XDG_CACHE_HOME/artjoint`` (else ``~/.cache/artjoint``),
+named by a hash of the source, the compiler's ``--version`` and the flags;
+with no compiler, or if the build or load fails, :func:`_run` runs
+:func:`_advance` and :func:`_stepper` says why. :func:`step`,
+:func:`simulate_joint` and the runtime's one-tick segments (``scenario``
+says why) call :func:`_advance` directly.
 :func:`stiffness_at`, :func:`target_at`, :func:`drive_effort` and
 :func:`friction_effort` state the same formulas one instant at a time; a
 property test holds both loops to them bit for bit.
@@ -53,7 +55,7 @@ import tempfile
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -73,10 +75,11 @@ class Regime(str, Enum):
 _STATIC, _KINETIC = Regime.STATIC, Regime.KINETIC
 
 # The packed joint record: every constant the stepper reads, one float64 per
-# slot, keyed by the parameter path that sets it (``sysid`` writes a fit's
-# free parameters straight into their slots). One slot holds a latch's
-# threshold or a fixed target; two more flag a scheduled stiffness and a
-# latch target. ``_stepper.c`` names the same slots in the same order.
+# slot, keyed by the parameter path that sets it. These keys are the only
+# parameter paths (apply_params), and ``sysid`` writes a fit's free
+# parameters straight into their slots. One slot holds a latch's threshold
+# or a fixed target; two more flag a scheduled stiffness and a latch target.
+# ``_stepper.c`` names the same slots in the same order.
 RECORD_SLOTS = {
     "q_lower_bound": 0,
     "q_upper_bound": 1,
@@ -250,6 +253,37 @@ def joint_record(spec: JointSpec) -> np.ndarray:
     return record
 
 
+def apply_params(spec: JointSpec, params: Mapping[str, float]) -> JointSpec:
+    """Return a copy of ``spec`` with parameter paths replaced (e.g.
+    ``"mu_s"``, ``"stiffness.k_low"``). A path must be a key of
+    :data:`RECORD_SLOTS` that names a field of ``spec`` or, as
+    ``component.leaf``, of one of its components, resolved as
+    :func:`joint_record` resolves it."""
+    top: dict[str, float] = {}
+    nested: dict[str, dict[str, float]] = {}
+    for path, value in params.items():
+        head, dot, leaf = path.partition(".")
+        if "." in leaf:
+            raise ValueError(f"parameter path '{path}' nests too deep")
+        if dot:
+            nested.setdefault(head, {})[leaf] = value
+        else:
+            top[path] = value
+    for name in top:
+        if name not in RECORD_SLOTS:
+            raise ValueError(f"spec has no parameter '{name}'")
+    out = replace(spec, **top)
+    for head, leaves in nested.items():
+        if not any(path.startswith(f"{head}.") for path in RECORD_SLOTS):
+            raise ValueError(f"spec has no component '{head}'")
+        component = getattr(out, head)
+        for leaf in leaves:
+            if f"{head}.{leaf}" not in RECORD_SLOTS or not hasattr(component, leaf):
+                raise ValueError(f"spec component '{head}' has no parameter '{leaf}'")
+        out = replace(out, **{head: replace(component, **leaves)})
+    return out
+
+
 def steps_for(duration: float, dt: float) -> int:
     """Number of integration steps covering ``duration`` (ceil, with a guard
     against float fuzz in the quotient)."""
@@ -295,19 +329,15 @@ def rollout(spec: JointSpec, forces: Sequence[float], dt: float, state0: JointSt
     joints they agree on. Runs the compiled stepper where it loads (see
     the module doc).
     """
+    forces = np.asarray(forces, dtype=float)
+    if forces.ndim != 1:
+        raise ValueError(f"forces must be one effort per step (1-D), got shape {forces.shape}")
     check_dt(dt)
     report = ValidationReport()
     check_joint(report, spec, "spec")
     raise_on_issues(report)
-    return _rollout(joint_record(spec), np.ascontiguousarray(forces, dtype=float), dt, replace(state0))
-
-
-def _rollout(record: np.ndarray, forces: np.ndarray, dt: float, state: JointState) -> np.ndarray:
-    """:func:`rollout` of a packed ``record`` over a float64 ``forces``
-    array, advancing ``state`` in place, with no checks: the caller checks
-    ``dt`` and the joint."""
     out = np.empty(len(forces) + 1)
-    _run(record, state, forces, dt, out)
+    _run(joint_record(spec), replace(state0), np.ascontiguousarray(forces), dt, out)
     return out
 
 
@@ -316,14 +346,10 @@ def _run(record: np.ndarray, state: JointState, forces: np.ndarray, dt: float, o
     writing its position before the first step and after each into ``out``
     (contiguous float64, at least ``len(forces) + 1`` long) and, if given,
     its velocities likewise into ``out_dot``. The caller checks ``dt``.
-
-    A run of more than one step is one call of the compiled stepper (built
-    on the first such run), or :func:`_advance` where it does not load. A
-    single step always runs :func:`_advance`: the buffers and ``ctypes``
-    conversions of a kernel call cost more than the step, so the runtime's
-    one-tick segments, the env's tick, step in floats and never load it.
+    One call of the compiled stepper, or :func:`_advance` where it does not
+    load (see the module doc).
     """
-    kernel = _kernel()[0] if len(forces) > 1 else None
+    kernel = _kernel()[0]
     if kernel is None:
         q, q_dot = [state.q], [state.q_dot]
         _advance(record, state, forces.tolist(), dt, q, q_dot if out_dot is not None else None)
@@ -402,8 +428,8 @@ def _advance(record: np.ndarray, state: JointState, forces: Iterable[float], dt:
 
 _SOURCE = Path(__file__).with_name("_stepper.c")
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
-# (the compiled stepper or None, why): None until the first run of more than
-# one step (or _stepper) loads it.
+# (the compiled stepper or None, why): None until the first _run (or
+# _stepper) loads it.
 # Tests set (None, reason) here to run the Python loop.
 _compiled: "tuple[Callable | None, str] | None" = None
 

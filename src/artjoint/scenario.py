@@ -11,10 +11,11 @@ force schedules, step the joints the triggers watch, cut at the first tick
 where one fires, bring every joint to that tick, run the rules there and
 apply the fired effects, then store the values the recordings need. A
 segment of more than one tick, such as each of :func:`run`'s, steps each
-joint with one call of the compiled stepper (``dynamics._run``) into
-float64 arrays, which ``run`` copies into its columns. A one-tick segment,
-the env's tick, steps each joint through ``dynamics._advance`` in plain
-floats, since a kernel call costs more than one step there. Marker
+joint with one ``dynamics._run`` call into float64 arrays, which ``run``
+copies into its columns. A one-tick segment, the env's tick, steps each
+joint through ``dynamics._advance`` in plain floats and never loads the
+compiled stepper: the float64 buffers and ``ctypes`` conversions of a
+kernel call cost more than the one step they would carry. Marker
 channels come after the run, from one forward-kinematics call per placement
 over its whole joint series. Runs are seedless and bit-deterministic: the
 same scenario always yields the same bytes when exported.
@@ -397,16 +398,14 @@ class ScenarioRuntime:
         """Advance ``n_ticks`` steps, yielding each segment's length ``m``,
         per joint its positions and velocities at the segment's start and
         after each of its ``m`` ticks, and its records. A segment ends at a
-        cut or after ``_CHUNK`` ticks; the rules run at its last tick. A
-        segment of more than one tick steps each joint with one
-        :func:`dynamics._run` call over float64 arrays; a one-tick segment
-        steps in floats (see there)."""
+        cut or after ``_CHUNK`` ticks; the rules run at its last tick. How
+        a segment steps its joints: see the module doc."""
         dt, joint_records, states = self.scenario.dt, self.joint_records, self.states
         end = self.k + n_ticks
         while self.k < end:
             n = min(end - self.k, _CHUNK)
             forces = self.scheduled_forces(self.k, n)
-            if n == 1:  # the env's tick: plain floats (see dynamics._run)
+            if n == 1:  # the env's tick: plain floats (see the module doc)
                 m = 1
                 forces = {ref: f.item() for ref, f in forces.items()}
                 for ref, value in extra_forces.items():

@@ -26,8 +26,6 @@ problem (default closed).
 
 from __future__ import annotations
 
-import dataclasses
-import functools
 import itertools
 import math
 import types
@@ -37,7 +35,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .assets import JointSpec, ValidationReport, check_joint
-from .dynamics import RECORD_SLOTS, _rest_state, _rollout, check_dt, initial_state, joint_record, simulate_joint
+from . import dynamics
+from .dynamics import RECORD_SLOTS, _rest_state, apply_params, check_dt, initial_state, joint_record, simulate_joint
 from .errors import InsufficientDataError
 from .trajectory import Trajectory, pairwise_dot
 
@@ -62,13 +61,15 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # interval shrink ratio per iteration
 class FitProblem:
     """One-joint identification problem, frozen and complete when built.
 
-    ``free`` lists parameter paths on the spec template; every free parameter
+    ``free`` lists parameter paths on the spec template (see
+    :func:`~artjoint.dynamics.apply_params`); every free parameter
     needs a box in ``bounds`` and a start in ``init`` (inside the box), and
     both name free parameters only. The joint must pass
     :func:`~artjoint.assets.check_joint` everywhere in the box, the observed
-    sample step must pass :func:`~artjoint.dynamics.check_dt` and every
-    observed sample must be finite. ``channel`` defaults to the observed
-    trajectory's single channel. Construction (``dataclasses.replace``
+    series must start at t = 0, its sample step must pass
+    :func:`~artjoint.dynamics.check_dt` and every observed sample must be
+    finite. ``channel`` defaults to the observed trajectory's single
+    channel. Construction (``dataclasses.replace``
     included) checks all this and derives ``dt``, a read-only copy of the
     channel (``observed_q``) and ``force_samples``, ``forces(k * dt)`` for
     ``k < len(observed) - 1``: the times simulate_joint samples.
@@ -115,6 +116,8 @@ class FitProblem:
                 f"observed channel '{self.channel}' has a non-finite sample "
                 f"({self.observed_q[bad[0]]}) at t = {self.observed.times[bad[0]]}"
             )
+        if self.observed.times[0] != 0.0:  # the force samples are taken at k * dt from t = 0
+            raise ValueError(f"observed trajectory must start at t = 0, not at t = {self.observed.times[0]}")
         steps = np.diff(self.observed.times)
         if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
             raise ValueError("observed trajectory must be uniformly sampled")
@@ -160,57 +163,22 @@ class FitProblem:
         object.__setattr__(self, "slots", slots)
 
 
-@functools.cache
-def _numeric_fields(cls: type) -> frozenset[str]:
-    """The fields of record class ``cls`` a parameter path may set: those
-    annotated ``float``."""
-    return frozenset(f.name for f in dataclasses.fields(cls) if f.type in ("float", float))
-
-
-def apply_params(spec: JointSpec, params: Mapping[str, float]) -> JointSpec:
-    """Return a copy of ``spec`` with dotted parameter paths replaced (e.g.
-    ``"mu_s"``, ``"stiffness.k_low"``); a path must name a float field of the
-    spec or, as ``component.leaf``, of one of its components."""
-    top: dict[str, float] = {}
-    nested: dict[str, dict[str, float]] = {}
-    for path, value in params.items():
-        if "." in path:
-            head, leaf = path.split(".", 1)
-            if "." in leaf:
-                raise ValueError(f"parameter path '{path}' nests too deep")
-            nested.setdefault(head, {})[leaf] = value
-        else:
-            top[path] = value
-    numeric = _numeric_fields(type(spec))
-    for name in top:
-        if name not in numeric:
-            raise ValueError(f"spec has no parameter '{name}'")
-    out = dataclasses.replace(spec, **top)
-    for head, leaves in nested.items():
-        component = getattr(out, head) if head in out.__dataclass_fields__ else None
-        if not dataclasses.is_dataclass(component):
-            raise ValueError(f"spec has no component '{head}'")
-        for leaf in leaves:
-            if leaf not in _numeric_fields(type(component)):
-                raise ValueError(f"spec component '{head}' has no parameter '{leaf}'")
-        out = dataclasses.replace(out, **{head: dataclasses.replace(component, **leaves)})
-    return out
-
-
 def residuals(problem: FitProblem, params: Mapping[str, float]) -> np.ndarray:
     """Simulated minus observed position at each observed sample time, for
-    ``params`` giving each free parameter a value. The simulation is
-    :func:`~artjoint.dynamics.rollout` of the template's record with those
-    values in their slots, on the problem's force samples from rest at the
-    clamped first sample (:func:`~artjoint.dynamics.initial_state`'s rule),
-    keeping positions only."""
+    ``params`` giving each free parameter a value. The simulation is one
+    ``dynamics._run`` of the template's record with those values in their
+    slots, on the problem's force samples from rest at the clamped first
+    sample (:func:`~artjoint.dynamics.initial_state`'s rule), keeping
+    positions only."""
     values = [params[name] for name in problem.free]
     if len(params) != len(values):
         raise ValueError(f"params name(s) {sorted(set(params) - set(problem.free))} are not free parameters")
     record = problem.record.copy()
     record[problem.slots] = values
     state0 = _rest_state(record, float(problem.observed_q[0]), problem.s_open0)
-    return _rollout(record, problem.force_samples, problem.dt, state0) - problem.observed_q
+    out = np.empty(len(problem.observed_q))
+    dynamics._run(record, state0, problem.force_samples, problem.dt, out)
+    return out - problem.observed_q
 
 
 def objective(problem: FitProblem, params: Mapping[str, float]) -> float:

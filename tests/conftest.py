@@ -41,8 +41,8 @@ def trashcan() -> aj.Assembly:
 
 @pytest.fixture()
 def python_stepper(monkeypatch):
-    """Every run of more than one step (``rollout``, the fit and the
-    runtime's segments) runs the Python loop, as where the compiled stepper
+    """Every ``dynamics._run`` (``rollout``, the fit and the runtime's
+    multi-tick segments) runs the Python loop, as where the compiled stepper
     cannot be built."""
     monkeypatch.setattr(dynamics, "_compiled", (None, "the Python loop, chosen by the test"))
 

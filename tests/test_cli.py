@@ -284,8 +284,11 @@ def test_fit_rejects_malformed_fitspec(tmp_path):
     q = bundled.channel("slide.q").copy()
     q[800] = math.nan
     aj.export_csv(aj.Trajectory(times=bundled.times, channels={"slide.q": q}), holed)
+    shifted = tmp_path / "shifted.csv"
+    aj.export_csv(aj.Trajectory(times=bundled.times + 5.0, channels=bundled.channels), shifted)
     for change, hint in (
         ({"observed": str(holed)}, "observed channel 'slide.q' has a non-finite sample (nan) at t = 1.6"),
+        ({"observed": str(shifted)}, "observed trajectory must start at t = 0, not at t = 5.0"),
         ({"init": {**shipped["init"], "damping_D": 99.0}}, "init for 'damping_D' (99.0) outside bounds"),
         ({"overrides": {"nope": 1.0}}, "spec has no parameter 'nope'"),
         ({"overrides": {"bounds": 1.0}}, "spec has no parameter 'bounds'"),

@@ -5,13 +5,16 @@ bit for bit, signed zeros included, on the compiled stepper (where it
 loads) and on the Python loop; so do the compiled stepper's positions,
 velocities and end state when called directly."""
 
+import dataclasses
+import typing
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import artjoint as aj
-from artjoint import dynamics
+from artjoint import assets, dynamics
 
 from conftest import make_joint
 
@@ -185,6 +188,35 @@ def test_rollout_rejects_a_joint_that_fails_its_checks_on_both_steppers(monkeypa
         monkeypatch.setattr(dynamics, "_compiled", compiled)
         with pytest.raises(aj.AssetValidationError, match=r"spec\.stiffness: .* lambda_ must be >= 0"):
             aj.rollout(spec, [0.0] * 3, 0.001, state0)
+
+
+def test_rollout_rejects_forces_that_are_not_one_per_step_on_both_steppers(monkeypatch):
+    """Given rows of forces, the compiled stepper would step through their
+    first floats and the Python loop would fail on a row; ``rollout``
+    raises the same error on both before stepping."""
+    spec = make_joint()
+    state0 = aj.initial_state(spec, q=0.25)
+    for compiled in (dynamics._compiled, (None, "the Python loop, chosen by the test")):
+        monkeypatch.setattr(dynamics, "_compiled", compiled)
+        for forces, shape in (([[5, 5], [5, 5]], r"\(2, 2\)"), (5.0, r"\(\)")):
+            with pytest.raises(ValueError, match=rf"forces must be one effort per step \(1-D\), got shape {shape}"):
+                aj.rollout(spec, forces, 0.001, state0)
+
+
+def test_record_slots_cover_every_float_parameter():
+    """``joint_record`` reads only the paths that have a slot, so a float
+    parameter without one would reach neither stepper: the slots are the
+    float fields of a joint and, under their component, of every stiffness
+    and target type."""
+
+    def floats(cls, prefix=""):
+        return {prefix + f.name for f in dataclasses.fields(cls) if f.type in ("float", float)}
+
+    paths = floats(aj.JointSpec)
+    for owner, union in (("stiffness", assets.StiffnessProfile), ("target_policy", assets.TargetPolicy)):
+        for cls in typing.get_args(union):
+            paths |= floats(cls, f"{owner}.")
+    assert set(dynamics.RECORD_SLOTS) == paths
 
 
 def test_rollout_starts_at_the_initial_position_and_checks_dt():

@@ -2,8 +2,9 @@
 library is cached under a name that changes with the source, a stale,
 half-written or failed build is never loaded, an unwritable cache falls
 back to a temporary directory, and without a compiler the fit runs the
-Python loop to the same bits. Nothing is built before a run of more than
-one step: not for a fit problem, nor for an env episode."""
+Python loop to the same bits. Every run of forces enters through
+``dynamics._run``, and nothing is built before the first: not for a fit
+problem, nor for an env episode."""
 
 import importlib.resources
 import shutil
@@ -58,6 +59,37 @@ def test_an_env_episode_builds_nothing_and_the_first_run_does(monkeypatch):
     assert done and dynamics._compiled is None
     aj.run(scenario)
     assert dynamics._compiled is not None
+
+
+def test_every_run_of_forces_enters_through_run_and_the_env_tick_does_not(monkeypatch):
+    """``dynamics._run`` is the one multi-step entry: the fit's residuals,
+    ``rollout`` and a multi-tick ``run`` each reach it, and a scripted env
+    episode steps through ``_advance`` alone. Both are wrapped by module
+    attribute, as the benchmark's tracer wraps what it times."""
+    calls = []
+    for name in ("_run", "_advance"):
+        original = getattr(dynamics, name)
+
+        def wrapped(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(dynamics, name, wrapped)
+
+    problem = cli._load_fit_problem(fixtures.fitspec_path("drawer_sprung"))
+    spec = problem.spec_template
+    scenario = aj.load_scenario(fixtures.scenario_path("drawer"))
+    for label, action in (
+        ("residuals", lambda: sysid.residuals(problem, dict(problem.init))),
+        ("rollout", lambda: aj.rollout(spec, [1.0] * 3, 0.001, aj.initial_state(spec, q=0.35))),
+        ("run", lambda: aj.run(scenario)),
+    ):
+        calls.clear()
+        action()
+        assert "_run" in calls, label
+    calls.clear()
+    *_, (_, _, _, done) = press_and_close(aj.ManipulationEnv(aj.load_scenario(fixtures.scenario_path("trashcan_env"))))
+    assert done and "_advance" in calls and "_run" not in calls
 
 
 def test_the_source_ships_with_the_package():

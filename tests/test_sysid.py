@@ -75,6 +75,15 @@ def test_irregular_sampling_rejected(slide):
         problem_for(slide, ragged, ["damping_D"], {"damping_D": (1.0, 30.0)}, {"damping_D": 10.0})
 
 
+def test_observed_series_must_start_at_zero(slide):
+    # forces are sampled at k * dt from t = 0, so a later start would fit the
+    # joint against forces its samples never felt
+    observed = observed_for(slide)
+    shifted = aj.Trajectory(times=observed.times + 5.0, channels=observed.channels)
+    with pytest.raises(ValueError, match=r"observed trajectory must start at t = 0, not at t = 5\.0"):
+        problem_for(slide, shifted, ["damping_D"], {"damping_D": (1.0, 30.0)}, {"damping_D": 10.0})
+
+
 def test_multichannel_needs_explicit_channel(slide):
     times = np.arange(20) * 2e-3
     multi = aj.Trajectory(times=times, channels={"a": np.zeros(20), "b": np.zeros(20)})
