@@ -33,7 +33,16 @@ one ``math.exp`` calls, so it gives the loop's bits.
 :func:`_run` is the one entry that steps a joint over an array of forces,
 for :func:`rollout`, ``sysid.residuals`` and every scenario runtime segment
 of more than one tick: one call of the compiled stepper, whatever the
-length. The library is built on the first :func:`_run`, never on import,
+length. The call passes the state packed into a 5-slot ctypes array,
+read back after the call, and the addresses of the record, the forces
+and the output series: a writable buffer's through a ctypes view
+(``c_double.from_buffer``, about a quarter of the cost of reading
+``ndarray.ctypes.data``), a read-only one's from ``ndarray.ctypes``
+unless the caller passes it (``FitProblem`` reads its force samples'
+address once, when built), and NULL for a series of no forces, where the
+stepper reads and writes none.
+
+The library is built on the first :func:`_run`, never on import,
 cached under ``$XDG_CACHE_HOME/artjoint`` (else ``~/.cache/artjoint``),
 named by a hash of the source, the compiler's ``--version`` and the flags;
 with no compiler, or if the build or load fails, :func:`_run` runs
@@ -49,8 +58,10 @@ from __future__ import annotations
 
 import ctypes
 import math
+import operator
 import os
 import shutil
+import struct
 import tempfile
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -99,7 +110,10 @@ RECORD_SLOTS = {
     "target_policy.q_target": 14,
 }
 _SCHEDULED, _LATCHED, _RECORD_SIZE = 15, 16, 17
-_REST_SLOTS = [RECORD_SLOTS["q_lower_bound"], RECORD_SLOTS["q_upper_bound"], RECORD_SLOTS["target_policy.q_target"], _LATCHED]
+# the slots a rest state reads, from the record as a list
+_rest_slots = operator.itemgetter(
+    RECORD_SLOTS["q_lower_bound"], RECORD_SLOTS["q_upper_bound"], RECORD_SLOTS["target_policy.q_target"], _LATCHED
+)
 
 
 @dataclass(slots=True)
@@ -225,7 +239,7 @@ def _rest_state(record: np.ndarray, q: float, s_open: bool) -> JointState:
     """The joint of ``record`` at rest at ``q`` clamped into its limits, with
     :func:`initial_state`'s held target: the target policy evaluated with
     ``prev_target = q``. A fit's forward run starts here."""
-    lo, hi, target, latched = record[_REST_SLOTS].tolist()
+    lo, hi, target, latched = _rest_slots(record.tolist())
     q = min(max(q, lo), hi)
     if not latched:
         held = target
@@ -341,11 +355,15 @@ def rollout(spec: JointSpec, forces: Sequence[float], dt: float, state0: JointSt
     return out
 
 
-def _run(record: np.ndarray, state: JointState, forces: np.ndarray, dt: float, out: np.ndarray, out_dot=None) -> None:
+def _run(
+    record: np.ndarray, state: JointState, forces: np.ndarray, dt: float, out: np.ndarray, out_dot=None, forces_at=None
+) -> None:
     """Advance ``state`` in place over the contiguous float64 ``forces``,
     writing its position before the first step and after each into ``out``
     (contiguous float64, at least ``len(forces) + 1`` long) and, if given,
-    its velocities likewise into ``out_dot``. The caller checks ``dt``.
+    its velocities likewise into ``out_dot``. ``forces_at`` is the address
+    of ``forces``' buffer where the caller already holds it (a buffer that
+    never moves); it is read here otherwise. The caller checks ``dt``.
     One call of the compiled stepper, or :func:`_advance` where it does not
     load (see the module doc).
     """
@@ -357,15 +375,30 @@ def _run(record: np.ndarray, state: JointState, forces: np.ndarray, dt: float, o
         if out_dot is not None:
             out_dot[: len(q_dot)] = q_dot
         return
-    packed = np.array([state.q, state.q_dot, state.s_open, state.regime is _KINETIC, state.held_target])
     out[0] = state.q
-    dots = None
     if out_dot is not None:
         out_dot[0] = state.q_dot
-        dots = out_dot.ctypes.data + out_dot.itemsize
-    kernel(record.ctypes.data, packed.ctypes.data, forces.ctypes.data, len(forces), dt, out.ctypes.data + out.itemsize, dots)
-    state.q, state.q_dot, _, regime, state.held_target = packed.tolist()
+    n = len(forces)
+    out_at = dots_at = None
+    if n:  # with no forces the stepper reads and writes no series, and an empty buffer has no address
+        if forces_at is None:
+            forces_at = _address(forces)
+        out_at = _address(out, 1)
+        if out_dot is not None:
+            dots_at = _address(out_dot, 1)
+    packed = _PackedState.from_buffer_copy(_PACK(state.q, state.q_dot, state.s_open, state.regime is _KINETIC, state.held_target))
+    kernel(_address(record), packed, forces_at, n, dt, out_at, dots_at)
+    state.q, state.q_dot, _, regime, state.held_target = packed[:]
     state.regime = _KINETIC if regime else _STATIC
+
+
+def _address(a: np.ndarray, offset: int = 0) -> int:
+    """The address of float ``offset`` of the contiguous float64 array
+    ``a``, which holds more than ``offset`` floats: through a ctypes view
+    where ``a`` is writable, a quarter of the cost of ``a.ctypes.data``."""
+    if a.flags.writeable:
+        return ctypes.addressof(_DOUBLE.from_buffer(a, 8 * offset))
+    return a.ctypes.data + 8 * offset
 
 
 def _advance(record: np.ndarray, state: JointState, forces: Iterable[float], dt: float, out: list, out_dot=None) -> None:
@@ -432,6 +465,12 @@ _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 # _stepper) loads it.
 # Tests set (None, reason) here to run the Python loop.
 _compiled: "tuple[Callable | None, str] | None" = None
+# The state the stepper advances, in _stepper.c's order: q, q_dot, s_open,
+# regime (1.0 kinetic), held_target. Packed through struct: under half the
+# cost of the ctypes array's own constructor.
+_DOUBLE = ctypes.c_double
+_PackedState = _DOUBLE * 5
+_PACK = struct.Struct("5d").pack
 
 
 def _kernel() -> "tuple[Callable | None, str]":

@@ -87,7 +87,9 @@ class FitProblem:
     observed_q: np.ndarray = field(init=False, repr=False, compare=False)
     force_samples: np.ndarray = field(init=False, repr=False, compare=False)
     record: np.ndarray = field(init=False, repr=False, compare=False)
-    slots: np.ndarray = field(init=False, repr=False, compare=False)
+    slots: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _q0: float = field(init=False, repr=False, compare=False)
+    _forces_at: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if hasattr(self.forces, "value_at"):
@@ -156,11 +158,14 @@ class FitProblem:
         samples = np.array([self.forces(k * self.dt) for k in range(len(self.observed_q) - 1)], dtype=float)
         samples.flags.writeable = False
         object.__setattr__(self, "force_samples", samples)
+        # read once for dynamics._run: the buffer never moves, a copy shares
+        # it, and a FitProblem neither pickles nor deep-copies (its mapping
+        # proxies refuse), so no problem holds another array's address
+        object.__setattr__(self, "_forces_at", samples.ctypes.data)
         # every path passed apply_params above, so each names a record slot
         object.__setattr__(self, "record", joint_record(self.spec_template))
-        slots = np.array([RECORD_SLOTS[name] for name in self.free])
-        slots.flags.writeable = False
-        object.__setattr__(self, "slots", slots)
+        object.__setattr__(self, "slots", tuple(RECORD_SLOTS[name] for name in self.free))
+        object.__setattr__(self, "_q0", float(self.observed_q[0]))
 
 
 def residuals(problem: FitProblem, params: Mapping[str, float]) -> np.ndarray:
@@ -169,16 +174,21 @@ def residuals(problem: FitProblem, params: Mapping[str, float]) -> np.ndarray:
     ``dynamics._run`` of the template's record with those values in their
     slots, on the problem's force samples from rest at the clamped first
     sample (:func:`~artjoint.dynamics.initial_state`'s rule), keeping
-    positions only."""
-    values = [params[name] for name in problem.free]
-    if len(params) != len(values):
-        raise ValueError(f"params name(s) {sorted(set(params) - set(problem.free))} are not free parameters")
+    positions only. A free parameter missing from ``params``, or a name in
+    it that is not free, raises ``ValueError`` naming it."""
     record = problem.record.copy()
-    record[problem.slots] = values
-    state0 = _rest_state(record, float(problem.observed_q[0]), problem.s_open0)
+    try:
+        for name, slot in zip(problem.free, problem.slots):
+            record[slot] = params[name]
+    except KeyError:
+        missing = [name for name in problem.free if name not in params]
+        raise ValueError(f"params give no value for free parameter(s) {missing}") from None
+    if len(params) != len(problem.free):
+        raise ValueError(f"params name(s) {sorted(set(params) - set(problem.free))} are not free parameters")
+    state0 = _rest_state(record, problem._q0, problem.s_open0)
     out = np.empty(len(problem.observed_q))
-    dynamics._run(record, state0, problem.force_samples, problem.dt, out)
-    return out - problem.observed_q
+    dynamics._run(record, state0, problem.force_samples, problem.dt, out, None, problem._forces_at)
+    return np.subtract(out, problem.observed_q, out=out)
 
 
 def objective(problem: FitProblem, params: Mapping[str, float]) -> float:

@@ -83,9 +83,11 @@ class ComparisonResult:
 
 
 def pairwise_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """``a . b`` by numpy's own pairwise summation: BLAS ``dot`` threads long
-    vectors, and its result then depends on the thread count."""
-    return float(np.sum(a * b))
+    """``a . b`` of two 1-D arrays by numpy's own pairwise summation, the
+    ``np.add.reduce`` loop ``np.sum`` runs, without its wrapper: BLAS
+    ``dot`` threads long vectors, and its result then depends on the
+    thread count."""
+    return float(np.add.reduce(a * b))
 
 
 def compare(a: Trajectory, b: Trajectory) -> ComparisonResult:

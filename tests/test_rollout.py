@@ -228,3 +228,38 @@ def test_rollout_starts_at_the_initial_position_and_checks_dt():
         aj.rollout(spec, [1.0], 0.0, state0)
     with pytest.raises(aj.UnstableDtError):
         aj.rollout(spec, [1.0], 2 * aj.DT_MAX, state0)
+
+
+@pytest.mark.parametrize("stepper", ["compiled", "python"])
+def test_run_takes_empty_single_and_read_only_buffers(monkeypatch, stepper):
+    """``dynamics._run`` on zero-length, one-element, read-only and sliced
+    force arrays, with a read-only (``joint_record``'s own) or a writable
+    record: positions, velocities and end state equal the reference
+    step's bit for bit, and the output buffers past the run stay untouched."""
+    if stepper == "python":
+        monkeypatch.setattr(dynamics, "_compiled", (None, "the Python loop, chosen by the test"))
+    elif dynamics._kernel()[0] is None:
+        pytest.skip(dynamics._stepper()[1])
+    read_only = np.array([6.0, -2.5, 0.0, 9.0, -9.0])
+    read_only.flags.writeable = False
+    schedule = aj.StiffnessSchedule(k_high=12.0, k_low=1.0, k_max=8.0, alpha=4.0, lambda_=5.0, q_threshold=0.4)
+    dt = 1e-3
+    for policy in (aj.LatchTarget(q_threshold=0.5), aj.FixedTarget(q_target=0.2)):
+        spec = make_joint(q_lower_bound=0.0, q_upper_bound=1.0, damping_D=0.5, mu_s=0.2, coulomb_floor=0.3,
+                          stiffness=schedule, target_policy=policy)  # fmt: skip
+        record = dynamics.joint_record(spec)
+        assert not record.flags.writeable
+        for state0 in (aj.initial_state(spec, q=0.3, q_dot=0.5, s_open=True), aj.initial_state(spec, q=0.45)):
+            for forces in (np.empty(0), np.array([4.0]), read_only, np.linspace(-3.0, 6.0, 9)[2:7]):
+                reference = [state0]
+                for f in forces.tolist():
+                    reference.append(reference_step(spec, reference[-1], f, dt))
+                for rec in (record, record.copy()):
+                    state = dataclasses.replace(state0)
+                    out, out_dot = np.full(len(forces) + 3, np.nan), np.full(len(forces) + 3, np.nan)
+                    dynamics._run(rec, state, forces, dt, out, out_dot)
+                    n = len(forces)
+                    assert list(map(bits, out[: n + 1])) == [bits(s.q) for s in reference]
+                    assert list(map(bits, out_dot[: n + 1])) == [bits(s.q_dot) for s in reference]
+                    assert np.isnan(out[n + 1 :]).all() and np.isnan(out_dot[n + 1 :]).all()
+                    assert fields(state) == fields(reference[-1])

@@ -759,6 +759,13 @@ def test_run_equals_the_per_tick_reference_at_crafted_crossings(drawer, trashcan
     assert runtime.properties == reference.properties == ({"bin/lid.marked": True} if falling_tick else {})
 
 
+@pytest.mark.parametrize("rising_tick", [1, scenario_mod._CHUNK + 1])
+def test_a_segment_cut_at_its_first_tick_on_the_python_loop(python_stepper, drawer, trashcan, rising_tick):
+    """A cut at a segment's first tick re-steps the watched joints and steps
+    the others over one-element slices of the segment's forces."""
+    test_run_equals_the_per_tick_reference_at_crafted_crossings(drawer, trashcan, rising_tick, None)
+
+
 @pytest.mark.parametrize("tick", [1, 200, scenario_mod._CHUNK, scenario_mod._CHUNK + 1])
 def test_signal_loop_leaves_the_runtime_at_the_firing_tick(drawer, trashcan, tick):
     """The tick whose rules raise SignalLoopError is stepped and counted, and

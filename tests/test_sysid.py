@@ -1,16 +1,20 @@
 """Parameter identification: problem validation, the objective, and
 recovery of known joint parameters from synthetic observations."""
 
+import copy
 import dataclasses
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import artjoint as aj
 from artjoint import cli, fixtures, sysid
@@ -158,6 +162,12 @@ def test_problem_is_frozen_and_replace_derives_afresh(slide):
             setattr(prob, name, value)
     with pytest.raises(ValueError):
         prob.observed_q[0] = 1.0  # a read-only copy: the finiteness check holds for good
+    # the force samples' address, read once, stays theirs: a copy shares the
+    # array, and no problem is rebuilt from pickled or deep-copied fields
+    assert copy.copy(prob).force_samples is prob.force_samples
+    for clone in (copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))):
+        with pytest.raises(TypeError):
+            clone(prob)
     shorter = aj.Trajectory(times=observed.times[:100], channels={"slide.q": observed.channel("slide.q")[:100]})
     cut = dataclasses.replace(prob, observed=shorter)
     assert np.array_equal(cut.force_samples, prob.force_samples[:99])
@@ -184,8 +194,87 @@ def test_residuals_take_exactly_the_free_parameters(slide):
     prob = problem_for(slide, observed_for(slide), ["damping_D"], {"damping_D": (5.0, 40.0)}, {"damping_D": 15.0})
     with pytest.raises(ValueError, match=r"params name\(s\) \['mu_s'\] are not free parameters"):
         sysid.residuals(prob, {"damping_D": 15.0, "mu_s": 0.1})
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match=r"params give no value for free parameter\(s\) \['damping_D'\]"):
         sysid.residuals(prob, {})
+    with pytest.raises(ValueError, match=r"no value for free parameter\(s\) \['damping_D'\]"):
+        sysid.residuals(prob, {"mu_s": 0.1})  # a stray name in place of a free one
+
+
+REST_PATHS = ("q_lower_bound", "q_upper_bound", "target_policy.q_threshold", "target_policy.q_target")
+OTHER_PATHS = ("damping_D", "mu_s", "coulomb_floor", "stiffness.k_low", "stiffness.alpha")
+BOXES = {
+    "q_lower_bound": (-0.3, 0.1),
+    "q_upper_bound": (0.9, 1.3),
+    "target_policy.q_threshold": (0.2, 0.8),
+    "target_policy.q_target": (0.2, 0.8),
+    "damping_D": (0.0, 5.0),
+    "mu_s": (0.0, 0.4),
+    "coulomb_floor": (0.0, 0.5),
+    "stiffness.k_low": (0.0, 2.0),
+    "stiffness.alpha": (0.0, 10.0),
+}
+
+
+@st.composite
+def residual_cases(draw):
+    """(problem, params): a scheduled joint with a latch or a fixed target,
+    free in at least one of the slots a rest state reads (the limits and
+    the target's threshold or position) and in some other parameters,
+    observed from a first sample that may lie outside the drawn limits,
+    started open or closed, and a point in its box."""
+    latched = draw(st.booleans())
+    target = "target_policy.q_threshold" if latched else "target_policy.q_target"
+    template = make_joint(
+        q_lower_bound=-0.1,
+        q_upper_bound=1.1,
+        damping_D=1.0,
+        mu_s=0.2,
+        coulomb_floor=0.1,
+        effective_inertia=0.5,
+        stiffness=aj.StiffnessSchedule(k_high=20.0, k_low=1.0, k_max=10.0, alpha=5.0, lambda_=8.0, q_threshold=0.5),
+        target_policy=aj.LatchTarget(q_threshold=0.5) if latched else aj.FixedTarget(q_target=0.5),
+    )
+    rest = [path for path in REST_PATHS if path.startswith("q_") or path == target]
+    free = draw(st.lists(st.sampled_from(rest), min_size=1, unique=True))
+    free += draw(st.lists(st.sampled_from(OTHER_PATHS), max_size=3, unique=True))
+    n, dt = draw(st.integers(10, 400)), 2e-3
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = rng.uniform(-0.2, 1.2, size=n)
+    q[0] = draw(st.sampled_from([-0.5, -0.3, -0.1, -0.0, 0.1, 0.5, 0.9, 1.1, 1.3, 1.5, float(q[0])]))
+    push, cut = draw(st.sampled_from([-12.0, -3.0, 0.0, 3.0, 12.0])), float(rng.uniform(0.0, n * dt))
+    problem = aj.FitProblem(
+        observed=aj.Trajectory(times=np.arange(n) * dt, channels={"j.q": q}),
+        forces=lambda t: push if t < cut else -0.5 * push,
+        spec_template=template,
+        free=free,
+        bounds={name: BOXES[name] for name in free},
+        init={name: sum(BOXES[name]) / 2 for name in free},
+        s_open0=draw(st.booleans()),
+    )
+    params = {name: draw(st.floats(*BOXES[name])) for name in free}
+    return problem, params
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(residual_cases())
+def test_residuals_are_the_forward_run_minus_the_observed_series(case):
+    """``residuals`` writes the free values into the template's record and
+    takes the rest state from it; the same joint built by ``apply_params``
+    and started by ``initial_state`` at the clamped first sample gives the
+    same positions, bit for bit."""
+    problem, params = case
+    spec = aj.apply_params(problem.spec_template, params)
+    q0 = min(max(float(problem.observed_q[0]), spec.q_lower_bound), spec.q_upper_bound)
+    state0 = aj.initial_state(spec, q=q0, s_open=problem.s_open0)
+    n = len(problem.observed_q)
+    series = aj.simulate_joint(spec, problem.forces, (n - 1) * problem.dt, problem.dt, state0=state0)
+    assert len(series) == n
+    expected = np.array([state.q for state in series]) - problem.observed_q
+    assert sysid.residuals(problem, params).tobytes() == expected.tobytes()
+
+
+def test_residuals_are_the_forward_run_minus_the_observed_series_on_the_python_loop(python_stepper):
+    test_residuals_are_the_forward_run_minus_the_observed_series()
 
 
 # ---------------------------------------------------------------------------
@@ -457,12 +546,16 @@ PINNED_FITS = {
         "0x1.5ce68cf830490p-100",
         157,
         2,
+        {"damping_D": "0x1.ab51df9e78328p-53", "mu_s": "0x1.477329a2462edp-49", "coulomb_floor": "0x1.684eb114512bep-47"},
+        "0x1.954d34f8520f6p+9",
     ),
     "seeded1": (
         {"damping_D": "0x1.0000000000000p+1", "mu_s": "0x1.99999999972acp-4", "coulomb_floor": "0x1.3333333333388p-2"},
         "0x1.64520545909a8p-97",
         224,
         3,
+        {"damping_D": "0x1.315b6b472f4e7p-51", "mu_s": "0x1.d3fb875c32ad2p-48", "coulomb_floor": "0x1.017885ce6d389p-45"},
+        "0x1.954d4a19cb881p+9",
     ),
 }
 
@@ -483,11 +576,14 @@ def benchmark_start(problem, seed):
 @pytest.mark.parametrize("label", sorted(PINNED_FITS))
 def test_fit_on_the_bundled_fitspec_is_pinned(drawer_sprung, label):
     problem = benchmark_start(drawer_sprung, 1) if label == "seeded1" else drawer_sprung
-    params, sse, n_evals, iterations = PINNED_FITS[label]
+    params, sse, n_evals, iterations, standard_errors, condition_number = PINNED_FITS[label]
     result = aj.fit(problem)
     assert result.params == {name: float.fromhex(value) for name, value in params.items()}
     assert result.residual_sse == float.fromhex(sse)
     assert (result.n_evals, result.iterations, result.converged) == (n_evals, iterations, True)
+    # the polish's reductions: the Jacobian columns and their pairwise dot products
+    assert result.standard_errors == {name: float.fromhex(value) for name, value in standard_errors.items()}
+    assert result.condition_number == float.fromhex(condition_number)
 
 
 # ---------------------------------------------------------------------------
