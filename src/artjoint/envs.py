@@ -17,6 +17,12 @@ its action force also loads every joint on that marker's root path through
 the marker Jacobian transpose (a prismatic joint feels the force along its
 world axis; a revolute joint the moment about its world anchor). There is no
 collision geometry and no reaction force on the effector.
+
+Every marker point a step reads comes from the runtime's one marker table per
+tick (:meth:`ScenarioRuntime.marker_table`), indexed by (placement, marker)
+pair, so a marker name shared by two modules resolves nothing. The table
+built after the tick for the handle observation serves the next step's
+nearest-marker search and contact Jacobian.
 """
 
 from __future__ import annotations
@@ -104,7 +110,7 @@ class ManipulationEnv:
         self.params = RewardParams(**self.config.reward_weights)
         self._goal = self.config.goal_joint
         self._goal_spec = scenario.joint(self._goal)
-        self._markers = [f"{pl.name}/{m.name}" for pl in scenario.assemblies for m in pl.assembly.markers()]
+        self._handle = -1  # the handle marker's index in the runtime's marker table
         self.runtime: ScenarioRuntime | None = None
         self.effector_pos = np.zeros(3)
         self.effector_vel = np.zeros(3)
@@ -117,24 +123,26 @@ class ManipulationEnv:
             [*self.effector_pos, *self.effector_vel, state.q, state.q_dot, *handle], dtype=float
         )
 
-    def _nearest_marker(self) -> tuple[str, float]:
-        best_ref, best_d2 = "", math.inf
-        ex, ey, ez = self.effector_pos
-        for ref in self._markers:
-            mx, my, mz = self.runtime.marker_position(ref)
+    def _nearest_marker(self) -> tuple[int, float]:
+        """Index in the marker table of the marker nearest the effector (-1
+        with no markers), and its distance."""
+        best, best_d2 = -1, math.inf
+        ex, ey, ez = self.effector_pos.tolist()
+        for i, (mx, my, mz) in enumerate(self.runtime.marker_table()):
             d2 = (mx - ex) ** 2 + (my - ey) ** 2 + (mz - ez) ** 2
             if d2 < best_d2:
-                best_ref, best_d2 = ref, d2
-        return best_ref, math.sqrt(best_d2) if best_d2 < math.inf else math.inf
+                best, best_d2 = i, d2
+        return best, math.sqrt(best_d2)
 
     # -- API ----------------------------------------------------------------
 
     def reset(self) -> np.ndarray:
         """Rebuild the initial state; deterministic (no seeding to do)."""
         self.runtime = ScenarioRuntime(self.scenario)
+        self._handle = self.runtime.markers.index(self.scenario.marker(self.config.handle_marker))
         self.effector_pos = np.array(self.config.effector_start, dtype=float)
         self.effector_vel = np.zeros(3)
-        return self._observation(self.runtime.marker_position(self.config.handle_marker))
+        return self._observation(self.runtime.marker_table()[self._handle])
 
     def step(self, action) -> tuple[np.ndarray, float, bool]:
         if self.runtime is None:
@@ -142,20 +150,19 @@ class ManipulationEnv:
         action = np.asarray(action, dtype=float)
         if action.shape != (3,):
             raise ActionOutOfBoundsError(f"action must be a 3-vector, got shape {action.shape}")
-        magnitude = float(np.linalg.norm(action))
-        if not np.all(np.isfinite(action)) or magnitude > self.config.action_max:
+        components = ax, ay, az = action.tolist()
+        magnitude = math.sqrt(ax * ax + ay * ay + az * az)  # the reward's smoothness order
+        if not all(map(math.isfinite, components)) or magnitude > self.config.action_max:
             raise ActionOutOfBoundsError(
                 f"|action|={magnitude:.6g} exceeds action_max={self.config.action_max}"
             )
 
         # Contact coupling: the action loads the nearest in-radius marker.
         extra: dict[str, float] = {}
-        ref, dist = self._nearest_marker()
-        if ref and dist <= self.config.contact_radius:
-            for joint_ref, column in self.runtime.marker_jacobian(ref).items():
-                extra[joint_ref] = (
-                    column[0] * action[0] + column[1] * action[1] + column[2] * action[2]
-                )
+        nearest, dist = self._nearest_marker()
+        if dist <= self.config.contact_radius:
+            for joint_ref, (cx, cy, cz) in self.runtime.table_jacobian(nearest).items():
+                extra[joint_ref] = cx * ax + cy * ay + cz * az
 
         self.runtime.tick(extra)
         dt = self.scenario.dt
@@ -163,7 +170,7 @@ class ManipulationEnv:
         self.effector_pos = self.effector_pos + dt * self.effector_vel
 
         state = self.runtime.states[self._goal]
-        handle = self.runtime.marker_position(self.config.handle_marker)
+        handle = self.runtime.marker_table()[self._handle]
         inputs = RewardInputs(
             effector_pos=tuple(self.effector_pos),
             effector_vel=tuple(self.effector_vel),

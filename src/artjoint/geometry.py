@@ -101,6 +101,15 @@ def quat_rotate(q: Quat, v: Vec3) -> Vec3:
     )
 
 
+def compose_parts(position: Vec3, orientation: Quat, other_position: Vec3, other_orientation: Quat) -> tuple[Vec3, Quat]:
+    """:meth:`Pose.compose` on bare components: ``(position, orientation)``
+    of ``self ∘ other``."""
+    return (
+        vec_add(position, quat_rotate(orientation, other_position)),
+        quat_normalize(quat_mul(orientation, other_orientation)),
+    )
+
+
 @dataclass(frozen=True)
 class Pose:
     """A rigid transform: rotate by ``orientation`` then translate by
@@ -112,10 +121,7 @@ class Pose:
 
     def compose(self, other: "Pose") -> "Pose":
         """Return ``self ∘ other`` (apply ``other`` within this frame)."""
-        return Pose(
-            position=vec_add(self.position, quat_rotate(self.orientation, other.position)),
-            orientation=quat_normalize(quat_mul(self.orientation, other.orientation)),
-        )
+        return Pose(*compose_parts(self.position, self.orientation, other.position, other.orientation))
 
     def transform_point(self, point: Vec3) -> Vec3:
         return vec_add(self.position, quat_rotate(self.orientation, point))

@@ -17,8 +17,12 @@ joint through ``dynamics._advance`` in plain floats and never loads the
 compiled stepper: the float64 buffers and ``ctypes`` conversions of a
 kernel call cost more than the one step they would carry. Marker
 channels come after the run, from one forward-kinematics call per placement
-over its whole joint series. Runs are seedless and bit-deterministic: the
-same scenario always yields the same bytes when exported.
+over its whole joint series. Per tick, the runtime evaluates the
+forward-kinematics plan it built for each placement (the same walk
+``forward_kinematics`` runs, without its configuration check) and derives
+from it one table of every marker's world point, which the env reads.
+Runs are seedless and bit-deterministic: the same scenario always yields
+the same bytes when exported.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 
 from . import assets as assets_mod
 from . import behaviors as bh
-from . import dynamics
+from . import dynamics, kinematics
 from .assets import Assembly, JointSpec, Marker, _as_float, _as_str, _as_vec, _check_keys, _decode_json, _require_dict, _require_list
 from .assets import _BOOL, _FLOAT, _SHAPES, _STR, _VEC3, _Codec, _declare, _list_of, _record, _tagged, _write
 from .errors import AssetSyntaxError, UnknownJointError
@@ -350,7 +354,9 @@ class ScenarioRuntime:
     a time: between firings the joints are independent, as effects never set
     ``q`` or ``q_dot`` and a ``SignalReceived`` fires only in the tick of an
     emit. Marker geometry at the current tick comes from :meth:`assembly_poses`,
-    which runs forward kinematics at most once per placement per tick.
+    which evaluates each placement's forward-kinematics plan, built once
+    here, at most once per tick. :meth:`marker_table` holds every marker's
+    world position at the tick, in :attr:`markers` order.
     """
 
     def __init__(self, scenario: Scenario):
@@ -370,7 +376,15 @@ class ScenarioRuntime:
         # the joints a trigger watches step first in a segment: they decide the cut
         self._watched = {trigger.joint: self.states[trigger.joint] for trigger in self._thresholds}
         self._others = {ref: state for ref, state in self.states.items() if ref not in self._watched}
+        # placement -> its FK plan and the live state of each plan joint, in plan order
+        self._plans: dict[str, tuple[kinematics.FKPlan, tuple[dynamics.JointState, ...]]] = {}
+        for pl in scenario.assemblies:
+            plan = kinematics.fk_plan(pl.assembly)
+            self._plans[pl.name] = plan, tuple(self.states[f"{pl.name}/{step.joint.id}"] for step in plan.joints)
         self._poses: dict[str, tuple[int, dict[str, Pose]]] = {}  # placement -> (k, module poses)
+        #: every (placement, marker) pair of the scenario, the keys of :meth:`marker_table`
+        self.markers = tuple((pl, marker) for pl in scenario.assemblies for marker in pl.assembly.markers())
+        self._table: tuple[int, tuple[Vec3, ...]] = (-1, ())  # (k, marker points)
         self.k = 0  # completed ticks
 
     @property
@@ -442,15 +456,27 @@ class ScenarioRuntime:
     def assembly_poses(self, pl: Placement) -> dict[str, Pose]:
         """Module poses of ``pl`` in its assembly frame at the current tick.
 
-        The runtime's only forward-kinematics call: memoized per placement
-        and keyed on the tick counter, since :meth:`advance` is the only
-        writer of ``states``. Callers must not mutate the returned dict.
+        The runtime's only pose walk: one ``kinematics.plan_poses`` call over
+        the placement's plan and live joint positions, unchecked (the
+        dynamics keep every position within its limits), memoized per
+        placement and keyed on the tick counter, since :meth:`advance` is
+        the only writer of ``states``. The poses equal
+        :func:`~artjoint.kinematics.forward_kinematics` at those positions.
+        Callers must not mutate the returned dict.
         """
         hit = self._poses.get(pl.name)
         if hit is None or hit[0] != self.k:
-            q = {j.id: self.states[f"{pl.name}/{j.id}"].q for j in pl.assembly.joints}
-            hit = self._poses[pl.name] = (self.k, forward_kinematics(pl.assembly, q))
+            plan, states = self._plans[pl.name]
+            hit = self._poses[pl.name] = (self.k, kinematics.plan_poses(plan, [state.q for state in states]))
         return hit[1]
+
+    def marker_table(self) -> tuple[Vec3, ...]:
+        """World position of each of :attr:`markers` at the current tick, in
+        that order, each equal to :meth:`marker_position` of its ref. Built
+        once per tick; callers must not rely on it across a tick."""
+        if self._table[0] != self.k:
+            self._table = self.k, tuple(_marker_point(pl, m, self.assembly_poses(pl)) for pl, m in self.markers)
+        return self._table[1]
 
     def marker_position(self, ref: str) -> Vec3:
         """World position (including the placement pose) of ``assembly/marker``."""
@@ -462,9 +488,15 @@ class ScenarioRuntime:
         root path: the joint's world axis for prismatic, axis × lever arm for
         revolute."""
         pl, marker = self.scenario.marker(ref)
-        poses = self.assembly_poses(pl)
-        point = self.marker_position(ref)
+        return self._jacobian(pl, marker, self.marker_position(ref))
 
+    def table_jacobian(self, i: int) -> dict[str, Vec3]:
+        """:meth:`marker_jacobian` of ``markers[i]``, at its table point."""
+        pl, marker = self.markers[i]
+        return self._jacobian(pl, marker, self.marker_table()[i])
+
+    def _jacobian(self, pl: Placement, marker: Marker, point: Vec3) -> dict[str, Vec3]:
+        poses = self.assembly_poses(pl)
         parent_joint = {j.child_module: j for j in pl.assembly.joints}
         columns: dict[str, Vec3] = {}
         module_id = marker.module_id

@@ -158,14 +158,20 @@ class FitProblem:
         samples = np.array([self.forces(k * self.dt) for k in range(len(self.observed_q) - 1)], dtype=float)
         samples.flags.writeable = False
         object.__setattr__(self, "force_samples", samples)
-        # read once for dynamics._run: the buffer never moves, a copy shares
-        # it, and a FitProblem neither pickles nor deep-copies (its mapping
-        # proxies refuse), so no problem holds another array's address
+        # read once for dynamics._run: the buffer never moves, and a copy,
+        # deep copy or unpickling is rebuilt through this constructor
+        # (__reduce__), so no problem holds another array's address
         object.__setattr__(self, "_forces_at", samples.ctypes.data)
         # every path passed apply_params above, so each names a record slot
         object.__setattr__(self, "record", joint_record(self.spec_template))
         object.__setattr__(self, "slots", tuple(RECORD_SLOTS[name] for name in self.free))
         object.__setattr__(self, "_q0", float(self.observed_q[0]))
+
+    def __reduce__(self):
+        """Pickle and deep-copy as a constructor call on the init fields, so
+        the copy derives its own force samples and their address."""
+        args = (self.observed, self.forces, self.spec_template, self.free, dict(self.bounds), dict(self.init))
+        return type(self), args + (self.channel, self.s_open0)
 
 
 def residuals(problem: FitProblem, params: Mapping[str, float]) -> np.ndarray:
@@ -193,9 +199,10 @@ def residuals(problem: FitProblem, params: Mapping[str, float]) -> np.ndarray:
 
 def objective(problem: FitProblem, params: Mapping[str, float]) -> float:
     """Sum of squared position error of the candidate's forward simulation at
-    the observed sample times: ``r . r`` of :func:`residuals`."""
+    the observed sample times: ``r . r`` of :func:`residuals`, squared in
+    the fresh residual array itself."""
     r = residuals(problem, params)
-    return pairwise_dot(r, r)
+    return pairwise_dot(r, r, out=r)
 
 
 @dataclass(frozen=True)

@@ -82,12 +82,13 @@ class ComparisonResult:
     n_samples: int
 
 
-def pairwise_dot(a: np.ndarray, b: np.ndarray) -> float:
+def pairwise_dot(a: np.ndarray, b: np.ndarray, out: "np.ndarray | None" = None) -> float:
     """``a . b`` of two 1-D arrays by numpy's own pairwise summation, the
     ``np.add.reduce`` loop ``np.sum`` runs, without its wrapper: BLAS
     ``dot`` threads long vectors, and its result then depends on the
-    thread count."""
-    return float(np.add.reduce(a * b))
+    thread count. ``out``, which may be ``a`` or ``b``, receives the
+    products in place of a fresh array."""
+    return float(np.add.reduce(np.multiply(a, b, out=out)))
 
 
 def compare(a: Trajectory, b: Trajectory) -> ComparisonResult:

@@ -11,7 +11,7 @@ import pytest
 import artjoint as aj
 from artjoint import dynamics
 from artjoint import fixtures as fx
-from artjoint import scenario as scenario_mod
+from artjoint import kinematics
 from artjoint.geometry import quat_from_axis_angle
 
 
@@ -49,16 +49,18 @@ def python_stepper(monkeypatch):
 
 @pytest.fixture()
 def fk_calls(monkeypatch) -> list[str]:
-    """The assembly id of every forward-kinematics call the scenario runtime
-    makes while the test runs."""
+    """The assembly id of every pose walk made while the test runs: each
+    ``kinematics.plan_poses`` call, the one entry both the runtime's
+    ``assembly_poses`` and ``forward_kinematics`` (``run``'s batched call)
+    evaluate a plan through."""
     calls: list[str] = []
-    original = scenario_mod.forward_kinematics
+    original = kinematics.plan_poses
 
-    def counting(assembly, q):
-        calls.append(assembly.id)
-        return original(assembly, q)
+    def counting(plan, values):
+        calls.append(plan.assembly_id)
+        return original(plan, values)
 
-    monkeypatch.setattr(scenario_mod, "forward_kinematics", counting)
+    monkeypatch.setattr(kinematics, "plan_poses", counting)
     return calls
 
 

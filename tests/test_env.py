@@ -1,6 +1,7 @@
 """Closure-task environment: reward shaping, action gating, and a scripted
 button-press-then-close-the-lid rollout."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -90,7 +91,7 @@ def test_step_computes_fk_once_per_placement(env, fk_calls):
     for _ in range(400):  # straight through the button cap along -y
         before = len(fk_calls)
         env.step(np.array([0.0, -9.9, 0.0]))
-        assert len(fk_calls) - before <= len(env.scenario.assemblies)
+        assert 1 <= len(fk_calls) - before <= len(env.scenario.assemblies)
         pressed = max(pressed, env.runtime.states["trashcan/button"].q)
     assert pressed > 0.0  # contact loaded the button through the Jacobian
 
@@ -163,3 +164,45 @@ def test_scripted_press_and_close(env):
     assert obs[6] == 0.0  # lid slammed fully shut
     assert reward > 10.0  # the closure term dominates at the end
     assert env.runtime.states["trashcan/lid"].s_open is False  # pedal re-latched it
+
+
+def test_marker_table_equals_marker_position_after_every_tick(env):
+    def check():
+        table = env.runtime.marker_table()
+        assert len(table) == len(env.runtime.markers) == 2
+        for point, (pl, marker) in zip(table, env.runtime.markers):
+            assert point == env.runtime.marker_position(f"{pl.name}/{marker.name}")
+
+    steps = 0
+    for phase, obs, _, _ in press_and_close(env):
+        check()
+        assert tuple(obs[8:11]) == env.runtime.marker_position(env.config.handle_marker)
+        steps += 1
+    assert phase == "push_lid" and steps > 1000
+    env.reset()
+    check()
+
+
+def test_a_marker_name_on_two_modules_still_steps_through_contact(env):
+    """A ``lid_rim`` copy on the bin makes the name ambiguous, which only
+    the per-module marker check allows; the contact search resolves no
+    names, so the real rim still loads the lid."""
+    base = env.scenario
+    (placement,) = base.assemblies
+    doubled = aj.assembly_to_dict(placement.assembly)
+    rim = next(m for m in doubled["markers"] if m["name"] == "lid_rim")
+    doubled["markers"].append({**rim, "module_id": "bin"})
+    with pytest.raises(aj.UnknownMarkerError, match="ambiguous"):
+        aj.marker_world(aj.assembly_from_dict(doubled), {"lid": 1.8, "button": 0.0}, "lid_rim")
+
+    rim_open = aj.ScenarioRuntime(base).marker_position("trashcan/lid_rim")
+    config = dataclasses.replace(base.env, effector_start=rim_open)
+    plain = aj.ManipulationEnv(dataclasses.replace(base, env=config))
+    twin_placement = dataclasses.replace(placement, assembly=aj.assembly_from_dict(doubled))
+    twin = aj.ManipulationEnv(dataclasses.replace(base, assemblies=(twin_placement,), env=config))
+    assert np.array_equal(twin.reset(), plain.reset())
+    push = np.array([0.0, 8.0, -2.0])  # toward closing the lid
+    for _ in range(100):
+        got, want = twin.step(push), plain.step(push)
+        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+    assert twin.runtime.states["trashcan/lid"].q < 1.8  # the contact loaded the lid

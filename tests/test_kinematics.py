@@ -5,12 +5,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import artjoint as aj
+from artjoint import fixtures as fx
 from artjoint.geometry import quat_from_axis_angle
-from artjoint.kinematics import clamp_to_limits, find_marker
+from artjoint.kinematics import clamp_to_limits, find_marker, fk_plan, joint_transform, plan_poses
 
-from conftest import make_joint, random_assembly
+from conftest import load_assembly, make_joint, random_assembly
 
 
 def zero_config(assembly):
@@ -193,3 +196,63 @@ def test_series_clamp_keeps_the_scalar_rule_for_signed_zeros():
     want = [clamp_to_limits(joint, v) for v in values]
     assert got == want
     assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in want]
+
+
+# ---------------------------------------------------------------------------
+# the plan walk against the walk it replaced
+
+
+def reference_poses(assembly, values):
+    """The pose walk ``forward_kinematics`` ran before it evaluated a plan:
+    rebuilt per call, depth first from the root, composing Pose objects."""
+    poses = {}
+    root = assembly.module(assembly.root_module)
+    poses[root.id] = assembly.base_frame.compose(root.rest_pose)
+    by_parent = {}
+    for joint in assembly.joints:
+        by_parent.setdefault(joint.parent_module, []).append(joint)
+    stack = [root.id]
+    while stack:
+        parent_id = stack.pop()
+        parent_pose = poses[parent_id]
+        for joint in by_parent.get(parent_id, ()):
+            child = assembly.module(joint.child_module)
+            poses[child.id] = parent_pose.compose(joint_transform(joint, values[joint.id])).compose(child.rest_pose)
+            stack.append(child.id)
+    return poses
+
+
+def pose_bits(poses):
+    """Every pose component's float64 bytes, module by module in order."""
+    return [(module_id, [np.asarray(x, dtype=float).tobytes() for x in pose_components(pose)]) for module_id, pose in poses.items()]
+
+
+BUNDLED = {name: load_assembly(name) for name in fx.FIXTURE_NAMES}
+
+
+@st.composite
+def in_limit_configurations(draw):
+    """A bundled assembly, or a random tree whose rest poses are not all the
+    identity, and a configuration inside its limits: floats, or arrays of
+    1-6 samples (bounds and signed zeros included)."""
+    bundled = st.sampled_from(fx.FIXTURE_NAMES).map(BUNDLED.get)
+    generated = st.integers(0, 2**32 - 1).map(lambda seed: random_assembly(np.random.default_rng(seed)))
+    assembly = draw(bundled | generated)
+    n = draw(st.none() | st.integers(1, 6))
+
+    def value(joint):
+        lo, hi = joint.bounds
+        sample = st.floats(lo, hi) | st.sampled_from((lo, hi, 0.0 if lo <= 0.0 <= hi else lo))
+        return draw(sample) if n is None else np.array(draw(st.lists(sample, min_size=n, max_size=n)))
+
+    return assembly, {joint.id: value(joint) for joint in assembly.joints}
+
+
+@settings(max_examples=300, deadline=None)
+@given(in_limit_configurations())
+def test_plan_poses_equal_the_old_walk_bit_for_bit(case):
+    assembly, q = case
+    want = pose_bits(reference_poses(assembly, q))
+    plan = fk_plan(assembly)
+    assert pose_bits(plan_poses(plan, [q[step.joint.id] for step in plan.joints])) == want
+    assert pose_bits(aj.forward_kinematics(assembly, q)) == want

@@ -162,12 +162,12 @@ def test_problem_is_frozen_and_replace_derives_afresh(slide):
             setattr(prob, name, value)
     with pytest.raises(ValueError):
         prob.observed_q[0] = 1.0  # a read-only copy: the finiteness check holds for good
-    # the force samples' address, read once, stays theirs: a copy shares the
-    # array, and no problem is rebuilt from pickled or deep-copied fields
-    assert copy.copy(prob).force_samples is prob.force_samples
-    for clone in (copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))):
-        with pytest.raises(TypeError):
-            clone(prob)
+    # the force samples' address, read once, stays theirs: every copy is
+    # rebuilt through the constructor and reads its own samples' address
+    for clone in (copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))):
+        twin = clone(prob)
+        assert twin.force_samples is not prob.force_samples
+        assert twin._forces_at == twin.force_samples.ctypes.data != prob._forces_at
     shorter = aj.Trajectory(times=observed.times[:100], channels={"slide.q": observed.channel("slide.q")[:100]})
     cut = dataclasses.replace(prob, observed=shorter)
     assert np.array_equal(cut.force_samples, prob.force_samples[:99])
@@ -593,6 +593,17 @@ DRAWER_SPRUNG_TRUTH = json.loads((Path(__file__).parents[1] / "perfbench" / "exp
     "drawer_sprung_truth"
 ]
 EVALS_PER_FIT = 300  # ceiling for one fit from a benchmark start; 157-224 are used
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))], ids=["deepcopy", "pickle"])
+def test_a_copied_problem_fits_to_the_same_bits(drawer_sprung, clone):
+    twin = clone(drawer_sprung)
+    assert twin._forces_at == twin.force_samples.ctypes.data
+    assert np.array_equal(twin.force_samples, drawer_sprung.force_samples)
+    assert (twin.free, twin.bounds, twin.init) == (drawer_sprung.free, drawer_sprung.bounds, drawer_sprung.init)
+    result, want = aj.fit(twin), aj.fit(drawer_sprung)
+    assert result.params == want.params and result.residual_sse == want.residual_sse
+    assert (result.n_evals, result.iterations, result.stop_reason) == (want.n_evals, want.iterations, want.stop_reason)
 
 
 def test_fit_reaches_the_truth_from_every_benchmark_start(drawer_sprung):
