@@ -18,11 +18,12 @@ the marker Jacobian transpose (a prismatic joint feels the force along its
 world axis; a revolute joint the moment about its world anchor). There is no
 collision geometry and no reaction force on the effector.
 
-Every marker point a step reads comes from the runtime's one marker table per
-tick (:meth:`ScenarioRuntime.marker_table`), indexed by (placement, marker)
+Every marker point a step reads comes from the runtime's marker table
+(:meth:`ScenarioRuntime.marker_table`), indexed by (placement, marker)
 pair, so a marker name shared by two modules resolves nothing. The table
-built after the tick for the handle observation serves the next step's
-nearest-marker search and contact Jacobian.
+is rebuilt only when a joint position changes; the one read after the tick
+for the handle observation serves the next step's nearest-marker search
+and contact Jacobian.
 """
 
 from __future__ import annotations

@@ -17,10 +17,11 @@ joint through ``dynamics._advance`` in plain floats and never loads the
 compiled stepper: the float64 buffers and ``ctypes`` conversions of a
 kernel call cost more than the one step they would carry. Marker
 channels come after the run, from one forward-kinematics call per placement
-over its whole joint series. Per tick, the runtime evaluates the
+over its whole joint series. For the env, the runtime evaluates the
 forward-kinematics plan it built for each placement (the same walk
-``forward_kinematics`` runs, without its configuration check) and derives
-from it one table of every marker's world point, which the env reads.
+``forward_kinematics`` runs, without its configuration check) whenever the
+bits of that placement's joint positions change, and rebuilds from it one
+table of every marker's world point, which the env reads.
 Runs are seedless and bit-deterministic: the same scenario always yields
 the same bytes when exported.
 """
@@ -29,10 +30,11 @@ from __future__ import annotations
 
 import bisect
 import math
+import struct
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 import numpy as np
 
@@ -353,10 +355,12 @@ class ScenarioRuntime:
     and tick counter. :meth:`advance` moves ``states`` in place a segment at
     a time: between firings the joints are independent, as effects never set
     ``q`` or ``q_dot`` and a ``SignalReceived`` fires only in the tick of an
-    emit. Marker geometry at the current tick comes from :meth:`assembly_poses`,
-    which evaluates each placement's forward-kinematics plan, built once
-    here, at most once per tick. :meth:`marker_table` holds every marker's
-    world position at the tick, in :attr:`markers` order.
+    emit. Marker geometry at the live joint positions comes from
+    :meth:`assembly_poses`, which evaluates each placement's
+    forward-kinematics plan, built once here, again only when the bits of
+    that placement's positions change. :meth:`marker_table` holds every
+    marker's world position, in :attr:`markers` order, and is rebuilt only
+    after a fresh pose walk.
     """
 
     def __init__(self, scenario: Scenario):
@@ -376,15 +380,21 @@ class ScenarioRuntime:
         # the joints a trigger watches step first in a segment: they decide the cut
         self._watched = {trigger.joint: self.states[trigger.joint] for trigger in self._thresholds}
         self._others = {ref: state for ref, state in self.states.items() if ref not in self._watched}
-        # placement -> its FK plan and the live state of each plan joint, in plan order
-        self._plans: dict[str, tuple[kinematics.FKPlan, tuple[dynamics.JointState, ...]]] = {}
+        # placement -> its FK plan, the live state of each plan joint in plan
+        # order, and the packer of their positions' bits, the poses' memo key
+        self._plans: dict[str, tuple[kinematics.FKPlan, tuple[dynamics.JointState, ...], Callable[..., bytes]]] = {}
+        self._parent_joint: dict[str, dict[str, kinematics.PlanJoint]] = {}  # placement -> child module -> its joint
         for pl in scenario.assemblies:
             plan = kinematics.fk_plan(pl.assembly)
-            self._plans[pl.name] = plan, tuple(self.states[f"{pl.name}/{step.joint.id}"] for step in plan.joints)
-        self._poses: dict[str, tuple[int, dict[str, Pose]]] = {}  # placement -> (k, module poses)
+            states = tuple(self.states[f"{pl.name}/{step.joint.id}"] for step in plan.joints)
+            self._plans[pl.name] = plan, states, struct.Struct(f"{len(states)}d").pack
+            self._parent_joint[pl.name] = {step.child: step for step in plan.joints}
+        self._poses: dict[str, tuple[bytes, dict[str, Pose]]] = {}  # placement -> (position bits, module poses)
+        self._walks = 0  # pose walks so far
         #: every (placement, marker) pair of the scenario, the keys of :meth:`marker_table`
         self.markers = tuple((pl, marker) for pl in scenario.assemblies for marker in pl.assembly.markers())
-        self._table: tuple[int, tuple[Vec3, ...]] = (-1, ())  # (k, marker points)
+        self._marked = tuple({pl.name: pl for pl, _ in self.markers}.values())  # placements with a marker
+        self._table: tuple[int, tuple[Vec3, ...]] = (-1, ())  # (walks when built, marker points)
         self.k = 0  # completed ticks
 
     @property
@@ -454,28 +464,34 @@ class ScenarioRuntime:
     # -- geometry -------------------------------------------------------------
 
     def assembly_poses(self, pl: Placement) -> dict[str, Pose]:
-        """Module poses of ``pl`` in its assembly frame at the current tick.
+        """Module poses of ``pl`` in its assembly frame at the live joint positions.
 
         The runtime's only pose walk: one ``kinematics.plan_poses`` call over
         the placement's plan and live joint positions, unchecked (the
         dynamics keep every position within its limits), memoized per
-        placement and keyed on the tick counter, since :meth:`advance` is
-        the only writer of ``states``. The poses equal
+        placement and keyed on the exact bits of those positions (``-0.0``
+        and ``0.0`` differ), so it follows any in-place write to a plan
+        joint's ``q`` in ``states``. The poses equal
         :func:`~artjoint.kinematics.forward_kinematics` at those positions.
         Callers must not mutate the returned dict.
         """
+        plan, states, pack = self._plans[pl.name]
+        q = [state.q for state in states]
+        bits = pack(*q)
         hit = self._poses.get(pl.name)
-        if hit is None or hit[0] != self.k:
-            plan, states = self._plans[pl.name]
-            hit = self._poses[pl.name] = (self.k, kinematics.plan_poses(plan, [state.q for state in states]))
+        if hit is None or hit[0] != bits:
+            self._walks += 1
+            hit = self._poses[pl.name] = bits, kinematics.plan_poses(plan, q)
         return hit[1]
 
     def marker_table(self) -> tuple[Vec3, ...]:
-        """World position of each of :attr:`markers` at the current tick, in
-        that order, each equal to :meth:`marker_position` of its ref. Built
-        once per tick; callers must not rely on it across a tick."""
-        if self._table[0] != self.k:
-            self._table = self.k, tuple(_marker_point(pl, m, self.assembly_poses(pl)) for pl, m in self.markers)
+        """World position of each of :attr:`markers` at the live joint
+        positions, in that order, each equal to :meth:`marker_position` of
+        its ref. Rebuilt only after a fresh pose walk, else the previous
+        tuple; callers must not rely on it after the state moves."""
+        poses = {pl.name: self.assembly_poses(pl) for pl in self._marked}
+        if self._table[0] != self._walks:
+            self._table = self._walks, tuple(_marker_point(pl, m, poses[pl.name]) for pl, m in self.markers)
         return self._table[1]
 
     def marker_position(self, ref: str) -> Vec3:
@@ -497,19 +513,18 @@ class ScenarioRuntime:
 
     def _jacobian(self, pl: Placement, marker: Marker, point: Vec3) -> dict[str, Vec3]:
         poses = self.assembly_poses(pl)
-        parent_joint = {j.child_module: j for j in pl.assembly.joints}
+        parent_joint = self._parent_joint[pl.name]
         columns: dict[str, Vec3] = {}
         module_id = marker.module_id
         while module_id in parent_joint:
-            joint = parent_joint[module_id]
-            parent_pose = pl.world_pose.compose(poses[joint.parent_module])
+            joint, module_id, _, _ = parent_joint[module_id]
+            parent_pose = pl.world_pose.compose(poses[module_id])
             axis_w = parent_pose.rotate(joint.axis)
             if joint.kind == assets_mod.PRISMATIC:
                 columns[f"{pl.name}/{joint.id}"] = axis_w
             else:
                 arm = vec_sub(point, parent_pose.transform_point(joint.anchor))
                 columns[f"{pl.name}/{joint.id}"] = vec_cross(axis_w, arm)
-            module_id = joint.parent_module
         return columns
 
 

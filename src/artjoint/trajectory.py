@@ -67,6 +67,10 @@ class Trajectory:
             and all(np.array_equal(self.channels[n], other.channels[n]) for n in self.channels)
         )
 
+    def __eq__(self, other) -> bool:
+        """:meth:`equals`; a trajectory stays unhashable."""
+        return self.equals(other) if isinstance(other, Trajectory) else NotImplemented
+
 
 @dataclass(frozen=True)
 class ChannelStats:

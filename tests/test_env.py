@@ -9,6 +9,8 @@ import pytest
 
 import artjoint as aj
 from artjoint import fixtures as fx
+from artjoint import kinematics
+from artjoint.scenario import _marker_point
 from conftest import press_and_close
 
 
@@ -91,7 +93,7 @@ def test_step_computes_fk_once_per_placement(env, fk_calls):
     for _ in range(400):  # straight through the button cap along -y
         before = len(fk_calls)
         env.step(np.array([0.0, -9.9, 0.0]))
-        assert 1 <= len(fk_calls) - before <= len(env.scenario.assemblies)
+        assert len(fk_calls) - before <= len(env.scenario.assemblies)  # none where no joint moved
         pressed = max(pressed, env.runtime.states["trashcan/button"].q)
     assert pressed > 0.0  # contact loaded the button through the Jacobian
 
@@ -181,6 +183,65 @@ def test_marker_table_equals_marker_position_after_every_tick(env):
     assert phase == "push_lid" and steps > 1000
     env.reset()
     check()
+
+
+def test_marker_table_equals_a_fresh_forward_kinematics_after_every_tick(env):
+    """The reference bypasses the runtime's memos: a checked
+    ``forward_kinematics`` call at the live positions, every coordinate
+    compared by its bits."""
+
+    def check():
+        runtime = env.runtime
+        for point, (pl, marker) in zip(runtime.marker_table(), runtime.markers):
+            q = {j.id: runtime.states[f"{pl.name}/{j.id}"].q for j in pl.assembly.joints}
+            want = _marker_point(pl, marker, kinematics.forward_kinematics(pl.assembly, q))
+            assert [x.hex() for x in point] == [x.hex() for x in want]
+
+    steps = 0
+    for phase, _, _, _ in press_and_close(env):
+        check()
+        steps += 1
+    assert phase == "push_lid" and steps > 1000
+    env.reset()
+    check()
+
+
+def test_marker_geometry_follows_a_direct_write_of_a_joint_position(env):
+    env.reset()
+    runtime = env.runtime
+    (placement,) = env.scenario.assemblies
+    rim = runtime.markers.index(env.scenario.marker("trashcan/lid_rim"))
+    before = runtime.marker_table()
+    runtime.states["trashcan/lid"].q = 0.9  # no tick: the counter stays at 0
+    after = runtime.marker_table()
+    want = placement.world_pose.transform_point(
+        aj.marker_world(placement.assembly, {"lid": 0.9, "button": runtime.states["trashcan/button"].q}, "lid_rim")
+    )
+    assert after[rim] != before[rim]
+    assert after[rim] == runtime.marker_position("trashcan/lid_rim") == want
+
+
+def test_a_signed_zero_flip_walks_the_poses_again(env, fk_calls):
+    env.reset()
+    runtime = env.runtime
+    runtime.states["trashcan/button"].q = -0.0
+    runtime.marker_table()
+    walks = len(fk_calls)
+    runtime.marker_table()
+    assert len(fk_calls) == walks  # the same bits: the memo holds
+    runtime.states["trashcan/button"].q = 0.0  # == -0.0, but other bits
+    runtime.marker_table()
+    assert len(fk_calls) == walks + 1
+
+
+def test_zero_actions_at_rest_walk_no_poses_after_the_first_table(env, fk_calls):
+    obs = env.reset()
+    assert fk_calls == ["trashcan"]
+    for _ in range(200):
+        assert env._nearest_marker()[1] > env.config.contact_radius
+        obs, _, _ = env.step(np.zeros(3))
+    assert (obs[6], obs[7]) == (1.8, 0.0)
+    assert fk_calls == ["trashcan"]
 
 
 def test_a_marker_name_on_two_modules_still_steps_through_contact(env):

@@ -606,6 +606,14 @@ def test_a_copied_problem_fits_to_the_same_bits(drawer_sprung, clone):
     assert (result.n_evals, result.iterations, result.stop_reason) == (want.n_evals, want.iterations, want.stop_reason)
 
 
+def test_a_problem_equals_its_replace_with_a_copied_trajectory(drawer_sprung):
+    observed = copy.deepcopy(drawer_sprung.observed)
+    assert observed is not drawer_sprung.observed
+    assert dataclasses.replace(drawer_sprung, observed=observed) == drawer_sprung
+    shorter = aj.Trajectory(times=observed.times[:100], channels={n: c[:100] for n, c in observed.channels.items()})
+    assert dataclasses.replace(drawer_sprung, observed=shorter) != drawer_sprung
+
+
 def test_fit_reaches_the_truth_from_every_benchmark_start(drawer_sprung):
     for seed in range(41):
         problem = benchmark_start(drawer_sprung, seed) if seed else drawer_sprung

@@ -44,6 +44,17 @@ def test_len_and_names():
     assert list(t.channel("a")) == [0, 0, 0]
 
 
+def test_equality_is_exact_and_trajectories_stay_unhashable():
+    a = make_trajectory([0.0, 0.1, 0.2], q=[0.3, 0.4, 0.5])
+    assert a == make_trajectory([0.0, 0.1, 0.2], q=[0.3, 0.4, 0.5])
+    assert a != make_trajectory([0.0, 0.1, 0.2], q=[0.3, 0.4, 0.6])
+    assert a != make_trajectory([0.0, 0.1, 0.2], r=[0.3, 0.4, 0.5])
+    assert a != make_trajectory([0.0, 0.1, 0.3], q=[0.3, 0.4, 0.5])
+    assert a != "q"
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(a)
+
+
 # ---------------------------------------------------------------------------
 # compare
 
