@@ -17,11 +17,12 @@ joint through ``dynamics._advance`` in plain floats and never loads the
 compiled stepper: the float64 buffers and ``ctypes`` conversions of a
 kernel call cost more than the one step they would carry. Marker
 channels come after the run, from one forward-kinematics call per placement
-over its whole joint series. For the env, the runtime evaluates the
-forward-kinematics plan it built for each placement (the same walk
-``forward_kinematics`` runs, without its configuration check) whenever the
-bits of that placement's joint positions change, and rebuilds from it one
-table of every marker's world point, which the env reads.
+over its whole joint series. For the env, the runtime keeps one geometry
+memo: whenever the bits of the joint positions that place a marker change,
+it walks the forward-kinematics plan it built for each placement with a
+marker (the same walk ``forward_kinematics`` runs, without its
+configuration check) and rebuilds one table of every marker's world point,
+which every marker query reads.
 Runs are seedless and bit-deterministic: the same scenario always yields
 the same bytes when exported.
 """
@@ -34,7 +35,7 @@ import struct
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, Union
+from typing import Iterator, Mapping, Union
 
 import numpy as np
 
@@ -173,7 +174,6 @@ class Scenario:
     env: "EnvConfig | None" = None
     _by_name: dict[str, Placement] = field(init=False, repr=False, compare=False)
     _joints: dict[str, JointSpec] = field(init=False, repr=False, compare=False)
-    _markers: dict[str, tuple[Placement, Marker]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "initial", MappingProxyType(dict(self.initial)))
@@ -191,7 +191,6 @@ class Scenario:
         object.__setattr__(
             self, "_joints", {f"{pl.name}/{j.id}": j for pl in self.assemblies for j in pl.assembly.joints}
         )
-        object.__setattr__(self, "_markers", {})
 
         if self.duration <= 0:
             raise AssetSyntaxError(f"duration must be > 0, got {self.duration}", "duration")
@@ -239,12 +238,9 @@ class Scenario:
 
     def marker(self, ref: str) -> tuple[Placement, Marker]:
         """The placement and marker ``assembly/marker`` names
-        (:class:`UnknownMarkerError` if none or ambiguous); memoized."""
-        hit = self._markers.get(ref)
-        if hit is None:
-            pl, local = self._placement(ref)
-            hit = self._markers[ref] = (pl, find_marker(pl.assembly, local))
-        return hit
+        (:class:`UnknownMarkerError` if none or ambiguous)."""
+        pl, local = self._placement(ref)
+        return pl, find_marker(pl.assembly, local)
 
 
 # --------------------------------------------------------------------------
@@ -352,25 +348,27 @@ class ScenarioRuntime:
     """Mutable run state shared by :func:`run` and the manipulation env.
 
     Owns one live joint state per joint, bound behavior rules, property bag,
-    and tick counter. :meth:`advance` moves ``states`` in place a segment at
-    a time: between firings the joints are independent, as effects never set
+    and tick counter. ``states`` is a read-only mapping: write a state's
+    fields, never replace it, as the runtime holds the same objects
+    elsewhere. :meth:`advance` moves the states in place a segment at a
+    time: between firings the joints are independent, as effects never set
     ``q`` or ``q_dot`` and a ``SignalReceived`` fires only in the tick of an
-    emit. Marker geometry at the live joint positions comes from
-    :meth:`assembly_poses`, which evaluates each placement's
-    forward-kinematics plan, built once here, again only when the bits of
-    that placement's positions change. :meth:`marker_table` holds every
-    marker's world position, in :attr:`markers` order, and is rebuilt only
-    after a fresh pose walk.
+    emit. Marker geometry at the live joint positions is one memo, read by
+    every marker query: the bits of the positions of the plan joints of the
+    placements with a marker, those placements' module poses, and
+    :meth:`marker_table`.
     """
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.joints = scenario._joints
         self.joint_records = {ref: dynamics.joint_record(joint) for ref, joint in self.joints.items()}
-        self.states: dict[str, dynamics.JointState] = {}
+        states: dict[str, dynamics.JointState] = {}
         for ref, joint in self.joints.items():
             init = scenario.initial.get(ref) or JointInit(q=min(max(0.0, joint.q_lower_bound), joint.q_upper_bound))
-            self.states[ref] = dynamics.initial_state(joint, q=init.q, q_dot=init.q_dot, s_open=init.s_open)
+            states[ref] = dynamics.initial_state(joint, q=init.q, q_dot=init.q_dot, s_open=init.s_open)
+        self._states = states  # what _segments iterates: the proxy costs a call per lookup
+        self.states: Mapping[str, dynamics.JointState] = MappingProxyType(states)
         self.rules = bh.bind({pl.name: pl.assembly for pl in scenario.assemblies})
         self.properties: dict[str, Union[float, bool]] = {}
         self._profiles: dict[str, list[ForceProfile]] = {}
@@ -378,23 +376,20 @@ class ScenarioRuntime:
             self._profiles.setdefault(schedule.joint, []).append(schedule.profile)
         self._thresholds = [r.trigger for r in self.rules if isinstance(r.trigger, bh.ThresholdCrossed)]
         # the joints a trigger watches step first in a segment: they decide the cut
-        self._watched = {trigger.joint: self.states[trigger.joint] for trigger in self._thresholds}
-        self._others = {ref: state for ref, state in self.states.items() if ref not in self._watched}
-        # placement -> its FK plan, the live state of each plan joint in plan
-        # order, and the packer of their positions' bits, the poses' memo key
-        self._plans: dict[str, tuple[kinematics.FKPlan, tuple[dynamics.JointState, ...], Callable[..., bytes]]] = {}
-        self._parent_joint: dict[str, dict[str, kinematics.PlanJoint]] = {}  # placement -> child module -> its joint
-        for pl in scenario.assemblies:
-            plan = kinematics.fk_plan(pl.assembly)
-            states = tuple(self.states[f"{pl.name}/{step.joint.id}"] for step in plan.joints)
-            self._plans[pl.name] = plan, states, struct.Struct(f"{len(states)}d").pack
-            self._parent_joint[pl.name] = {step.child: step for step in plan.joints}
-        self._poses: dict[str, tuple[bytes, dict[str, Pose]]] = {}  # placement -> (position bits, module poses)
-        self._walks = 0  # pose walks so far
+        self._watched = {trigger.joint: states[trigger.joint] for trigger in self._thresholds}
+        self._others = {ref: state for ref, state in states.items() if ref not in self._watched}
         #: every (placement, marker) pair of the scenario, the keys of :meth:`marker_table`
         self.markers = tuple((pl, marker) for pl in scenario.assemblies for marker in pl.assembly.markers())
-        self._marked = tuple({pl.name: pl for pl, _ in self.markers}.values())  # placements with a marker
-        self._table: tuple[int, tuple[Vec3, ...]] = (-1, ())  # (walks when built, marker points)
+        # the geometry memo's inputs: each placement with a marker and its FK
+        # plan, the live state of every joint of those plans in plan order,
+        # and the packer of their positions' bits, the memo key
+        self._plans = tuple((pl, kinematics.fk_plan(pl.assembly)) for pl in {pl.name: pl for pl, _ in self.markers}.values())
+        self._plan_states = tuple(states[f"{pl.name}/{step.joint.id}"] for pl, plan in self._plans for step in plan.joints)
+        self._pack = struct.Struct(f"{len(self._plan_states)}d").pack
+        # placement -> child module -> the plan joint that places it
+        self._parent_joint = {pl.name: {step.child: step for step in plan.joints} for pl, plan in self._plans}
+        # (position bits, placement -> module poses, marker table); None: not built yet
+        self._geometry: tuple["bytes | None", dict[str, dict[str, Pose]], tuple[Vec3, ...]] = (None, {}, ())
         self.k = 0  # completed ticks
 
     @property
@@ -424,7 +419,7 @@ class ScenarioRuntime:
         after each of its ``m`` ticks, and its records. A segment ends at a
         cut or after ``_CHUNK`` ticks; the rules run at its last tick. How
         a segment steps its joints: see the module doc."""
-        dt, joint_records, states = self.scenario.dt, self.joint_records, self.states
+        dt, joint_records, states = self.scenario.dt, self.joint_records, self._states
         end = self.k + n_ticks
         while self.k < end:
             n = min(end - self.k, _CHUNK)
@@ -463,56 +458,42 @@ class ScenarioRuntime:
 
     # -- geometry -------------------------------------------------------------
 
-    def assembly_poses(self, pl: Placement) -> dict[str, Pose]:
-        """Module poses of ``pl`` in its assembly frame at the live joint positions.
-
-        The runtime's only pose walk: one ``kinematics.plan_poses`` call over
-        the placement's plan and live joint positions, unchecked (the
-        dynamics keep every position within its limits), memoized per
-        placement and keyed on the exact bits of those positions (``-0.0``
-        and ``0.0`` differ), so it follows any in-place write to a plan
-        joint's ``q`` in ``states``. The poses equal
-        :func:`~artjoint.kinematics.forward_kinematics` at those positions.
-        Callers must not mutate the returned dict.
-        """
-        plan, states, pack = self._plans[pl.name]
-        q = [state.q for state in states]
-        bits = pack(*q)
-        hit = self._poses.get(pl.name)
-        if hit is None or hit[0] != bits:
-            self._walks += 1
-            hit = self._poses[pl.name] = bits, kinematics.plan_poses(plan, q)
-        return hit[1]
-
     def marker_table(self) -> tuple[Vec3, ...]:
         """World position of each of :attr:`markers` at the live joint
-        positions, in that order, each equal to :meth:`marker_position` of
-        its ref. Rebuilt only after a fresh pose walk, else the previous
-        tuple; callers must not rely on it after the state moves."""
-        poses = {pl.name: self.assembly_poses(pl) for pl in self._marked}
-        if self._table[0] != self._walks:
-            self._table = self._walks, tuple(_marker_point(pl, m, poses[pl.name]) for pl, m in self.markers)
-        return self._table[1]
+        positions, in that order; callers must not rely on it after the
+        state moves.
+
+        The geometry memo: it walks again, one unchecked
+        ``kinematics.plan_poses`` call per placement with a marker (the
+        dynamics keep every position within its limits), only when the
+        exact bits of those placements' joint positions change (``-0.0``
+        and ``0.0`` differ), so it follows any in-place write to a ``q``.
+        The poses equal :func:`~artjoint.kinematics.forward_kinematics` at
+        those positions.
+        """
+        q = [state.q for state in self._plan_states]
+        bits = self._pack(*q)
+        if bits != self._geometry[0]:
+            values = iter(q)
+            poses = {pl.name: kinematics.plan_poses(plan, [next(values) for _ in plan.joints]) for pl, plan in self._plans}
+            self._geometry = bits, poses, tuple(_marker_point(pl, m, poses[pl.name]) for pl, m in self.markers)
+        return self._geometry[2]
 
     def marker_position(self, ref: str) -> Vec3:
         """World position (including the placement pose) of ``assembly/marker``."""
-        pl, marker = self.scenario.marker(ref)
-        return _marker_point(pl, marker, self.assembly_poses(pl))
+        return self.marker_table()[self.markers.index(self.scenario.marker(ref))]
 
     def marker_jacobian(self, ref: str) -> dict[str, Vec3]:
-        """d(marker world position)/d(q_j) for every joint on the marker's
-        root path: the joint's world axis for prismatic, axis × lever arm for
-        revolute."""
-        pl, marker = self.scenario.marker(ref)
-        return self._jacobian(pl, marker, self.marker_position(ref))
+        """:meth:`table_jacobian` of the marker ``assembly/marker`` names."""
+        return self.table_jacobian(self.markers.index(self.scenario.marker(ref)))
 
     def table_jacobian(self, i: int) -> dict[str, Vec3]:
-        """:meth:`marker_jacobian` of ``markers[i]``, at its table point."""
+        """d(world position of ``markers[i]``)/d(q_j) for every joint on the
+        marker's root path: the joint's world axis for prismatic, axis ×
+        lever arm for revolute."""
         pl, marker = self.markers[i]
-        return self._jacobian(pl, marker, self.marker_table()[i])
-
-    def _jacobian(self, pl: Placement, marker: Marker, point: Vec3) -> dict[str, Vec3]:
-        poses = self.assembly_poses(pl)
+        point = self.marker_table()[i]
+        poses = self._geometry[1][pl.name]
         parent_joint = self._parent_joint[pl.name]
         columns: dict[str, Vec3] = {}
         module_id = marker.module_id

@@ -51,8 +51,9 @@ def python_stepper(monkeypatch):
 def fk_calls(monkeypatch) -> list[str]:
     """The assembly id of every pose walk made while the test runs: each
     ``kinematics.plan_poses`` call, the one entry both the runtime's
-    ``assembly_poses`` and ``forward_kinematics`` (``run``'s batched call)
-    evaluate a plan through."""
+    geometry memo (``ScenarioRuntime.marker_table``) and
+    ``forward_kinematics`` (``run``'s batched call) evaluate a plan
+    through."""
     calls: list[str] = []
     original = kinematics.plan_poses
 

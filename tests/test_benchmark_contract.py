@@ -2,13 +2,17 @@
 attributes by name, and its fit workload loads fitspecs through the CLI's
 loader and derives its seeded starts with ``dataclasses.replace``. Renaming
 or deleting any of them, or changing how a ``FitProblem`` is rebuilt, breaks
-a benchmark run, so this checks each here, where the fast suite notices."""
+a benchmark run, so this checks each here, where the fast suite notices.
+Moving a call off a traced attribute instead leaves the run working and
+reads 0 in its metrics, so one small traced pass of each workload must still
+reach the spans it reaches today."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +32,31 @@ def load_perfbench(name):
 
 
 tracing = load_perfbench("tracing")
+EXPECTED = json.loads((PERFBENCH_DIR / "expected.json").read_text(encoding="utf-8"))
+
+# per workload, the spans one small traced pass calls at least once
+REACHED_SPANS = {
+    "simulate": (
+        "scenario.load",
+        "scenario.run",
+        "scenario.forces",
+        "behaviors.evaluate",
+        "behaviors.apply",
+        "kinematics.fk",
+        "trajectory.export",
+        "trajectory.import",
+    ),
+    "fit": ("assets.parse_asset", "trajectory.import", "sysid.fit", "sysid.objective"),
+    "env": (
+        "scenario.load",
+        "envs.reset",
+        "envs.step",
+        "scenario.tick",
+        "scenario.forces",
+        "behaviors.evaluate",
+        "behaviors.apply",
+    ),
+}
 
 
 @pytest.mark.parametrize("span, owner_name, attr", tracing.TARGETS)
@@ -42,8 +71,7 @@ def test_fit_workload_loader_exists():
 
 def test_fit_workload_setup_builds_every_start(tmp_path):
     workloads = load_perfbench("workloads")
-    expected = json.loads((PERFBENCH_DIR / "expected.json").read_text(encoding="utf-8"))
-    fit = workloads.Fit(seed=4, small=False, work_dir=tmp_path, expected=expected)
+    fit = workloads.Fit(seed=4, small=False, work_dir=tmp_path, expected=EXPECTED)
     fit.setup()
     assert [label for label, _ in fit.problems] == ["shipped", "seeded1", "seeded2", "seeded3"]
     shipped = fit.problems[0][1]
@@ -51,3 +79,17 @@ def test_fit_workload_setup_builds_every_start(tmp_path):
         assert isinstance(problem, sysid.FitProblem)
         assert np.array_equal(problem.force_samples, shipped.force_samples)
     assert len({tuple(problem.init.values()) for _, problem in fit.problems}) == 4
+
+
+@pytest.mark.parametrize("name", sorted(REACHED_SPANS))
+def test_a_small_traced_pass_reaches_every_span(name, tmp_path):
+    workload = load_perfbench("workloads").WORKLOADS[name](1, True, tmp_path, EXPECTED)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        workload.setup()
+        result = workload.run_pass(1, tracer)
+    assert result.failed == 0, result.notes
+    calls = Counter()
+    for (_, _, span), (count, _, _) in tracer.stats.items():
+        calls[span] += count
+    assert [span for span in REACHED_SPANS[name] if calls[span] == 0] == []

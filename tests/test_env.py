@@ -20,6 +20,18 @@ def env():
     return aj.ManipulationEnv(scenario)
 
 
+@pytest.fixture()
+def drawer_beside(env, drawer):
+    """``trashcan_env`` plus a drawer 3 m away, out of the effector's reach,
+    pulled into its upper limit from t = 0.1 s on: in the scripted episode
+    some ticks move only the drawer (the approach) and some only the
+    trashcan (the press, with the drawer held at its limit)."""
+    base = env.scenario
+    placement = aj.Placement(name="drawer", assembly=drawer, world_pose=aj.Pose(position=(3.0, 0.0, 0.0)))
+    pull = aj.ForceSchedule("drawer/slide", aj.ConstantForce(20.0, t_start=0.1))
+    return aj.ManipulationEnv(dataclasses.replace(base, assemblies=(*base.assemblies, placement), forces=(pull,)))
+
+
 def inputs_at(effector=(0.0, 0.0, 0.0), vel=(0.0, 0.0, 0.0), handle=(0.0, 0.0, 0.0), q=0.0, lo=0.0, hi=1.0):
     return aj.RewardInputs(
         effector_pos=effector, effector_vel=vel, handle_pos=handle, q=q, q_lower=lo, q_upper=hi
@@ -87,15 +99,16 @@ def test_env_requires_env_block():
         aj.ManipulationEnv(aj.load_scenario(fx.scenario_path("drawer")))
 
 
-def test_step_computes_fk_once_per_placement(env, fk_calls):
-    env.reset()
-    pressed = 0.0
-    for _ in range(400):  # straight through the button cap along -y
-        before = len(fk_calls)
-        env.step(np.array([0.0, -9.9, 0.0]))
-        assert len(fk_calls) - before <= len(env.scenario.assemblies)  # none where no joint moved
-        pressed = max(pressed, env.runtime.states["trashcan/button"].q)
-    assert pressed > 0.0  # contact loaded the button through the Jacobian
+def test_step_computes_fk_once_per_placement(env, drawer_beside, fk_calls):
+    for scene in (env, drawer_beside):
+        scene.reset()
+        pressed = 0.0
+        for _ in range(400):  # straight through the button cap along -y
+            before = len(fk_calls)
+            scene.step(np.array([0.0, -9.9, 0.0]))
+            assert len(fk_calls) - before <= len(scene.scenario.assemblies)  # none where no joint moved
+            pressed = max(pressed, scene.runtime.states["trashcan/button"].q)
+        assert pressed > 0.0  # contact loaded the button through the Jacobian
 
 
 def test_step_before_reset_rejected(env):
@@ -185,25 +198,32 @@ def test_marker_table_equals_marker_position_after_every_tick(env):
     check()
 
 
-def test_marker_table_equals_a_fresh_forward_kinematics_after_every_tick(env):
-    """The reference bypasses the runtime's memos: a checked
+def test_marker_table_equals_a_fresh_forward_kinematics_after_every_tick(env, drawer_beside):
+    """The reference bypasses the runtime's memo: a checked
     ``forward_kinematics`` call at the live positions, every coordinate
-    compared by its bits."""
+    compared by its bits. Each marker's Jacobian by ref equals the one by
+    table index. The drawer scene has ticks that move only one of its two
+    placements' joints."""
 
-    def check():
-        runtime = env.runtime
-        for point, (pl, marker) in zip(runtime.marker_table(), runtime.markers):
+    def check(scene):
+        """Check every marker; return each placement's joint positions' bits."""
+        runtime = scene.runtime
+        for i, (point, (pl, marker)) in enumerate(zip(runtime.marker_table(), runtime.markers)):
             q = {j.id: runtime.states[f"{pl.name}/{j.id}"].q for j in pl.assembly.joints}
             want = _marker_point(pl, marker, kinematics.forward_kinematics(pl.assembly, q))
             assert [x.hex() for x in point] == [x.hex() for x in want]
+            assert runtime.marker_jacobian(f"{pl.name}/{marker.name}") == runtime.table_jacobian(i)
+        return [[runtime.states[f"{pl.name}/{j.id}"].q.hex() for j in pl.assembly.joints] for pl in scene.scenario.assemblies]
 
-    steps = 0
-    for phase, _, _, _ in press_and_close(env):
-        check()
-        steps += 1
-    assert phase == "push_lid" and steps > 1000
-    env.reset()
-    check()
+    for scene in (env, drawer_beside):
+        bits = []
+        for phase, _, _, _ in press_and_close(scene):
+            bits.append(check(scene))
+        assert phase == "push_lid" and len(bits) > 1000
+        scene.reset()
+        check(scene)
+    moved = {tuple(a != b for a, b in zip(before, after)) for before, after in zip(bits, bits[1:])}
+    assert {(True, False), (False, True)} <= moved  # the trashcan's joints alone, the drawer's alone
 
 
 def test_marker_geometry_follows_a_direct_write_of_a_joint_position(env):
@@ -219,6 +239,16 @@ def test_marker_geometry_follows_a_direct_write_of_a_joint_position(env):
     )
     assert after[rim] != before[rim]
     assert after[rim] == runtime.marker_position("trashcan/lid_rim") == want
+
+
+def test_runtime_states_cannot_be_replaced(env):
+    """The runtime holds each state object in more places than ``states``:
+    a state is written field by field, never replaced."""
+    env.reset()
+    lid = env.runtime.states["trashcan/lid"]
+    with pytest.raises(TypeError):
+        env.runtime.states["trashcan/lid"] = aj.initial_state(env.scenario.joint("trashcan/lid"), q=0.9)
+    assert env.runtime.states["trashcan/lid"] is lid
 
 
 def test_a_signed_zero_flip_walks_the_poses_again(env, fk_calls):
