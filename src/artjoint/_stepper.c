@@ -1,4 +1,7 @@
-/* The joint stepper of artjoint.dynamics._advance, statement for statement.
+/* The joint stepper of artjoint.dynamics._advance, statement for statement,
+   with two additions: it skips the drive on frozen ticks (the frozen skip,
+   below), and against an observed series it writes residuals and returns
+   their SSE, which dynamics._run computes around the Python loop.
 
    artjoint.dynamics builds this file with
        cc -O2 -fPIC -shared -ffp-contract=off -lm
@@ -10,12 +13,25 @@
    model changes _advance and this function together; tests/test_rollout.py
    holds both to the same reference bit for bit.
 
-   record: the packed joint record, slots as in dynamics.RECORD_SLOTS.
-   state:  q, q_dot, s_open, regime (0 static, 1 kinetic), held_target;
-           advanced in place.
-   forces: n external efforts, one per step.
-   out:    receives the n new positions.
-   out_dot: receives the n new velocities, or is NULL for positions only. */
+   record:   the packed joint record, slots as in dynamics.RECORD_SLOTS.
+   start:    the state the run starts from: q, q_dot, s_open, regime
+             (0 static, 1 kinetic), held_target.
+   end:      receives the state after the last step, or is NULL; it may be
+             start.
+   forces:   n external efforts, one per step (not read when n is 0).
+   observed: n + 1 observed positions, or NULL.
+   out:      receives n + 1 positions, the start's and one after each step;
+             with observed, each minus its observed sample.
+   out_dot:  receives the n + 1 velocities likewise, or is NULL.
+   Returns the sum of squares of out with observed, as np.add.reduce on
+   out * out gives it (pairwise_squares), and 0.0 without.
+
+   The frozen skip: a step that freezes leaves q at rest with q_dot = +0.0,
+   so the next step evaluates the same stiffness, target and |tau| (a signed
+   zero in tau changes no magnitude), and so the same breakaway threshold.
+   Every following step whose |f| stays within it freezes again; those are
+   written without evaluating the drive, and the first step past it runs
+   the loop body in full. */
 
 #include <math.h>
 
@@ -24,8 +40,44 @@ enum { LO, HI, DAMPING, V_TARGET, MU_S, FLOOR, INERTIA, K, K_HIGH, K_LOW, K_MAX,
 enum { Q, Q_DOT, S_OPEN, REGIME, HELD_TARGET };
 enum { STATIC, KINETIC };
 
-void artjoint_advance(const double *record, double *state, const double *forces, long n, double dt, double *out,
-                      double *out_dot)
+static inline void put(long i, double q, double q_dot, const double *observed, double *out, double *out_dot)
+{
+    out[i] = observed ? q - observed[i] : q;
+    if (out_dot)
+        out_dot[i] = q_dot;
+}
+
+/* numpy's pairwise summation of the squares of a[0 .. m-1]: 8 accumulators
+   up to 128 terms, else the halves split at m / 2 rounded down to a
+   multiple of 8. */
+static double pairwise_squares(const double *a, long m)
+{
+    if (m < 8) {
+        double s = 0.0;
+        for (long i = 0; i < m; i++)
+            s += a[i] * a[i];
+        return s;
+    }
+    if (m <= 128) {
+        double r[8];
+        long i;
+        for (int j = 0; j < 8; j++)
+            r[j] = a[j] * a[j];
+        for (i = 8; i < m - m % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += a[i + j] * a[i + j];
+        double s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < m; i++)
+            s += a[i] * a[i];
+        return s;
+    }
+    long half = m / 2;
+    half -= half % 8;
+    return pairwise_squares(a, half) + pairwise_squares(a + half, m - half);
+}
+
+double artjoint_advance(const double *record, const double *start, double *end, const double *forces, long n,
+                        double dt, const double *observed, double *out, double *out_dot)
 {
     const double lo = record[LO], hi = record[HI];
     const double damping = record[DAMPING], v_target = record[V_TARGET];
@@ -35,12 +87,13 @@ void artjoint_advance(const double *record, double *state, const double *forces,
     const double alpha = record[ALPHA], lam = record[LAMBDA], k_edge = record[K_EDGE];
     const double t_edge = record[TARGET];
     double k = record[K] > 0.0 ? record[K] : 0.0;
-    double q_target = latched ? state[HELD_TARGET] : record[TARGET]; /* a latch keeps its last target */
-    double q = state[Q], q_dot = state[Q_DOT];
-    const int s_open = state[S_OPEN] != 0.0;
-    double regime = state[REGIME];
-    for (long i = 0; i < n; i++) {
-        const double f = forces[i];
+    double q_target = latched ? start[HELD_TARGET] : record[TARGET]; /* a latch keeps its last target */
+    double q = start[Q], q_dot = start[Q_DOT];
+    const int s_open = start[S_OPEN] != 0.0;
+    double regime = start[REGIME];
+    put(0, q, q_dot, observed, out, out_dot);
+    for (long i = 1; i <= n; i++) {
+        const double f = forces[i - 1];
         if (scheduled) {
             if (q <= lo)
                 k = k_high;
@@ -63,9 +116,9 @@ void artjoint_advance(const double *record, double *state, const double *forces,
             const double breakaway = mu_s * fabs(tau) + floor_;
             if (fabs(f) <= breakaway) {
                 q_dot = 0.0, regime = STATIC; /* frozen, velocity exactly +0.0 */
-                out[i] = q;
-                if (out_dot)
-                    out_dot[i] = 0.0;
+                put(i, q, 0.0, observed, out, out_dot);
+                while (i < n && fabs(forces[i]) <= breakaway) /* the frozen skip */
+                    put(++i, q, 0.0, observed, out, out_dot);
                 continue;
             }
             friction = f > 0.0 ? -breakaway : breakaway;
@@ -79,9 +132,11 @@ void artjoint_advance(const double *record, double *state, const double *forces,
             q = lo, q_dot = 0.0;
         else if (q >= hi)
             q = hi, q_dot = 0.0;
-        out[i] = q;
-        if (out_dot)
-            out_dot[i] = q_dot;
+        put(i, q, q_dot, observed, out, out_dot);
     }
-    state[Q] = q, state[Q_DOT] = q_dot, state[REGIME] = regime, state[HELD_TARGET] = q_target;
+    if (end) {
+        end[Q] = q, end[Q_DOT] = q_dot, end[S_OPEN] = s_open, end[REGIME] = regime;
+        end[HELD_TARGET] = q_target;
+    }
+    return observed ? 0.0 + pairwise_squares(out, n + 1) : 0.0;
 }

@@ -31,16 +31,24 @@ is a C copy of the loop, built with ``cc -O2 -fPIC -shared
 one ``math.exp`` calls, so it gives the loop's bits.
 
 :func:`_run` is the one entry that steps a joint over an array of forces,
-for :func:`rollout`, ``sysid.residuals`` and every scenario runtime segment
-of more than one tick: one call of the compiled stepper, whatever the
-length. The call passes the state packed into a 5-slot ctypes array,
-read back after the call, and the addresses of the record, the forces
-and the output series: a writable buffer's through a ctypes view
-(``c_double.from_buffer``, about a quarter of the cost of reading
-``ndarray.ctypes.data``), a read-only one's from ``ndarray.ctypes``
-unless the caller passes it (``FitProblem`` reads its force samples'
-address once, when built), and NULL for a series of no forces, where the
-stepper reads and writes none.
+for :func:`rollout`, ``sysid.residuals`` and ``sysid.objective``, and
+every scenario runtime segment of more than one tick: one call of the
+compiled stepper, whatever the length. Given an observed series, the
+call writes each position minus its sample and returns the sum of their
+squares, summed in numpy's pairwise order, so it equals
+``trajectory.pairwise_dot`` bit for bit; the Python loop computes it with
+``pairwise_dot``. The call passes the addresses of the record, the
+start state, the forces, the observed series and the output series (a
+writable buffer's through a ctypes view, ``c_double.from_buffer``, about
+a quarter of the cost of reading ``ndarray.ctypes.data``), and NULL for
+what is absent, including the forces of a run of none, where the stepper
+reads none. A :class:`JointState` is packed into a 5-slot ctypes array,
+passed as start and end and read back after the call; the fit passes a
+start row and its whole argument tuple, bound once per problem and thread
+(``sysid``), and takes no end state. Once a step freezes the joint, the
+compiled stepper writes each following tick whose force stays within the
+breakaway threshold without evaluating the drive again (``_stepper.c``
+says why that gives the loop's bits).
 
 The library is built on the first :func:`_run`, never on import,
 cached under ``$XDG_CACHE_HOME/artjoint`` (else ``~/.cache/artjoint``),
@@ -73,6 +81,7 @@ import numpy as np
 from .assets import ConstantStiffness, FixedTarget, JointSpec, StiffnessProfile, TargetPolicy, ValidationReport
 from .assets import check_joint, raise_on_issues
 from .errors import NonPositiveDtError, UnstableDtError
+from .trajectory import pairwise_dot
 
 DT_MAX = 0.01  # stability guard for the explicit part of the stepper
 
@@ -110,10 +119,9 @@ RECORD_SLOTS = {
     "target_policy.q_target": 14,
 }
 _SCHEDULED, _LATCHED, _RECORD_SIZE = 15, 16, 17
-# the slots a rest state reads, from the record as a list
-_rest_slots = operator.itemgetter(
-    RECORD_SLOTS["q_lower_bound"], RECORD_SLOTS["q_upper_bound"], RECORD_SLOTS["target_policy.q_target"], _LATCHED
-)
+# the slots a rest state reads, and a getter of them from the record as a list
+_REST_SLOTS = (RECORD_SLOTS["q_lower_bound"], RECORD_SLOTS["q_upper_bound"], RECORD_SLOTS["target_policy.q_target"], _LATCHED)
+_rest_slots = operator.itemgetter(*_REST_SLOTS)
 
 
 @dataclass(slots=True)
@@ -356,49 +364,74 @@ def rollout(spec: JointSpec, forces: Sequence[float], dt: float, state0: JointSt
 
 
 def _run(
-    record: np.ndarray, state: JointState, forces: np.ndarray, dt: float, out: np.ndarray, out_dot=None, forces_at=None
-) -> None:
-    """Advance ``state`` in place over the contiguous float64 ``forces``,
-    writing its position before the first step and after each into ``out``
-    (contiguous float64, at least ``len(forces) + 1`` long) and, if given,
-    its velocities likewise into ``out_dot``. ``forces_at`` is the address
-    of ``forces``' buffer where the caller already holds it (a buffer that
-    never moves); it is read here otherwise. The caller checks ``dt``.
-    One call of the compiled stepper, or :func:`_advance` where it does not
-    load (see the module doc).
+    record: np.ndarray, state, forces: np.ndarray, dt: float, out: np.ndarray, out_dot=None, observed=None, args=None
+) -> float:
+    """Step the joint of ``record`` over the contiguous float64 ``forces``
+    from ``state``: a :class:`JointState`, advanced in place, or a start row
+    (5 float64 in ``_stepper.c``'s order), left as is. Writes its position
+    before the first step and after each into ``out`` (contiguous float64,
+    at least ``len(forces) + 1`` long), each minus its sample where
+    ``observed`` (as long) is given, and, if given, its velocities likewise
+    into ``out_dot``. Returns the sum of squares of those residuals, as
+    ``trajectory.pairwise_dot`` gives it, or 0.0 with no ``observed``.
+    ``args`` is :func:`_args` of these buffers, for a row ``state``, where
+    the caller holds it (buffers that never move); it is built here
+    otherwise. The caller checks ``dt``. One call of the compiled stepper,
+    or :func:`_advance` where it does not load (see the module doc).
     """
     kernel = _kernel()[0]
     if kernel is None:
-        q, q_dot = [state.q], [state.q_dot]
-        _advance(record, state, forces.tolist(), dt, q, q_dot if out_dot is not None else None)
-        out[: len(q)] = q
-        if out_dot is not None:
-            out_dot[: len(q_dot)] = q_dot
-        return
-    out[0] = state.q
-    if out_dot is not None:
-        out_dot[0] = state.q_dot
-    n = len(forces)
-    out_at = dots_at = None
-    if n:  # with no forces the stepper reads and writes no series, and an empty buffer has no address
-        if forces_at is None:
-            forces_at = _address(forces)
-        out_at = _address(out, 1)
-        if out_dot is not None:
-            dots_at = _address(out_dot, 1)
-    packed = _PackedState.from_buffer_copy(_PACK(state.q, state.q_dot, state.s_open, state.regime is _KINETIC, state.held_target))
-    kernel(_address(record), packed, forces_at, n, dt, out_at, dots_at)
+        return _python_run(record, state, forces, dt, out, out_dot, observed)
+    if type(state) is not JointState:
+        return kernel(*(args or _args(record, _address(state), None, forces, dt, out, out_dot, observed)))
+    packed = _PackedState.from_buffer_copy(_PACK(*_row(state)))
+    sse = kernel(*_args(record, packed, packed, forces, dt, out, out_dot, observed))
     state.q, state.q_dot, _, regime, state.held_target = packed[:]
     state.regime = _KINETIC if regime else _STATIC
+    return sse
 
 
-def _address(a: np.ndarray, offset: int = 0) -> int:
-    """The address of float ``offset`` of the contiguous float64 array
-    ``a``, which holds more than ``offset`` floats: through a ctypes view
-    where ``a`` is writable, a quarter of the cost of ``a.ctypes.data``."""
+def _args(record, start, end, forces, dt, out, out_dot=None, observed=None) -> tuple:
+    """The compiled stepper's arguments for :func:`_run`'s buffers: the
+    addresses of the arrays, NULL (``None``) for an absent series and for
+    the forces of a run of none (an empty buffer has no address), and
+    ``start`` and ``end`` as given (an address, a ctypes array or None)."""
+    n = len(forces)
+    return (
+        _address(record), start, end, _address(forces) if n else None, n, dt,
+        None if observed is None else _address(observed), _address(out), None if out_dot is None else _address(out_dot),
+    )  # fmt: skip
+
+
+def _row(state: JointState) -> tuple:
+    """``state`` as the stepper's row: its five slots in ``_stepper.c``'s order."""
+    return state.q, state.q_dot, state.s_open, state.regime is _KINETIC, state.held_target
+
+
+def _python_run(record, state, forces, dt, out, out_dot, observed) -> float:
+    """:func:`_run` on the Python loop."""
+    if type(state) is not JointState:
+        q, q_dot, s_open, regime, held = state.tolist()
+        state = JointState(q, q_dot, s_open != 0.0, _KINETIC if regime else _STATIC, held)
+    q, q_dot = [state.q], [state.q_dot]
+    _advance(record, state, forces.tolist(), dt, q, q_dot if out_dot is not None else None)
+    if out_dot is not None:
+        out_dot[: len(q_dot)] = q_dot
+    if observed is None:
+        out[: len(q)] = q
+        return 0.0
+    r = out[: len(q)]
+    np.subtract(q, observed, out=r)
+    return pairwise_dot(r, r)
+
+
+def _address(a: np.ndarray) -> int:
+    """The address of the contiguous, non-empty float64 array ``a``: through
+    a ctypes view where ``a`` is writable, a quarter of the cost of
+    ``a.ctypes.data``."""
     if a.flags.writeable:
-        return ctypes.addressof(_DOUBLE.from_buffer(a, 8 * offset))
-    return a.ctypes.data + 8 * offset
+        return ctypes.addressof(_DOUBLE.from_buffer(a))
+    return a.ctypes.data
 
 
 def _advance(record: np.ndarray, state: JointState, forces: Iterable[float], dt: float, out: list, out_dot=None) -> None:
@@ -545,6 +578,6 @@ def _build(cc: str, source: bytes, path: Path) -> None:
 def _bind(path: Path) -> Callable:
     kernel = ctypes.CDLL(str(path)).artjoint_advance
     pointer = ctypes.c_void_p
-    kernel.argtypes = (pointer, pointer, pointer, ctypes.c_long, ctypes.c_double, pointer, pointer)
-    kernel.restype = None
+    kernel.argtypes = (pointer, pointer, pointer, pointer, ctypes.c_long, ctypes.c_double, pointer, pointer, pointer)
+    kernel.restype = ctypes.c_double
     return kernel

@@ -4,7 +4,10 @@ A :class:`FitProblem`, frozen and derived once when built, pairs an observed
 position series with a joint spec template and a set of free parameter
 paths (e.g. ``"damping_D"``, ``"stiffness.k_max"``). :func:`residuals` is
 one forward run of the candidate minus the observed samples; :func:`objective`
-is their sum of squares. :func:`fit` minimizes it in two stages:
+is their sum of squares. Each is one ``dynamics._run`` over buffers each
+thread binds at its first evaluation of a problem, so an evaluation only
+writes the free parameters before the call. :func:`fit` minimizes the
+objective in two stages:
 
 - a global stage of coordinate-wise golden-section sweeps over the whole
   parameter boxes, which leaves the stiction plateau (where the joint never
@@ -17,7 +20,9 @@ The evaluation budget (default 5000) caps both stages together.
 :attr:`FitResult.stop_reason` says why a fit ended. Everything is
 deterministic: ties inside a line search keep the smaller parameter value,
 the difference steps and their order are fixed, and every reduction runs in
-numpy's own loops or plain floats, never in a threaded BLAS or LAPACK call.
+numpy's pairwise order (the compiled stepper sums the objective's squares
+in that order itself), numpy's own loops or plain floats, never in a
+threaded BLAS or LAPACK call.
 
 Simulation convention: the forward run starts at rest at the first observed
 sample (``q0 = observed[0]``, ``q_dot0 = 0``), with the open flag from the
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 import types
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -89,7 +95,7 @@ class FitProblem:
     record: np.ndarray = field(init=False, repr=False, compare=False)
     slots: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _q0: float = field(init=False, repr=False, compare=False)
-    _forces_at: int = field(init=False, repr=False, compare=False)
+    _threads: threading.local = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if hasattr(self.forces, "value_at"):
@@ -158,51 +164,91 @@ class FitProblem:
         samples = np.array([self.forces(k * self.dt) for k in range(len(self.observed_q) - 1)], dtype=float)
         samples.flags.writeable = False
         object.__setattr__(self, "force_samples", samples)
-        # read once for dynamics._run: the buffer never moves, and a copy,
-        # deep copy or unpickling is rebuilt through this constructor
-        # (__reduce__), so no problem holds another array's address
-        object.__setattr__(self, "_forces_at", samples.ctypes.data)
         # every path passed apply_params above, so each names a record slot
         object.__setattr__(self, "record", joint_record(self.spec_template))
         object.__setattr__(self, "slots", tuple(RECORD_SLOTS[name] for name in self.free))
         object.__setattr__(self, "_q0", float(self.observed_q[0]))
+        # each thread's _Buffers, bound at its first evaluation: a copy, deep
+        # copy or unpickling is rebuilt through this constructor
+        # (__reduce__), so no problem holds another's buffers or addresses
+        object.__setattr__(self, "_threads", threading.local())
 
     def __reduce__(self):
         """Pickle and deep-copy as a constructor call on the init fields, so
-        the copy derives its own force samples and their address."""
+        the copy derives its own arrays and binds its own buffers."""
         args = (self.observed, self.forces, self.spec_template, self.free, dict(self.bounds), dict(self.init))
         return type(self), args + (self.channel, self.s_open0)
 
 
+class _Buffers:
+    """One thread's buffers for evaluating a problem, bound at its first
+    evaluation: a writable copy of the record, the start row, the residual
+    series and the stepper's arguments over them and the problem's arrays
+    (:func:`~artjoint.dynamics._args`). The start row is the rest state at
+    the clamped first sample, taken once unless a free parameter sits in a
+    slot it reads. ctypes releases the GIL while the stepper runs, so no
+    two threads share these."""
+
+    def __init__(self, problem: FitProblem):
+        self.record = problem.record.copy()
+        self.start = np.empty(5)
+        self.rest_is_free = not set(problem.slots).isdisjoint(dynamics._REST_SLOTS)
+        if not self.rest_is_free:
+            self.start[:] = dynamics._row(_rest_state(self.record, problem._q0, problem.s_open0))
+        self.out = np.empty(len(problem.observed_q))
+        self.args = dynamics._args(
+            self.record, dynamics._address(self.start), None, problem.force_samples, problem.dt, self.out, None, problem.observed_q
+        )
+
+    def run(self, problem: FitProblem, params: Mapping[str, float]) -> float:
+        """Write ``params`` into the record (and the start row where it reads
+        them), make one ``dynamics._run`` and return its SSE, leaving the
+        residuals in ``out``."""
+        record = self.record
+        try:
+            for name, slot in zip(problem.free, problem.slots):
+                record[slot] = params[name]
+        except KeyError:
+            missing = [name for name in problem.free if name not in params]
+            raise ValueError(f"params give no value for free parameter(s) {missing}") from None
+        if len(params) != len(problem.free):
+            raise ValueError(f"params name(s) {sorted(set(params) - set(problem.free))} are not free parameters")
+        if self.rest_is_free:
+            self.start[:] = dynamics._row(_rest_state(record, problem._q0, problem.s_open0))
+        return dynamics._run(
+            record, self.start, problem.force_samples, problem.dt, self.out, None, problem.observed_q, self.args
+        )
+
+
+def _buffers(problem: FitProblem) -> _Buffers:
+    """The calling thread's buffers for ``problem``, bound on its first call."""
+    threads = problem._threads
+    try:
+        return threads.buffers
+    except AttributeError:
+        threads.buffers = _Buffers(problem)
+        return threads.buffers
+
+
 def residuals(problem: FitProblem, params: Mapping[str, float]) -> np.ndarray:
     """Simulated minus observed position at each observed sample time, for
-    ``params`` giving each free parameter a value. The simulation is one
-    ``dynamics._run`` of the template's record with those values in their
-    slots, on the problem's force samples from rest at the clamped first
-    sample (:func:`~artjoint.dynamics.initial_state`'s rule), keeping
-    positions only. A free parameter missing from ``params``, or a name in
-    it that is not free, raises ``ValueError`` naming it."""
-    record = problem.record.copy()
-    try:
-        for name, slot in zip(problem.free, problem.slots):
-            record[slot] = params[name]
-    except KeyError:
-        missing = [name for name in problem.free if name not in params]
-        raise ValueError(f"params give no value for free parameter(s) {missing}") from None
-    if len(params) != len(problem.free):
-        raise ValueError(f"params name(s) {sorted(set(params) - set(problem.free))} are not free parameters")
-    state0 = _rest_state(record, problem._q0, problem.s_open0)
-    out = np.empty(len(problem.observed_q))
-    dynamics._run(record, state0, problem.force_samples, problem.dt, out, None, problem._forces_at)
-    return np.subtract(out, problem.observed_q, out=out)
+    ``params`` giving each free parameter a value, as a fresh array. The
+    simulation is one ``dynamics._run`` of the template's record with those
+    values in their slots, on the problem's force samples from rest at the
+    clamped first sample (:func:`~artjoint.dynamics.initial_state`'s rule),
+    keeping positions only. A free parameter missing from ``params``, or a
+    name in it that is not free, raises ``ValueError`` naming it."""
+    buffers = _buffers(problem)
+    buffers.run(problem, params)
+    return buffers.out.copy()
 
 
 def objective(problem: FitProblem, params: Mapping[str, float]) -> float:
     """Sum of squared position error of the candidate's forward simulation at
-    the observed sample times: ``r . r`` of :func:`residuals`, squared in
-    the fresh residual array itself."""
-    r = residuals(problem, params)
-    return pairwise_dot(r, r, out=r)
+    the observed sample times: ``r . r`` of :func:`residuals`, summed as
+    :func:`~artjoint.trajectory.pairwise_dot` sums it, by the stepper that
+    makes the run, over this thread's buffers."""
+    return _buffers(problem).run(problem, params)
 
 
 @dataclass(frozen=True)

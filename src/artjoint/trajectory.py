@@ -31,7 +31,7 @@ _BLOCK_ROWS = 1024  # CSV data rows per write
 
 @dataclass
 class Trajectory:
-    """Sampled channels over a shared, strictly increasing time base."""
+    """Sampled channels over a shared, finite, strictly increasing time base."""
 
     times: np.ndarray
     channels: dict[str, np.ndarray] = field(default_factory=dict)
@@ -40,6 +40,8 @@ class Trajectory:
         self.times = np.asarray(self.times, dtype=float)
         if self.times.ndim != 1:
             raise ValueError("times must be one-dimensional")
+        if not np.all(np.isfinite(self.times)):  # checked first: diff of inf - inf warns
+            raise ValueError("times must be finite")
         if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
             raise ValueError("times must be strictly increasing")
         self.channels = {name: np.asarray(vals, dtype=float) for name, vals in self.channels.items()}
@@ -86,13 +88,13 @@ class ComparisonResult:
     n_samples: int
 
 
-def pairwise_dot(a: np.ndarray, b: np.ndarray, out: "np.ndarray | None" = None) -> float:
+def pairwise_dot(a: np.ndarray, b: np.ndarray) -> float:
     """``a . b`` of two 1-D arrays by numpy's own pairwise summation, the
     ``np.add.reduce`` loop ``np.sum`` runs, without its wrapper: BLAS
     ``dot`` threads long vectors, and its result then depends on the
-    thread count. ``out``, which may be ``a`` or ``b``, receives the
-    products in place of a fresh array."""
-    return float(np.add.reduce(np.multiply(a, b, out=out)))
+    thread count. ``_stepper.c`` sums a fit's squared residuals in the
+    same order."""
+    return float(np.add.reduce(np.multiply(a, b)))
 
 
 def compare(a: Trajectory, b: Trajectory) -> ComparisonResult:

@@ -47,6 +47,18 @@ def python_stepper(monkeypatch):
     monkeypatch.setattr(dynamics, "_compiled", (None, "the Python loop, chosen by the test"))
 
 
+@pytest.fixture(params=["compiled", "python"])
+def stepper(request) -> str:
+    """The test once on each stepper ``dynamics._run`` can run: the compiled
+    one (skipped where it does not load) and the Python loop, as
+    :func:`python_stepper` sets it."""
+    if request.param == "python":
+        request.getfixturevalue("python_stepper")
+    elif dynamics._kernel()[0] is None:
+        pytest.skip(dynamics._stepper()[1])
+    return request.param
+
+
 @pytest.fixture()
 def fk_calls(monkeypatch) -> list[str]:
     """The assembly id of every pose walk made while the test runs: each

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import artjoint as aj
 from artjoint import assets, dynamics
+from artjoint.trajectory import pairwise_dot
 
 from conftest import make_joint
 
@@ -149,22 +150,25 @@ def test_simulate_joint_and_rollout_match_the_reference_step(case):
     assert stepped is not state0 and fields(state0) == start
     compiled = compiled_run(spec, state0, forces, dt)
     if compiled is not None:
-        assert compiled == ([bits(s.q) for s in reference[1:]], [bits(s.q_dot) for s in reference[1:]], fields(reference[-1]))
+        assert compiled == ([bits(s.q) for s in reference], [bits(s.q_dot) for s in reference], fields(reference[-1]))
 
 
 def compiled_run(spec, state0, forces, dt):
-    """The compiled stepper's new positions and velocities from ``state0``
-    under ``forces``, and its end state as :func:`fields` gives it; or None
-    where the Python loop runs."""
+    """The compiled stepper's positions and velocities from ``state0`` under
+    ``forces``, the start's included, and its end state as :func:`fields`
+    gives it; or None where the Python loop runs. The start row is left as
+    it was, and with no observed series the stepper returns 0.0."""
     kernel = dynamics._kernel()[0]
     if kernel is None:
         return None
     record = dynamics.joint_record(spec)
     forces = np.array(forces, dtype=float)
-    state = np.array([state0.q, state0.q_dot, state0.s_open, state0.regime is aj.Regime.KINETIC, state0.held_target])
-    out, out_dot = np.empty(len(forces)), np.empty(len(forces))
-    kernel(record.ctypes.data, state.ctypes.data, forces.ctypes.data, len(forces), dt, out.ctypes.data, out_dot.ctypes.data)
-    q, q_dot, s_open, regime, held = state.tolist()
+    start = np.array(dynamics._row(state0), dtype=float)
+    row, end = start.tobytes(), np.full(5, np.nan)
+    out, out_dot = np.empty(len(forces) + 1), np.empty(len(forces) + 1)
+    sse = kernel(*(a.ctypes.data for a in (record, start, end, forces)), len(forces), dt, None, out.ctypes.data, out_dot.ctypes.data)
+    assert sse == 0.0 and start.tobytes() == row
+    q, q_dot, s_open, regime, held = end.tolist()
     end = bits(q), bits(q_dot), bool(s_open), (aj.Regime.KINETIC if regime else aj.Regime.STATIC), bits(held)
     return list(map(bits, out)), list(map(bits, out_dot)), end
 
@@ -173,7 +177,7 @@ def test_the_python_loop_matches_the_reference_step(python_stepper):
     test_simulate_joint_and_rollout_match_the_reference_step()
 
 
-def test_rollout_rejects_a_joint_that_fails_its_checks_on_both_steppers(monkeypatch):
+def test_rollout_rejects_a_joint_that_fails_its_checks_on_both_steppers(stepper):
     """A joint built in code and never validated, with a negative surge
     rate: ``math.exp`` overflows where the C ``exp`` returns ``inf``, so the
     two steppers would part ways. ``rollout`` checks the joint first, as
@@ -184,23 +188,19 @@ def test_rollout_rejects_a_joint_that_fails_its_checks_on_both_steppers(monkeypa
         stiffness=aj.StiffnessSchedule(k_high=10.0, k_low=1.0, k_max=5.0, alpha=1.0, lambda_=-1000.0, q_threshold=2.0),
     )
     state0 = aj.initial_state(spec, q=1.0)
-    for compiled in (dynamics._compiled, (None, "the Python loop, chosen by the test")):
-        monkeypatch.setattr(dynamics, "_compiled", compiled)
-        with pytest.raises(aj.AssetValidationError, match=r"spec\.stiffness: .* lambda_ must be >= 0"):
-            aj.rollout(spec, [0.0] * 3, 0.001, state0)
+    with pytest.raises(aj.AssetValidationError, match=r"spec\.stiffness: .* lambda_ must be >= 0"):
+        aj.rollout(spec, [0.0] * 3, 0.001, state0)
 
 
-def test_rollout_rejects_forces_that_are_not_one_per_step_on_both_steppers(monkeypatch):
+def test_rollout_rejects_forces_that_are_not_one_per_step_on_both_steppers(stepper):
     """Given rows of forces, the compiled stepper would step through their
     first floats and the Python loop would fail on a row; ``rollout``
     raises the same error on both before stepping."""
     spec = make_joint()
     state0 = aj.initial_state(spec, q=0.25)
-    for compiled in (dynamics._compiled, (None, "the Python loop, chosen by the test")):
-        monkeypatch.setattr(dynamics, "_compiled", compiled)
-        for forces, shape in (([[5, 5], [5, 5]], r"\(2, 2\)"), (5.0, r"\(\)")):
-            with pytest.raises(ValueError, match=rf"forces must be one effort per step \(1-D\), got shape {shape}"):
-                aj.rollout(spec, forces, 0.001, state0)
+    for forces, shape in (([[5, 5], [5, 5]], r"\(2, 2\)"), (5.0, r"\(\)")):
+        with pytest.raises(ValueError, match=rf"forces must be one effort per step \(1-D\), got shape {shape}"):
+            aj.rollout(spec, forces, 0.001, state0)
 
 
 def test_record_slots_cover_every_float_parameter():
@@ -230,16 +230,11 @@ def test_rollout_starts_at_the_initial_position_and_checks_dt():
         aj.rollout(spec, [1.0], 2 * aj.DT_MAX, state0)
 
 
-@pytest.mark.parametrize("stepper", ["compiled", "python"])
-def test_run_takes_empty_single_and_read_only_buffers(monkeypatch, stepper):
+def test_run_takes_empty_single_and_read_only_buffers(stepper):
     """``dynamics._run`` on zero-length, one-element, read-only and sliced
     force arrays, with a read-only (``joint_record``'s own) or a writable
     record: positions, velocities and end state equal the reference
     step's bit for bit, and the output buffers past the run stay untouched."""
-    if stepper == "python":
-        monkeypatch.setattr(dynamics, "_compiled", (None, "the Python loop, chosen by the test"))
-    elif dynamics._kernel()[0] is None:
-        pytest.skip(dynamics._stepper()[1])
     read_only = np.array([6.0, -2.5, 0.0, 9.0, -9.0])
     read_only.flags.writeable = False
     schedule = aj.StiffnessSchedule(k_high=12.0, k_low=1.0, k_max=8.0, alpha=4.0, lambda_=5.0, q_threshold=0.4)
@@ -263,3 +258,37 @@ def test_run_takes_empty_single_and_read_only_buffers(monkeypatch, stepper):
                     assert list(map(bits, out_dot[: n + 1])) == [bits(s.q_dot) for s in reference]
                     assert np.isnan(out[n + 1 :]).all() and np.isnan(out_dot[n + 1 :]).all()
                     assert fields(state) == fields(reference[-1])
+
+
+# numpy's pairwise summation changes shape at these lengths: under 8 terms,
+# up to 128 in 8 accumulators, then halves; 1,601 is the bundled fitspec's
+PAIRWISE_EDGES = [1, 7, 8, 9, 16, 128, 129, 136, 256, 257, 1601]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.one_of(st.sampled_from(PAIRWISE_EDGES), st.integers(1, 4101)),
+    st.sampled_from(["spread", "close"]),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e150, -1e150]), max_size=8),
+)
+def test_run_returns_the_pairwise_sum_of_squares_of_its_residuals(stepper, length, magnitudes, seed, specials):
+    """With an observed series, ``_run`` writes position minus observed
+    and returns the sum of their squares, bit for bit as ``pairwise_dot``
+    sums it, for every length and magnitude. A joint at rest at 0.0 under
+    no force stays there, so its residuals are exactly minus the observed
+    series (signed zeros aside, which square alike): here ``r``, with
+    exponents spread from underflow to 1e150 or close together, and the
+    special values put in at drawn places."""
+    rng = np.random.default_rng(seed)
+    if magnitudes == "spread":
+        r = rng.choice([-1.0, 1.0], length) * 10.0 ** rng.uniform(-330.0, 150.0, length)
+    else:
+        r = rng.normal(size=length) * 10.0 ** float(rng.integers(-150, 148))
+    r[rng.integers(0, length, len(specials))] = specials
+    spec = make_joint()
+    record, start = dynamics.joint_record(spec), np.array(dynamics._row(aj.initial_state(spec, q=0.0)))
+    out = np.full(length + 1, np.nan)
+    sse = dynamics._run(record, start, np.zeros(length - 1), 1e-3, out, None, -r)
+    assert np.array_equal(out[:length], r) and np.isnan(out[length])
+    assert bits(sse) == bits(pairwise_dot(r, r))

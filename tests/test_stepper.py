@@ -42,10 +42,16 @@ def test_the_compiled_stepper_loads_where_cc_is_on_path():
 
 
 def test_nothing_is_built_before_the_first_rollout(monkeypatch):
+    """Loading a fitspec and deriving a start from it (the fit benchmark's
+    set-up) build and load nothing: the first evaluation does."""
     monkeypatch.setattr(dynamics, "_compiled", None)
     problem = cli._load_fit_problem(fixtures.fitspec_path("drawer_sprung"))
+    seeded = test_sysid.benchmark_start(problem, 1)
     assert dynamics._compiled is None
     sysid.residuals(problem, dict(problem.init))
+    assert dynamics._compiled is not None
+    monkeypatch.setattr(dynamics, "_compiled", None)
+    sysid.objective(seeded, dict(seeded.init))
     assert dynamics._compiled is not None
 
 

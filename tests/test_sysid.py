@@ -9,6 +9,7 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -162,12 +163,16 @@ def test_problem_is_frozen_and_replace_derives_afresh(slide):
             setattr(prob, name, value)
     with pytest.raises(ValueError):
         prob.observed_q[0] = 1.0  # a read-only copy: the finiteness check holds for good
-    # the force samples' address, read once, stays theirs: every copy is
-    # rebuilt through the constructor and reads its own samples' address
+    # the buffers bound at the first evaluation stay the problem's: every
+    # copy is rebuilt through the constructor and binds its own, over its
+    # own samples' address
+    sysid.objective(prob, {"damping_D": 15.0})
     for clone in (copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))):
         twin = clone(prob)
         assert twin.force_samples is not prob.force_samples
-        assert twin._forces_at == twin.force_samples.ctypes.data != prob._forces_at
+        sysid.objective(twin, {"damping_D": 15.0})
+        bound = sysid._buffers(twin).args
+        assert twin.force_samples.ctypes.data in bound and prob.force_samples.ctypes.data not in bound
     shorter = aj.Trajectory(times=observed.times[:100], channels={"slide.q": observed.channel("slide.q")[:100]})
     cut = dataclasses.replace(prob, observed=shorter)
     assert np.array_equal(cut.force_samples, prob.force_samples[:99])
@@ -573,17 +578,67 @@ def benchmark_start(problem, seed):
     return dataclasses.replace(problem, init=start)
 
 
-@pytest.mark.parametrize("label", sorted(PINNED_FITS))
-def test_fit_on_the_bundled_fitspec_is_pinned(drawer_sprung, label):
-    problem = benchmark_start(drawer_sprung, 1) if label == "seeded1" else drawer_sprung
+def pinned_problem(drawer_sprung, label):
+    return benchmark_start(drawer_sprung, 1) if label == "seeded1" else drawer_sprung
+
+
+def assert_pinned(result, label):
     params, sse, n_evals, iterations, standard_errors, condition_number = PINNED_FITS[label]
-    result = aj.fit(problem)
     assert result.params == {name: float.fromhex(value) for name, value in params.items()}
     assert result.residual_sse == float.fromhex(sse)
     assert (result.n_evals, result.iterations, result.converged) == (n_evals, iterations, True)
     # the polish's reductions: the Jacobian columns and their pairwise dot products
     assert result.standard_errors == {name: float.fromhex(value) for name, value in standard_errors.items()}
     assert result.condition_number == float.fromhex(condition_number)
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_FITS))
+def test_fit_on_the_bundled_fitspec_is_pinned(drawer_sprung, label):
+    assert_pinned(aj.fit(pinned_problem(drawer_sprung, label)), label)
+
+
+def test_threads_fitting_one_problem_each_reach_the_pins(drawer_sprung, stepper):
+    """ctypes releases the GIL while the compiled stepper runs, so threads
+    evaluating one problem at once must not share its buffers. Three
+    threads (more than two cores), switching every 10 us, each fit both
+    pinned problems, in opposite orders, and each result equals its pin."""
+    problems = {label: pinned_problem(drawer_sprung, label) for label in sorted(PINNED_FITS)}
+    results, errors = [], []
+
+    def work(order):
+        try:
+            results.extend((label, aj.fit(problems[label])) for label in order)
+        except Exception as exc:  # noqa: BLE001 - reported by the assert below
+            errors.append(exc)
+
+    orders = [sorted(problems), sorted(problems, reverse=True), sorted(problems)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(order,)) for order in orders]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and errors == []
+    assert sorted(label for label, _ in results) == sorted(label for order in orders for label in order)
+    for label, result in results:
+        assert_pinned(result, label)
+
+
+def test_residuals_are_a_fresh_array_each_call(drawer_sprung, stepper):
+    """The evaluation buffers are reused, but no caller holds them: a second
+    ``residuals`` call, or an ``objective`` one, leaves the first array as
+    it was."""
+    middle = {name: (lo + hi) / 2 for name, (lo, hi) in drawer_sprung.bounds.items()}
+    first = sysid.residuals(drawer_sprung, dict(drawer_sprung.init))
+    kept = first.tobytes()
+    second = sysid.residuals(drawer_sprung, middle)
+    assert aj.objective(drawer_sprung, middle) > 0.0
+    assert first.tobytes() == kept != second.tobytes()
+    assert aj.objective(drawer_sprung, dict(drawer_sprung.init)) == sysid.pairwise_dot(first, first)
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +653,8 @@ EVALS_PER_FIT = 300  # ceiling for one fit from a benchmark start; 157-224 are u
 @pytest.mark.parametrize("clone", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))], ids=["deepcopy", "pickle"])
 def test_a_copied_problem_fits_to_the_same_bits(drawer_sprung, clone):
     twin = clone(drawer_sprung)
-    assert twin._forces_at == twin.force_samples.ctypes.data
+    sysid.objective(twin, dict(twin.init))
+    assert twin.force_samples.ctypes.data in sysid._buffers(twin).args
     assert np.array_equal(twin.force_samples, drawer_sprung.force_samples)
     assert (twin.free, twin.bounds, twin.init) == (drawer_sprung.free, drawer_sprung.bounds, drawer_sprung.init)
     result, want = aj.fit(twin), aj.fit(drawer_sprung)
@@ -675,7 +731,8 @@ def test_the_polish_stalls_on_a_cliff_edge(slide, monkeypatch):
         return np.array([40.0 - x if x <= 20.0 else 1e3, 0.0])
 
     prob = problem_for(slide, observed_for(slide), ["damping_D"], {"damping_D": (5.0, 40.0)}, {"damping_D": 10.0})
-    monkeypatch.setattr(sysid, "residuals", cliff)
+    monkeypatch.setattr(sysid, "residuals", cliff)  # the polish's entry
+    monkeypatch.setattr(sysid, "objective", lambda problem, params: float(np.sum(cliff(problem, params) ** 2)))  # the golden stage's
     result = aj.fit(prob)
     assert (result.converged, result.stop_reason) == (False, "polish stalled")
     assert 20.0 - 1e-4 * 35.0 <= result.params["damping_D"] <= 20.0

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -296,6 +297,18 @@ def test_malformed_csv(tmp_path, content, hint):
     path.write_text(content, encoding="utf-8")
     with pytest.raises(aj.MalformedCsvError, match=hint):
         aj.import_csv(path)
+
+
+@pytest.mark.parametrize("rows", ["0,1\ninf,2\n", "0,1\ninf,2\ninf,3\n", "-inf,1\n0,2\n", "0,1\nnan,2\n"])
+def test_import_csv_rejects_a_non_finite_time_without_a_warning(tmp_path, rows):
+    # one inf time increases past every finite one, and inf - inf is a nan
+    # that numpy warns about: the time base is checked for finiteness first
+    path = tmp_path / "bad.csv"
+    path.write_text("t,q\n" + rows, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(aj.MalformedCsvError, match=r"bad\.csv: times must be finite$"):
+            aj.import_csv(path)
 
 
 @pytest.mark.parametrize("name", ["a\nb", "a\rb", "a,b", 'a""b'])
