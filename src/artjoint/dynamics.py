@@ -211,7 +211,7 @@ def friction_effort(
 
 def check_dt(dt: float) -> None:
     """The one timestep rule, shared by scenarios, the stepper and fitting."""
-    if dt <= 0.0:
+    if not dt > 0.0:  # NaN included
         raise NonPositiveDtError(f"dt must be > 0, got {dt}")
     if dt > DT_MAX:
         raise UnstableDtError(f"dt={dt} exceeds the stability guard {DT_MAX}", "dt")
@@ -306,11 +306,16 @@ def apply_params(spec: JointSpec, params: Mapping[str, float]) -> JointSpec:
     return out
 
 
+def check_duration(duration: float) -> None:
+    """The one duration rule, shared by scenarios and :func:`steps_for`."""
+    if not 0.0 < duration < math.inf:  # NaN included
+        raise ValueError(f"duration must be finite and > 0, got {duration}")
+
+
 def steps_for(duration: float, dt: float) -> int:
     """Number of integration steps covering ``duration`` (ceil, with a guard
     against float fuzz in the quotient)."""
-    if duration <= 0.0:
-        raise ValueError(f"duration must be > 0, got {duration}")
+    check_duration(duration)
     return max(1, math.ceil(duration / dt - 1e-9))
 
 

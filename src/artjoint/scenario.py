@@ -158,8 +158,8 @@ class Scenario:
 
     Construction, ``dataclasses.replace`` included, checks every invariant:
     unique slash-free assembly names, placed assemblies that pass
-    :func:`assets.validate`, ``duration > 0``, the
-    :func:`dynamics.check_dt` rule, env limits > 0, reward weight names,
+    :func:`assets.validate`, the :func:`dynamics.check_duration` and
+    :func:`dynamics.check_dt` rules, env limits > 0, reward weight names,
     initial positions within their joint's limits, unique and CSV-safe
     recordings, and that every ref resolves. It stores a read-only copy of
     ``initial``. :meth:`joint` and :meth:`marker` are the only ref lookups.
@@ -192,8 +192,10 @@ class Scenario:
             self, "_joints", {f"{pl.name}/{j.id}": j for pl in self.assemblies for j in pl.assembly.joints}
         )
 
-        if self.duration <= 0:
-            raise AssetSyntaxError(f"duration must be > 0, got {self.duration}", "duration")
+        try:
+            dynamics.check_duration(self.duration)
+        except ValueError as exc:
+            raise AssetSyntaxError(str(exc), "duration") from None
         dynamics.check_dt(self.dt)
         for schedule in self.forces:
             self.joint(schedule.joint)

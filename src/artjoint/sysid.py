@@ -16,6 +16,8 @@ objective in two stages:
   starting SSE, a projected Levenberg-Marquardt polish on a forward-difference
   Jacobian, which also yields standard errors and a condition number.
 
+Every forward run of a fit, the polish's included, is one :func:`objective`
+call, and the polish reads the run's residuals from the thread's buffers.
 The evaluation budget (default 5000) caps both stages together.
 :attr:`FitResult.stop_reason` says why a fit ended. Everything is
 deterministic: ties inside a line search keep the smaller parameter value,
@@ -44,7 +46,7 @@ from .assets import JointSpec, ValidationReport, check_joint
 from . import dynamics
 from .dynamics import RECORD_SLOTS, _rest_state, apply_params, check_dt, initial_state, joint_record, simulate_joint
 from .errors import InsufficientDataError
-from .trajectory import Trajectory, pairwise_dot
+from .trajectory import Trajectory, pairwise_dots
 
 MIN_OBSERVED_SAMPLES = 10
 DEFAULT_BUDGET = 5000
@@ -279,35 +281,29 @@ class _BudgetExhausted(Exception):
 
 @dataclass
 class _Tracker:
-    """Counts every forward run against the budget and remembers the best
-    point evaluated. The golden stage calls :func:`objective`, the polish
-    :func:`residuals`; both look the function up at call time."""
+    """Makes every forward run of a fit: counts it against the budget, makes
+    one :func:`objective` call, looked up at call time, and remembers the
+    best point evaluated. The run's residuals are left in the calling
+    thread's buffers (``_buffers(problem).out``). ``linearization`` holds the
+    polish's last ``J^T J`` eigensystem with the SSE and sample count at its
+    base point, for :func:`_uncertainty`."""
 
     problem: FitProblem
     budget: int
     n_evals: int = 0
     best_sse: float = math.inf
     best_params: dict[str, float] = field(default_factory=dict)
+    linearization: tuple[list[float], list[list[float]], float, int] | None = None
 
-    def _count(self) -> None:
+    def __call__(self, params: Mapping[str, float]) -> float:
         if self.n_evals >= self.budget:
             raise _BudgetExhausted
         self.n_evals += 1
-
-    def _record(self, params: Mapping[str, float], value: float) -> float:
+        value = objective(self.problem, params)
         if value < self.best_sse:
             self.best_sse = value
             self.best_params = dict(params)
         return value
-
-    def __call__(self, params: Mapping[str, float]) -> float:
-        self._count()
-        return self._record(params, objective(self.problem, params))
-
-    def residuals(self, params: Mapping[str, float]) -> tuple[np.ndarray, float]:
-        self._count()
-        r = residuals(self.problem, params)
-        return r, self._record(params, pairwise_dot(r, r))
 
 
 def _golden_line(track: _Tracker, params: dict[str, float], name: str, lo: float, hi: float) -> None:
@@ -370,77 +366,76 @@ def _eigh(a: list[list[float]]) -> tuple[list[float], list[list[float]]]:
     return [a[i][i] for i in range(p)], v
 
 
-@dataclass
-class _Polish:
-    """Projected Levenberg-Marquardt (More 1978) on the box-scaled parameters
-    ``u = (x - lo) / (hi - lo)``. Each iteration takes a forward-difference
-    Jacobian, eigendecomposes ``J^T J`` once and solves the damped normal
-    equations ``(J^T J + damping I) du = -J^T r`` for as many dampings as it
-    needs; every candidate is clipped to the box. The uncertainty fields
-    describe the last Jacobian built."""
+def _polish(track: _Tracker, params: dict[str, float]) -> str:
+    """Projected Levenberg-Marquardt (More 1978) from ``params`` on the
+    box-scaled parameters ``u = (x - lo) / (hi - lo)``; returns the stop
+    reason and raises ``_BudgetExhausted`` from the tracker.
 
-    track: _Tracker
-    standard_errors: dict[str, float] | None = None
-    condition_number: float | None = None
-
-    def run(self, params: dict[str, float]) -> str:
-        """Polish from ``params`` and return the stop reason. Raises
-        ``_BudgetExhausted`` from the tracker."""
-        problem = self.track.problem
-        r, sse = self.track.residuals(params)
-        damping = None
-        while True:
-            vals, vecs, grad = self._linearize(params, r, sse)
-            vals = [max(val, 0.0) for val in vals]  # J^T J is positive semidefinite
-            if damping is None:
-                damping = _INITIAL_DAMPING * max(vals) or 1.0
-            for _ in range(_MAX_REJECTIONS):
-                # du = -(J^T J + damping I)^-1 J^T r through the eigensystem
-                coeffs = [sum(row[k] * g for row, g in zip(vecs, grad)) / (val + damping) for k, val in enumerate(vals)]
-                trial = {}
-                for name, row in zip(problem.free, vecs):
-                    lo, hi = problem.bounds[name]
-                    du = -sum(x * coeff for x, coeff in zip(row, coeffs))
-                    trial[name] = min(max(params[name] + du * (hi - lo), lo), hi)
-                if all(abs(trial[name] - params[name]) <= _STEP_TOLERANCE * (hi - lo) for name, (lo, hi) in problem.bounds.items()):
-                    return "converged"
-                r_trial, sse_trial = self.track.residuals(trial)
-                if sse_trial < sse:
-                    params, r, sse = trial, r_trial, sse_trial
-                    damping /= _DAMPING_FACTOR
-                    break
-                damping *= _DAMPING_FACTOR
-            else:
-                return "polish stalled"
-
-    def _linearize(self, params, r, sse):
-        """The Jacobian at ``params`` in box units, as the eigensystem of
-        ``J^T J`` and the gradient ``J^T r``: one forward run per free
-        parameter, in ``free`` order, a step of ``_DIFF_STEP`` of its box up
-        (down where that would leave the box). Sets the uncertainty fields."""
-        problem = self.track.problem
-        columns = []
-        for name in problem.free:
+    Each iteration writes a forward-difference Jacobian into one (p, n)
+    array, one forward run per free parameter in ``free`` order with a step
+    of ``_DIFF_STEP`` of its box up (down where that would leave the box);
+    eigendecomposes ``J^T J`` once, keeping it on the tracker; and solves
+    the damped normal equations ``(J^T J + damping I) du = -J^T r`` for as
+    many dampings as it needs. Every candidate is clipped to the box."""
+    problem = track.problem
+    out = _buffers(problem).out  # the residuals of the tracker's last run
+    jacobian = np.empty((len(problem.free), len(out)))
+    sse = track(params)
+    r = out.copy()
+    damping = None
+    while True:
+        for row, name in zip(jacobian, problem.free):
             lo, hi = problem.bounds[name]
             x = params[name]
             shifted = x + _DIFF_STEP * (hi - lo)
             if shifted > hi:
                 shifted = x - _DIFF_STEP * (hi - lo)
-            r_shifted, _ = self.track.residuals({**params, name: shifted})
-            columns.append((r_shifted - r) * ((hi - lo) / (shifted - x)))
-        normal = [[pairwise_dot(a, b) for b in columns] for a in columns]
-        vals, vecs = _eigh(normal)
-        # Standard errors sqrt(diag(s2 (J^T J)^-1)) with s2 = SSE / (n - p),
-        # scaled back from box units: infinite for a parameter with a share
-        # in a null direction of J. The condition number of J.
-        s2 = sse / (len(r) - len(columns)) if len(r) > len(columns) else math.inf
-        self.standard_errors = {}
-        for name, row in zip(problem.free, vecs):
-            lo, hi = problem.bounds[name]
-            variance = sum(x * x / val if val > 0.0 else math.inf for x, val in zip(row, vals) if x)
-            self.standard_errors[name] = (hi - lo) * math.sqrt(s2 * variance) if variance < math.inf else math.inf
-        self.condition_number = math.sqrt(max(vals) / min(vals)) if min(vals) > 0.0 else math.inf
-        return vals, vecs, [pairwise_dot(column, r) for column in columns]
+            track({**params, name: shifted})
+            np.subtract(out, r, out=row)
+            row *= (hi - lo) / (shifted - x)
+        vals, vecs = _eigh(pairwise_dots(jacobian[:, None], jacobian).tolist())
+        vals = [max(val, 0.0) for val in vals]  # J^T J is positive semidefinite
+        track.linearization = (vals, vecs, sse, len(r))
+        grad = pairwise_dots(jacobian, r).tolist()
+        if damping is None:
+            damping = _INITIAL_DAMPING * max(vals) or 1.0
+        for _ in range(_MAX_REJECTIONS):
+            # du = -(J^T J + damping I)^-1 J^T r through the eigensystem
+            coeffs = [sum(row[k] * g for row, g in zip(vecs, grad)) / (val + damping) for k, val in enumerate(vals)]
+            trial = {}
+            for name, row in zip(problem.free, vecs):
+                lo, hi = problem.bounds[name]
+                du = -sum(x * coeff for x, coeff in zip(row, coeffs))
+                trial[name] = min(max(params[name] + du * (hi - lo), lo), hi)
+            if all(abs(trial[name] - params[name]) <= _STEP_TOLERANCE * (hi - lo) for name, (lo, hi) in problem.bounds.items()):
+                return "converged"
+            sse_trial = track(trial)
+            if sse_trial < sse:
+                params, sse = trial, sse_trial
+                np.copyto(r, out)
+                damping /= _DAMPING_FACTOR
+                break
+            damping *= _DAMPING_FACTOR
+        else:
+            return "polish stalled"
+
+
+def _uncertainty(
+    problem: FitProblem, vals: list[float], vecs: list[list[float]], sse: float, n: int
+) -> tuple[dict[str, float], float]:
+    """Standard errors ``sqrt(diag(s2 (J^T J)^-1))`` with ``s2 = SSE / (n - p)``,
+    scaled back from box units, and the condition number of ``J``, from the
+    eigensystem of ``J^T J`` in box units (eigenvalues ``vals``, eigenvectors
+    the columns of ``vecs``). A parameter with a share in a null direction
+    of ``J`` has an infinite standard error, and a singular ``J`` an
+    infinite condition number."""
+    s2 = sse / (n - len(vals)) if n > len(vals) else math.inf
+    standard_errors = {}
+    for name, row in zip(problem.free, vecs):
+        lo, hi = problem.bounds[name]
+        variance = sum(x * x / val if val > 0.0 else math.inf for x, val in zip(row, vals) if x)
+        standard_errors[name] = (hi - lo) * math.sqrt(s2 * variance) if variance < math.inf else math.inf
+    return standard_errors, math.sqrt(max(vals) / min(vals)) if min(vals) > 0.0 else math.inf
 
 
 def fit(problem: FitProblem, budget: int = DEFAULT_BUDGET) -> FitResult:
@@ -457,7 +452,6 @@ def fit(problem: FitProblem, budget: int = DEFAULT_BUDGET) -> FitResult:
     with ``converged = False``.
     """
     track = _Tracker(problem=problem, budget=budget)
-    polish = _Polish(track)
     params = {name: float(problem.init[name]) for name in problem.free}
     sweeps = 0
     reason = "sweep limit reached"
@@ -470,11 +464,12 @@ def fit(problem: FitProblem, budget: int = DEFAULT_BUDGET) -> FitResult:
                 _golden_line(track, params, name, lo, hi)
             after = track.best_sse
             if before - after <= HANDOVER_FRACTION * before:
-                reason = polish.run(dict(track.best_params))
+                reason = _polish(track, dict(track.best_params))
                 break
             before = after
     except _BudgetExhausted:
         reason = "budget exhausted"
+    standard_errors, condition_number = _uncertainty(problem, *track.linearization) if track.linearization else (None, None)
     return FitResult(
         params=dict(track.best_params) if track.best_params else params,
         residual_sse=track.best_sse,
@@ -482,8 +477,8 @@ def fit(problem: FitProblem, budget: int = DEFAULT_BUDGET) -> FitResult:
         n_evals=track.n_evals,
         converged=reason == "converged",
         stop_reason=reason,
-        standard_errors=polish.standard_errors,
-        condition_number=polish.condition_number,
+        standard_errors=standard_errors,
+        condition_number=condition_number,
     )
 
 

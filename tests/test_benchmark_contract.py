@@ -93,3 +93,17 @@ def test_a_small_traced_pass_reaches_every_span(name, tmp_path):
     for (_, _, span), (count, _, _) in tracer.stats.items():
         calls[span] += count
     assert [span for span in REACHED_SPANS[name] if calls[span] == 0] == []
+
+
+def test_a_traced_fit_pass_counts_every_forward_run_as_an_objective_call(tmp_path):
+    """Every forward run of a fit, the polish's included, is one
+    ``sysid.objective`` call, so the traced calls (and the improving ratio
+    read over them) cover each fit's ``n_evals``."""
+    workload = load_perfbench("workloads").WORKLOADS["fit"](1, True, tmp_path, EXPECTED)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        workload.setup()
+        result = workload.run_pass(1, tracer)
+    assert result.failed == 0, result.notes
+    calls = sum(count for (_, _, span), (count, _, _) in tracer.stats.items() if span == "sysid.objective")
+    assert calls == sum(fit["evals"] for fit in result.fits) > 0

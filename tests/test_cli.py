@@ -155,6 +155,11 @@ def test_simulate_rejects_unstable_dt(tmp_path):
     proc = run_cli("simulate", fx.scenario_path("drawer"), "--out", tmp_path / "x.csv", "--duration", "0")
     assert proc.returncode == 1
     assert "duration" in proc.stderr
+    # a non-finite value is rejected as a domain error, not an internal one
+    for flag, value in (("--dt", "nan"), ("--duration", "nan"), ("--duration", "inf")):
+        proc = run_cli("simulate", fx.scenario_path("drawer"), "--out", tmp_path / "x.csv", flag, value)
+        assert proc.returncode == 1, (flag, value, proc.stderr)
+        assert proc.stderr.startswith("error: ") and flag[2:] in proc.stderr, proc.stderr
     assert not (tmp_path / "x.csv").exists()
 
 

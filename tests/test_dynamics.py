@@ -214,6 +214,8 @@ def test_step_rejects_bad_dt():
         aj.step(spec, state, 0.0, 0.0)
     with pytest.raises(aj.NonPositiveDtError):
         aj.step(spec, state, 0.0, -0.001)
+    with pytest.raises(aj.NonPositiveDtError):
+        aj.step(spec, state, 0.0, math.nan)
     with pytest.raises(ValueError):
         aj.step(spec, state, 0.0, aj.DT_MAX * 2)
 
@@ -232,8 +234,9 @@ def test_steps_for_counts():
     assert aj.steps_for(0.0015, 0.001) == 2
     assert aj.steps_for(0.3, 0.1) == 3  # quotient fuzz must not add a step
     assert aj.steps_for(1.0, 0.3) == 4
-    with pytest.raises(ValueError):
-        aj.steps_for(0.0, 0.001)
+    for duration in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="duration"):
+            aj.steps_for(duration, 0.001)
 
 
 def test_simulate_series_shape_and_initial_sample():

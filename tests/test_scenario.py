@@ -138,8 +138,11 @@ def test_dt_guards(tmp_path):
     scenario = write_and_load(tmp_path, scenario_dict())
     with pytest.raises(aj.AssetSyntaxError, match="stability"):
         dataclasses.replace(scenario, dt=0.02)
-    with pytest.raises(aj.AssetSyntaxError):
-        dataclasses.replace(scenario, duration=0.0)
+    for duration in (0.0, math.nan, math.inf):
+        with pytest.raises(aj.AssetSyntaxError, match="duration"):
+            dataclasses.replace(scenario, duration=duration)
+    with pytest.raises(aj.NonPositiveDtError):
+        dataclasses.replace(scenario, dt=math.nan)
     env_scenario = load("trashcan_env")
     with pytest.raises(aj.AssetSyntaxError, match="contact_radius"):
         dataclasses.replace(env_scenario, env=dataclasses.replace(env_scenario.env, contact_radius=-1.0))

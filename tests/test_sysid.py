@@ -638,7 +638,7 @@ def test_residuals_are_a_fresh_array_each_call(drawer_sprung, stepper):
     second = sysid.residuals(drawer_sprung, middle)
     assert aj.objective(drawer_sprung, middle) > 0.0
     assert first.tobytes() == kept != second.tobytes()
-    assert aj.objective(drawer_sprung, dict(drawer_sprung.init)) == sysid.pairwise_dot(first, first)
+    assert aj.objective(drawer_sprung, dict(drawer_sprung.init)) == aj.trajectory.pairwise_dot(first, first)
 
 
 # ---------------------------------------------------------------------------
@@ -693,13 +693,13 @@ def noisy_drawer_sprung(problem, seed, duration=3.2):
 
 def test_the_polish_never_ends_above_the_golden_best(drawer_sprung, monkeypatch):
     golden_best = []
-    run = sysid._Polish.run
+    polish = sysid._polish
 
-    def recording(self, params):
-        golden_best.append(self.track.best_sse)
-        return run(self, params)
+    def recording(track, params):
+        golden_best.append(track.best_sse)
+        return polish(track, params)
 
-    monkeypatch.setattr(sysid._Polish, "run", recording)
+    monkeypatch.setattr(sysid, "_polish", recording)
     problems = [drawer_sprung, benchmark_start(drawer_sprung, 1)] + [noisy_drawer_sprung(drawer_sprung, s) for s in (1, 2)]
     for problem in problems:
         result = aj.fit(problem)
@@ -717,7 +717,7 @@ def test_fit_budget_caps_both_stages(drawer_sprung):
     late = aj.fit(drawer_sprung, budget=full.n_evals - 5)
     assert (late.n_evals, late.converged, late.stop_reason) == (full.n_evals - 5, False, "budget exhausted")
     assert late.iterations == full.iterations
-    assert late.standard_errors is not None
+    assert late.standard_errors is not None and late.condition_number is not None
     assert full.residual_sse <= late.residual_sse
 
 
@@ -726,13 +726,17 @@ def test_the_polish_stalls_on_a_cliff_edge(slide, monkeypatch):
     # where a joint stops breaking away. Every damped step from the golden
     # stage's best, just below the edge, falls off, so the SSE stops falling
     # while the steps are still long: the fit says so instead of converging.
+    # Every forward run of a fit is one objective call, and the polish reads
+    # its residuals from the thread's buffers: one nonzero residual here.
     def cliff(problem, params):
         x = params["damping_D"]
-        return np.array([40.0 - x if x <= 20.0 else 1e3, 0.0])
+        out = sysid._buffers(problem).out
+        out[:] = 0.0
+        out[0] = 40.0 - x if x <= 20.0 else 1e3
+        return float(np.sum(out**2))
 
     prob = problem_for(slide, observed_for(slide), ["damping_D"], {"damping_D": (5.0, 40.0)}, {"damping_D": 10.0})
-    monkeypatch.setattr(sysid, "residuals", cliff)  # the polish's entry
-    monkeypatch.setattr(sysid, "objective", lambda problem, params: float(np.sum(cliff(problem, params) ** 2)))  # the golden stage's
+    monkeypatch.setattr(sysid, "objective", cliff)
     result = aj.fit(prob)
     assert (result.converged, result.stop_reason) == (False, "polish stalled")
     assert 20.0 - 1e-4 * 35.0 <= result.params["damping_D"] <= 20.0

@@ -164,6 +164,38 @@ def test_compare_is_bit_identical_with_one_blas_thread(tmp_path):
     assert proc.stdout == repr(in_process) + "\n"
 
 
+# numpy's pairwise summation changes shape at these lengths: under 8 terms,
+# up to 128 in 8 accumulators, then halves; 1,601 and 12,001 are the fit
+# tests' series, the second past numpy's 8,192-element buffer
+PAIRWISE_EDGES = [1, 7, 8, 9, 128, 129, 1601, 12001]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(PAIRWISE_EDGES),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e150, -1e150]), max_size=8),
+)
+def test_pairwise_dots_equal_pairwise_dot_of_each_row_pair(length, rows, seed, specials):
+    """The polish's ``J^T J`` and ``J^T r`` are one ``pairwise_dots`` each
+    over a (p, n) Jacobian; every entry equals ``pairwise_dot`` of its row
+    pair bit for bit, with exponents spread from underflow to 1e150 and
+    signed zeros and subnormals put in at drawn places."""
+    rng = np.random.default_rng(seed)
+    jacobian = rng.choice([-1.0, 1.0], (rows, length)) * 10.0 ** rng.uniform(-330.0, 150.0, (rows, length))
+    r = rng.choice([-1.0, 1.0], length) * 10.0 ** rng.uniform(-330.0, 150.0, length)
+    for row in (*jacobian, r):
+        row[rng.integers(0, length, len(specials))] = specials
+    normal = trajectory_mod.pairwise_dots(jacobian[:, None], jacobian)
+    gradient = trajectory_mod.pairwise_dots(jacobian, r)
+    assert normal.shape == (rows, rows) and gradient.shape == (rows,)
+    for i, a in enumerate(jacobian):
+        assert gradient[i].tobytes() == np.float64(trajectory_mod.pairwise_dot(a, r)).tobytes()
+        for j, b in enumerate(jacobian):
+            assert normal[i, j].tobytes() == np.float64(trajectory_mod.pairwise_dot(a, b)).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # average
 
