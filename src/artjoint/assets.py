@@ -485,6 +485,7 @@ def _as_flag_or_float(value: Any, loc: str) -> Union[float, bool]:
 _STR = _Codec(_as_str, _plain)
 _FLOAT = _Codec(_as_float, _plain)
 _BOOL = _Codec(_as_bool, _plain)
+_PAIR = _Codec(lambda value, loc: _as_vec(value, 2, loc), list)
 _VEC3 = _Codec(lambda value, loc: _as_vec(value, 3, loc), list)
 _QUAT = _Codec(lambda value, loc: _as_vec(value, 4, loc), list)
 
@@ -498,6 +499,14 @@ def _list_of(item: _Codec) -> _Codec:
     return _Codec(
         lambda value, loc: tuple(item.read(v, f"{loc}[{i}]") for i, v in enumerate(_require_list(value, loc))),
         lambda items: [item.write(v) for v in items],
+    )
+
+
+def _map_of(item: _Codec) -> _Codec:
+    """An object of free-form keys; key ``k`` is read at ``loc.k``."""
+    return _Codec(
+        lambda value, loc: {key: item.read(v, f"{loc}.{key}") for key, v in _require_dict(value, loc).items()},
+        lambda items: {key: item.write(v) for key, v in items.items()},
     )
 
 

@@ -6,9 +6,9 @@ description, ``demo`` a bundled fixture with self-checking summaries, and
 ``average`` repeated-trial CSVs sample-by-sample.
 
 Exit codes: 0 success, 1 domain failure (validation issues, comparison above
-tolerance, simulation/fit errors), 2 usage error, 3 internal error.  Each
-subcommand accepts ``--json`` to emit one machine-readable document on
-stdout instead of the human-readable lines.
+tolerance, simulation/fit errors, a run too long for memory), 2 usage error,
+3 internal error.  Each subcommand accepts ``--json`` to emit one
+machine-readable document on stdout instead of the human-readable lines.
 """
 from __future__ import annotations
 
@@ -22,21 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, fixtures
-from .assets import (
-    _as_bool,
-    _as_float,
-    _as_str,
-    _check_keys,
-    _decode_json,
-    _require_dict,
-    _require_list,
-    assembly_from_dict,
-    parse_asset,
-    validate,
-)
-from .errors import ArtjointError, AssetSyntaxError, UnknownJointError, UnstableDtError
-from .scenario import _FORCE_PROFILE, Scenario, load_scenario, run
-from .sysid import FitProblem, fit
+# the benchmark's tracer wraps cli.parse_asset, unused here, and cli.import_csv by name
+from .assets import _decode_json, assembly_from_dict, parse_asset, validate
+from .errors import ArtjointError
+from .scenario import Scenario, load_scenario, run
+from .sysid import fit, load_fitspec
 from .trajectory import Trajectory, average, compare, export_csv, import_csv
 
 
@@ -165,55 +155,8 @@ def cmd_compare(args) -> int:
 # fit
 
 
-def _load_fit_problem(path: Path) -> FitProblem:
-    spec = _require_dict(_decode_json(path.read_text(encoding="utf-8"), str(path)), "fitspec")
-    _check_keys(
-        spec,
-        ("asset", "joint", "free", "bounds", "init", "observed", "forces"),
-        ("overrides", "s_open0", "channel"),
-        "fitspec",
-    )
-    assembly = parse_asset(path.parent / _as_str(spec["asset"], "fitspec.asset"))
-    joint_id = _as_str(spec["joint"], "fitspec.joint")
-    template = next((j for j in assembly.joints if j.id == joint_id), None)
-    if template is None:
-        raise UnknownJointError(f"fitspec joint '{joint_id}' not present in asset '{assembly.id}'")
-    overrides = {
-        key: _as_float(value, f"fitspec.overrides.{key}")
-        for key, value in _require_dict(spec.get("overrides", {}), "fitspec.overrides").items()
-    }
-    bounds = {}
-    for key, pair in _require_dict(spec["bounds"], "fitspec.bounds").items():
-        lo_hi = _require_list(pair, f"fitspec.bounds.{key}")
-        if len(lo_hi) != 2:
-            raise ArtjointError(f"fitspec.bounds.{key} must be a [lo, hi] pair")
-        bounds[key] = (
-            _as_float(lo_hi[0], f"fitspec.bounds.{key}[0]"),
-            _as_float(lo_hi[1], f"fitspec.bounds.{key}[1]"),
-        )
-    init = {
-        key: _as_float(value, f"fitspec.init.{key}")
-        for key, value in _require_dict(spec["init"], "fitspec.init").items()
-    }
-    # FitProblem and apply_params raise ValueError for a bad box, start or
-    # parameter path; in a file that is a syntax error at the fitspec.
-    try:
-        if overrides:
-            template = dynamics.apply_params(template, overrides)
-        return FitProblem(
-            observed=import_csv(path.parent / _as_str(spec["observed"], "fitspec.observed")),
-            forces=_FORCE_PROFILE.read(spec["forces"], "fitspec.forces"),
-            spec_template=template,
-            free=[_as_str(name, "fitspec.free[]") for name in _require_list(spec["free"], "fitspec.free")],
-            bounds=bounds,
-            init=init,
-            channel=_as_str(spec.get("channel", ""), "fitspec.channel"),
-            s_open0=_as_bool(spec.get("s_open0", False), "fitspec.s_open0"),
-        )
-    except UnstableDtError as exc:  # a fit steps at the observed sample step
-        raise UnstableDtError(exc.message, "fitspec.observed") from None
-    except ValueError as exc:
-        raise AssetSyntaxError(str(exc), "fitspec") from None
+# the benchmark's fit workload loads its problems by this name
+_load_fit_problem = load_fitspec
 
 
 def _finite_or_none(value: "float | None") -> "float | None":
@@ -222,7 +165,7 @@ def _finite_or_none(value: "float | None") -> "float | None":
 
 
 def cmd_fit(args) -> int:
-    problem = _load_fit_problem(Path(args.fitspec))
+    problem = load_fitspec(args.fitspec)
     result = fit(problem)
     errors = result.standard_errors
     payload = {
@@ -401,7 +344,7 @@ def main(argv: "list[str] | None" = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ArtjointError as exc:
+    except (ArtjointError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except _UsageError as exc:

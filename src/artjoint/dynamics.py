@@ -306,17 +306,17 @@ def apply_params(spec: JointSpec, params: Mapping[str, float]) -> JointSpec:
     return out
 
 
-def check_duration(duration: float) -> None:
-    """The one duration rule, shared by scenarios and :func:`steps_for`."""
-    if not 0.0 < duration < math.inf:  # NaN included
-        raise ValueError(f"duration must be finite and > 0, got {duration}")
-
-
 def steps_for(duration: float, dt: float) -> int:
     """Number of integration steps covering ``duration`` (ceil, with a guard
-    against float fuzz in the quotient)."""
-    check_duration(duration)
-    return max(1, math.ceil(duration / dt - 1e-9))
+    against float fuzz in the quotient). The one duration rule, which
+    scenarios run too: ``ValueError`` unless ``duration`` is finite and > 0
+    and its quotient by ``dt`` is finite."""
+    if not 0.0 < duration < math.inf:  # NaN included
+        raise ValueError(f"duration must be finite and > 0, got {duration}")
+    steps = duration / dt - 1e-9
+    if not math.isfinite(steps):
+        raise ValueError(f"duration {duration} at dt={dt} takes more steps than a run can count")
+    return max(1, math.ceil(steps))
 
 
 def simulate_joint(

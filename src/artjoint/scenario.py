@@ -42,8 +42,8 @@ import numpy as np
 from . import assets as assets_mod
 from . import behaviors as bh
 from . import dynamics, kinematics
-from .assets import Assembly, JointSpec, Marker, _as_float, _as_str, _as_vec, _check_keys, _decode_json, _require_dict, _require_list
-from .assets import _BOOL, _FLOAT, _SHAPES, _STR, _VEC3, _Codec, _declare, _list_of, _record, _tagged, _write
+from .assets import Assembly, JointSpec, Marker, _as_str, _check_keys, _decode_json, _require_dict, _require_list
+from .assets import _BOOL, _FLOAT, _PAIR, _SHAPES, _STR, _VEC3, _Codec, _declare, _list_of, _map_of, _record, _tagged, _write
 from .errors import AssetSyntaxError, UnknownJointError
 from .geometry import Pose, Vec3, vec_cross, vec_sub
 from .kinematics import find_marker, forward_kinematics
@@ -158,8 +158,8 @@ class Scenario:
 
     Construction, ``dataclasses.replace`` included, checks every invariant:
     unique slash-free assembly names, placed assemblies that pass
-    :func:`assets.validate`, the :func:`dynamics.check_duration` and
-    :func:`dynamics.check_dt` rules, env limits > 0, reward weight names,
+    :func:`assets.validate`, the :func:`dynamics.check_dt` rule, a duration
+    :func:`dynamics.steps_for` accepts, env limits > 0, reward weight names,
     initial positions within their joint's limits, unique and CSV-safe
     recordings, and that every ref resolves. It stores a read-only copy of
     ``initial``. :meth:`joint` and :meth:`marker` are the only ref lookups.
@@ -192,11 +192,11 @@ class Scenario:
             self, "_joints", {f"{pl.name}/{j.id}": j for pl in self.assemblies for j in pl.assembly.joints}
         )
 
+        dynamics.check_dt(self.dt)
         try:
-            dynamics.check_duration(self.duration)
+            dynamics.steps_for(self.duration, self.dt)
         except ValueError as exc:
             raise AssetSyntaxError(str(exc), "duration") from None
-        dynamics.check_dt(self.dt)
         for schedule in self.forces:
             self.joint(schedule.joint)
         for ref, init in self.initial.items():
@@ -251,8 +251,11 @@ class Scenario:
 FORCE_PROFILE_TYPES = {"constant": ConstantForce, "piecewise": PiecewiseForce}
 
 
+_STEPS = _list_of(_PAIR)
+
+
 def _read_steps(value, loc: str) -> tuple[tuple[float, float], ...]:
-    steps = tuple(_as_vec(step, 2, f"{loc}[{i}]") for i, step in enumerate(_require_list(value, loc)))
+    steps = _STEPS.read(value, loc)
     try:
         PiecewiseForce(steps)  # its own check of the step times, reported here
     except ValueError as exc:
@@ -264,13 +267,9 @@ def _read_initial(value, loc: str) -> dict[str, JointInit]:
     return {ref: _SHAPES[JointInit].read(entry, f"{loc}['{ref}']") for ref, entry in _require_dict(value, loc).items()}
 
 
-def _read_weights(value, loc: str) -> dict[str, float]:
-    return {key: _as_float(weight, f"{loc}.{key}") for key, weight in _require_dict(value, loc).items()}
-
-
 _FORCE_PROFILE = _tagged(FORCE_PROFILE_TYPES)
 _declare(ConstantForce, {"value": _FLOAT, "t_start": _FLOAT, "t_end": _FLOAT})
-_declare(PiecewiseForce, {"steps": _Codec(_read_steps, lambda steps: [list(step) for step in steps])})
+_declare(PiecewiseForce, {"steps": _Codec(_read_steps, _STEPS.write)})
 _declare(ForceSchedule, {"joint": _STR, "profile": _FORCE_PROFILE})
 _declare(JointInit, {"q": _FLOAT, "q_dot": _FLOAT, "s_open": _BOOL})
 _declare(
@@ -281,7 +280,7 @@ _declare(
         "effector_start": _VEC3,
         "action_max": _FLOAT,
         "contact_radius": _FLOAT,
-        "reward_weights": _Codec(_read_weights, dict),
+        "reward_weights": _map_of(_FLOAT),
     },
 )
 # every key but "assemblies", which load_scenario reads itself because asset

@@ -2,7 +2,9 @@
 
 A :class:`FitProblem`, frozen and derived once when built, pairs an observed
 position series with a joint spec template and a set of free parameter
-paths (e.g. ``"damping_D"``, ``"stiffness.k_max"``). :func:`residuals` is
+paths (e.g. ``"damping_D"``, ``"stiffness.k_max"``). :func:`load_fitspec`
+reads one from a ``.fitspec.json`` file, whose keys ``FitProblem`` declares
+in the field table assets and scenarios use. :func:`residuals` is
 one forward run of the candidate minus the observed samples; :func:`objective`
 is their sum of squares. Each is one ``dynamics._run`` over buffers each
 thread binds at its first evaluation of a problem, so an evaluation only
@@ -38,14 +40,17 @@ import math
 import threading
 import types
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import assets, dynamics, trajectory
 from .assets import JointSpec, ValidationReport, check_joint
-from . import dynamics
+from .assets import _BOOL, _FLOAT, _PAIR, _SHAPES, _STR, _as_str, _check_keys, _decode_json, _declare, _list_of, _map_of, _require_dict
 from .dynamics import RECORD_SLOTS, _rest_state, apply_params, check_dt, initial_state, joint_record, simulate_joint
-from .errors import InsufficientDataError
+from .errors import AssetSyntaxError, InsufficientDataError, UnknownJointError, UnstableDtError
+from .scenario import _FORCE_PROFILE
 from .trajectory import Trajectory, pairwise_dots
 
 MIN_OBSERVED_SAMPLES = 10
@@ -501,3 +506,44 @@ def generate_synthetic(
         q = q + np.random.default_rng(seed).normal(0.0, noise_sd, size=len(q))
     times = np.arange(len(q), dtype=float) * dt
     return Trajectory(times=times, channels={f"{spec.id}.q": q})
+
+
+# every fitspec key but "asset", "joint", "overrides" and "observed", which
+# load_fitspec reads itself: paths resolve against the file, and the rest make
+# the template. Read only: a FitProblem keeps its forces as a function.
+_declare(
+    FitProblem,
+    {"free": _list_of(_STR), "bounds": _map_of(_PAIR), "init": _map_of(_FLOAT), "forces": _FORCE_PROFILE, "channel": _STR, "s_open0": _BOOL},
+)
+
+
+def load_fitspec(path: "str | Path") -> FitProblem:
+    """Load a ``.fitspec.json`` file into a :class:`FitProblem`. ``asset`` and
+    ``observed`` resolve relative to it; the template is the asset's ``joint``
+    with ``overrides`` applied (:func:`~artjoint.dynamics.apply_params`).
+    A shape error raises :class:`AssetSyntaxError` at its key, and so does a
+    problem :class:`FitProblem` rejects, at ``fitspec``; an observed sample
+    step above the guard raises :class:`UnstableDtError` at ``fitspec.observed``."""
+    p = Path(path)
+    root = _require_dict(_decode_json(p.read_text(encoding="utf-8"), str(p)), "fitspec")
+    shape = _SHAPES[FitProblem]
+    _check_keys(root, ("asset", "joint", "observed") + shape.required, shape.optional + ("overrides",), "fitspec")
+    # parse_asset and import_csv are called through their modules, where the benchmark's tracer wraps them
+    assembly = assets.parse_asset(p.parent / _as_str(root["asset"], "fitspec.asset"))
+    joint_id = _as_str(root["joint"], "fitspec.joint")
+    template = next((j for j in assembly.joints if j.id == joint_id), None)
+    if template is None:
+        raise UnknownJointError(f"fitspec joint '{joint_id}' not present in asset '{assembly.id}'")
+    overrides = _map_of(_FLOAT).read(root.get("overrides", {}), "fitspec.overrides")
+    args = shape.args(root, "fitspec.")
+    # a bad box, start or parameter path (ValueError) is a syntax error in a file
+    try:
+        return FitProblem(
+            observed=trajectory.import_csv(p.parent / _as_str(root["observed"], "fitspec.observed")),
+            spec_template=apply_params(template, overrides),
+            **args,
+        )
+    except UnstableDtError as exc:  # a fit steps at the observed sample step
+        raise UnstableDtError(exc.message, "fitspec.observed") from None
+    except ValueError as exc:
+        raise AssetSyntaxError(str(exc), "fitspec") from None

@@ -1,6 +1,7 @@
 """The benchmark's tracer (``perfbench/tracing.py``) wraps ``artjoint``
-attributes by name, and its fit workload loads fitspecs through the CLI's
-loader and derives its seeded starts with ``dataclasses.replace``. Renaming
+attributes by name, and its fit workload loads fitspecs through
+``cli._load_fit_problem``, an alias of the public ``sysid.load_fitspec``,
+and derives its seeded starts with ``dataclasses.replace``. Renaming
 or deleting any of them, or changing how a ``FitProblem`` is rebuilt, breaks
 a benchmark run, so this checks each here, where the fast suite notices.
 Moving a call off a traced attribute instead leaves the run working and
@@ -67,6 +68,7 @@ def test_tracer_target_is_defined_on_its_owner(span, owner_name, attr):
 
 def test_fit_workload_loader_exists():
     assert callable(cli.__dict__.get("_load_fit_problem"))
+    assert cli._load_fit_problem is sysid.load_fitspec  # the benchmark measures the public loader
 
 
 def test_fit_workload_setup_builds_every_start(tmp_path):

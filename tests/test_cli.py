@@ -160,6 +160,11 @@ def test_simulate_rejects_unstable_dt(tmp_path):
         proc = run_cli("simulate", fx.scenario_path("drawer"), "--out", tmp_path / "x.csv", flag, value)
         assert proc.returncode == 1, (flag, value, proc.stderr)
         assert proc.stderr.startswith("error: ") and flag[2:] in proc.stderr, proc.stderr
+    # a step count that overflows, and a run too long for memory to hold
+    for value in ("1e308", "1e12"):
+        proc = run_cli("simulate", fx.scenario_path("drawer"), "--out", tmp_path / "x.csv", "--duration", value)
+        assert proc.returncode == 1, (value, proc.stderr)
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -237,6 +237,8 @@ def test_steps_for_counts():
     for duration in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="duration"):
             aj.steps_for(duration, 0.001)
+    with pytest.raises(ValueError, match="more steps than a run can count"):
+        aj.steps_for(1e308, 1e-3)  # finite, but its quotient overflows
 
 
 def test_simulate_series_shape_and_initial_sample():

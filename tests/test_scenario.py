@@ -138,7 +138,7 @@ def test_dt_guards(tmp_path):
     scenario = write_and_load(tmp_path, scenario_dict())
     with pytest.raises(aj.AssetSyntaxError, match="stability"):
         dataclasses.replace(scenario, dt=0.02)
-    for duration in (0.0, math.nan, math.inf):
+    for duration in (0.0, math.nan, math.inf, 1e308):
         with pytest.raises(aj.AssetSyntaxError, match="duration"):
             dataclasses.replace(scenario, duration=duration)
     with pytest.raises(aj.NonPositiveDtError):
@@ -170,6 +170,9 @@ def test_unknown_scenario_key_rejected(tmp_path):
     with pytest.raises(aj.AssetSyntaxError, match="reward weight 'nope'") as exc:
         write_and_load(tmp_path, scenario_dict(env={**env_block(), "reward_weights": {"nope": 1.0}}))
     assert exc.value.location == "env.reward_weights"
+    with pytest.raises(aj.AssetSyntaxError, match="expected a number, got str") as exc:
+        write_and_load(tmp_path, scenario_dict(env={**env_block(), "reward_weights": {"lambda3": "high"}}))
+    assert exc.value.location == "env.reward_weights.lambda3"
     scenario = write_and_load(tmp_path, scenario_dict(env={**env_block(), "reward_weights": {"lambda3": 0.0}}))
     with pytest.raises(aj.AssetSyntaxError, match="reward weight 'nope'"):
         dataclasses.replace(scenario, env=dataclasses.replace(scenario.env, reward_weights={"nope": 1.0}))

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import artjoint as aj
-from artjoint import cli, dynamics, fixtures, sysid
+from artjoint import dynamics, fixtures, sysid
 
 import test_sysid
 from conftest import press_and_close
@@ -45,7 +45,7 @@ def test_nothing_is_built_before_the_first_rollout(monkeypatch):
     """Loading a fitspec and deriving a start from it (the fit benchmark's
     set-up) build and load nothing: the first evaluation does."""
     monkeypatch.setattr(dynamics, "_compiled", None)
-    problem = cli._load_fit_problem(fixtures.fitspec_path("drawer_sprung"))
+    problem = sysid.load_fitspec(fixtures.fitspec_path("drawer_sprung"))
     seeded = test_sysid.benchmark_start(problem, 1)
     assert dynamics._compiled is None
     sysid.residuals(problem, dict(problem.init))
@@ -82,7 +82,7 @@ def test_every_run_of_forces_enters_through_run_and_the_env_tick_does_not(monkey
 
         monkeypatch.setattr(dynamics, name, wrapped)
 
-    problem = cli._load_fit_problem(fixtures.fitspec_path("drawer_sprung"))
+    problem = sysid.load_fitspec(fixtures.fitspec_path("drawer_sprung"))
     spec = problem.spec_template
     scenario = aj.load_scenario(fixtures.scenario_path("drawer"))
     for label, action in (
@@ -153,5 +153,5 @@ def test_without_a_compiler_the_fit_runs_the_python_loop_to_the_same_pins(monkey
     monkeypatch.setenv("PATH", str(tmp_path))
     monkeypatch.setattr(dynamics, "_compiled", None)
     assert dynamics._stepper() == ("python", "no C compiler (cc) on PATH")
-    problem = cli._load_fit_problem(fixtures.fitspec_path("drawer_sprung"))
+    problem = sysid.load_fitspec(fixtures.fitspec_path("drawer_sprung"))
     test_sysid.test_fit_on_the_bundled_fitspec_is_pinned(problem, label)

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import artjoint as aj
-from artjoint import cli, fixtures, sysid
+from artjoint import fixtures, sysid
 
 from conftest import make_joint
 
@@ -541,6 +541,76 @@ def test_recover_trashcan_damping_and_low_stiffness(trashcan):
 
 
 # ---------------------------------------------------------------------------
+# loading a fitspec
+
+
+def bundled_fitspec():
+    """The bundled fitspec's document, with its file paths made absolute."""
+    path = fixtures.fitspec_path("drawer_sprung")
+    spec = json.loads(path.read_text())
+    for key in ("asset", "observed"):
+        spec[key] = str(path.parent / spec[key])
+    return spec
+
+
+def test_load_fitspec_equals_the_problem_built_in_code():
+    path = fixtures.fitspec_path("drawer_sprung")
+    loaded = sysid.load_fitspec(path)
+    template = aj.parse_asset(path.parent / "drawer.artjoint.json").joint("slide")
+    forces = aj.PiecewiseForce(((0.0, 1.0), (0.6, -1.6), (1.6, 0.25), (2.2, 0.45)))
+    built = sysid.FitProblem(
+        observed=aj.import_csv(path.parent / "drawer_sprung_observed.csv"),
+        forces=forces,
+        spec_template=aj.apply_params(template, {"stiffness.k": 30.0}),
+        free=("damping_D", "mu_s", "coulomb_floor"),
+        bounds={"damping_D": (0.5, 6.0), "mu_s": (0.02, 0.3), "coulomb_floor": (0.1, 0.8)},
+        init={"damping_D": 2.6, "mu_s": 0.07, "coulomb_floor": 0.39},
+    )
+    assert loaded.forces.__self__ == forces  # each holds its own profile's bound value_at
+    assert loaded == dataclasses.replace(built, forces=loaded.forces)
+    assert np.array_equal(loaded.force_samples, built.force_samples)
+
+
+FITSPEC_SHAPE_ERRORS = {
+    "top-level array": (lambda spec: [spec], "fitspec", "expected an object, got list"),
+    "missing free": (lambda spec: {k: v for k, v in spec.items() if k != "free"}, "fitspec", "missing required key 'free'"),
+    "unknown key": (lambda spec: {**spec, "gravity": 9.81}, "fitspec", "unknown key(s) ['gravity']"),
+    "three-number box": (
+        lambda spec: {**spec, "bounds": {**spec["bounds"], "mu_s": [0.02, 0.1, 0.3]}},
+        "fitspec.bounds.mu_s",
+        "expected 2 numbers, got 3",
+    ),
+    "string in a box": (
+        lambda spec: {**spec, "bounds": {**spec["bounds"], "mu_s": ["0.02", 0.3]}},
+        "fitspec.bounds.mu_s[0]",
+        "expected a number, got str",
+    ),
+    "boolean start": (lambda spec: {**spec, "init": {**spec["init"], "mu_s": True}}, "fitspec.init.mu_s", "expected a number, got bool"),
+    "number in free": (lambda spec: {**spec, "free": [3, "mu_s", "coulomb_floor"]}, "fitspec.free[0]", "expected a string, got int"),
+    "string s_open0": (lambda spec: {**spec, "s_open0": "no"}, "fitspec.s_open0", "expected a boolean, got str"),
+    "number channel": (lambda spec: {**spec, "channel": 3}, "fitspec.channel", "expected a string, got int"),
+    "array overrides": (lambda spec: {**spec, "overrides": [["stiffness.k", 30.0]]}, "fitspec.overrides", "expected an object, got list"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FITSPEC_SHAPE_ERRORS))
+def test_load_fitspec_reports_a_shape_error_at_its_key(tmp_path, case):
+    change, location, message = FITSPEC_SHAPE_ERRORS[case]
+    path = tmp_path / "case.fitspec.json"
+    path.write_text(json.dumps(change(bundled_fitspec())))
+    with pytest.raises(aj.AssetSyntaxError) as exc:
+        sysid.load_fitspec(path)
+    assert (exc.value.location, exc.value.message) == (location, message)
+
+
+def test_load_fitspec_rejects_a_joint_the_asset_lacks(tmp_path):
+    path = tmp_path / "case.fitspec.json"
+    path.write_text(json.dumps({**bundled_fitspec(), "joint": "hinge"}))
+    with pytest.raises(aj.UnknownJointError, match="fitspec joint 'hinge' not present in asset 'drawer'"):
+        sysid.load_fitspec(path)
+
+
+# ---------------------------------------------------------------------------
 # pinned fit results on the bundled fitspec: any change to the objective's
 # float arithmetic, however small, moves these exact values
 
@@ -567,7 +637,7 @@ PINNED_FITS = {
 
 @pytest.fixture(scope="module")
 def drawer_sprung():
-    return cli._load_fit_problem(fixtures.fitspec_path("drawer_sprung"))
+    return sysid.load_fitspec(fixtures.fitspec_path("drawer_sprung"))
 
 
 def benchmark_start(problem, seed):
@@ -764,12 +834,12 @@ def test_fit_is_bit_identical_with_one_blas_thread(drawer_sprung, tmp_path):
     spec["asset"] = str(fixtures.fitspec_path("drawer_sprung").parent / spec["asset"])
     spec["observed"] = "observed.csv"
     (tmp_path / "long.fitspec.json").write_text(json.dumps(spec))
-    script = "import sys; from pathlib import Path; from artjoint import cli, sysid; print(repr(sysid.fit(cli._load_fit_problem(Path(sys.argv[1])))))"
+    script = "import sys; from pathlib import Path; from artjoint import sysid; print(repr(sysid.fit(sysid.load_fitspec(Path(sys.argv[1])))))"
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(aj.__file__).parents[1]), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", script, str(tmp_path / "long.fitspec.json")], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    in_process = aj.fit(cli._load_fit_problem(tmp_path / "long.fitspec.json"))
+    in_process = aj.fit(sysid.load_fitspec(tmp_path / "long.fitspec.json"))
     assert proc.stdout == repr(in_process) + "\n"
