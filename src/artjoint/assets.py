@@ -197,7 +197,7 @@ class ValidationReport:
 
 
 def _check_pose(report: ValidationReport, pose: Pose, path: str) -> None:
-    if abs(quat_norm(pose.orientation) - 1.0) > UNIT_TOLERANCE:
+    if not abs(quat_norm(pose.orientation) - 1.0) <= UNIT_TOLERANCE:
         report.add("non-unit-quaternion", path, f"orientation is not unit length: {pose.orientation}")
 
 
@@ -205,7 +205,7 @@ def check_joint(report: ValidationReport, joint: JointSpec, path: str) -> None:
     """The rules one joint satisfies on its own: unit axis, ordered limits,
     positive inertia, non-negative friction and stiffness parameters, and
     thresholds and fixed targets within the limits."""
-    if abs(vec_norm(joint.axis) - 1.0) > UNIT_TOLERANCE:
+    if not abs(vec_norm(joint.axis) - 1.0) <= UNIT_TOLERANCE:
         report.add("non-unit-axis", f"{path}.axis", f"joint '{joint.id}' axis is not unit length: {joint.axis}")
     lo, hi = joint.q_lower_bound, joint.q_upper_bound
     if not (lo < hi):
@@ -213,18 +213,18 @@ def check_joint(report: ValidationReport, joint: JointSpec, path: str) -> None:
     if not (joint.effective_inertia > 0.0):
         report.add("non-positive-inertia", path, f"joint '{joint.id}' effective_inertia must be > 0")
     for name in ("damping_D", "mu_s", "coulomb_floor"):
-        if getattr(joint, name) < 0.0:
+        if not getattr(joint, name) >= 0.0:
             report.add("negative-parameter", f"{path}.{name}", f"joint '{joint.id}' {name} must be >= 0")
 
     st = joint.stiffness
     if isinstance(st, ConstantStiffness):
-        if st.k < 0.0:
+        if not st.k >= 0.0:
             report.add("invalid-stiffness", f"{path}.stiffness", f"joint '{joint.id}' constant stiffness must be >= 0")
     else:
         for name in ("k_high", "k_low", "k_max", "alpha", "lambda_"):
-            if getattr(st, name) < 0.0:
+            if not getattr(st, name) >= 0.0:
                 report.add("invalid-stiffness", f"{path}.stiffness", f"joint '{joint.id}' schedule {name} must be >= 0")
-        if st.k_low > st.k_high:
+        if not st.k_low <= st.k_high:
             report.add("invalid-stiffness", f"{path}.stiffness", f"joint '{joint.id}' schedule requires k_low <= k_high")
         if lo < hi and not (lo <= st.q_threshold <= hi):
             report.add("threshold-out-of-range", f"{path}.stiffness", f"joint '{joint.id}' stiffness q_threshold {st.q_threshold} outside [{lo}, {hi}]")

@@ -15,12 +15,13 @@ Trigger/effect evaluation is deliberately simple and deterministic:
   and the new sample of a joint's position — rising when
   ``prev < value <= new``, falling when ``prev > value >= new``. Holding a
   joint past the threshold therefore fires exactly once until it re-crosses
-  in the opposite direction.
+  in the opposite direction. :func:`first_crossing` is that test, which the
+  scenario runtime runs; :func:`evaluate` is handed the rules that fire.
 * ``SignalReceived`` fires within the same tick as the emit, resolved in
   waves; a chain deeper than 16 waves raises :class:`SignalLoopError`.
 * Effects are collected during evaluation and applied after the physics step
   of the tick in which they fired; every effect is an idempotent in-place
-  assignment.
+  assignment, and :func:`apply` is the rules' only contact with joint state.
 """
 
 from __future__ import annotations
@@ -205,15 +206,12 @@ def first_crossing(trigger: ThresholdCrossed, q: "list[float] | np.ndarray") -> 
     """The first ``i >= 1`` where the step from ``q[i - 1]`` to ``q[i]`` crosses
     ``trigger.value`` in its direction (see the module doc), or None.
 
-    ``q`` is a runtime segment's float64 series or :func:`evaluate`'s list
-    of two positions, which is ruled out in plain floats where it cannot
-    cross."""
+    ``q`` is a runtime segment's float64 series or, for a one-tick segment,
+    the list ``[prev, new]``, tested in plain floats."""
     value, rising = trigger.value, trigger.direction == "rising"
     if isinstance(q, list):
-        lo, hi = min(q), max(q)
-        if not (lo < value <= hi if rising else lo <= value < hi):
-            return None  # the series never reaches the threshold from its firing side
-        q = np.array(q)
+        prev, new = q
+        return 1 if (prev < value <= new if rising else prev > value >= new) else None
     prev, new = q[:-1], q[1:]
     hit = (prev < value) & (value <= new) if rising else (prev > value) & (value >= new)
     return int(hit.argmax()) + 1 if hit.any() else None
@@ -233,18 +231,15 @@ def _describe(effect: Effect) -> tuple[str, str]:
     return effect_type, f"{effect_type} {what}"
 
 
-def evaluate(
-    rules: tuple[BehaviorRule, ...],
-    prev_q: Mapping[str, float],
-    states: Mapping[str, "object"],
-    t: float,
-) -> tuple[list[Effect], list[EventRecord]]:
-    """Fire the bound ``rules`` (from :func:`bind`) for the step ending at
-    ``t``, from the positions ``prev_q`` before it to ``states`` after it.
+def evaluate(rules: tuple[BehaviorRule, ...], fired: Iterable[BehaviorRule], t: float) -> tuple[list[Effect], list[EventRecord]]:
+    """Fire ``fired``, the threshold rules whose trigger crosses in the step
+    ending at ``t`` (the caller's :func:`first_crossing` test), in rule
+    order, then the ``SignalReceived`` rules of the bound ``rules`` (from
+    :func:`bind`) that their emits reach, wave by wave.
 
     Returns the effects to apply (EmitSignal is consumed here, not returned)
-    and the log records, ordered rule-by-rule in firing order. Pure: no state
-    is touched.
+    and the log records, ordered rule-by-rule in firing order. Pure: it reads
+    no joint state and touches nothing.
     """
     effects: list[Effect] = []
     records: list[EventRecord] = []
@@ -263,11 +258,9 @@ def evaluate(
             else:
                 effects.append(effect)
 
-    for rule in rules:
+    for rule in fired:
         trig = rule.trigger
-        if isinstance(trig, ThresholdCrossed):
-            if first_crossing(trig, [prev_q[trig.joint], states[trig.joint].q]):
-                fire(rule, f"{_TYPE_NAME[ThresholdCrossed]} {trig.joint} {trig.direction} {trig.value}")
+        fire(rule, f"{_TYPE_NAME[ThresholdCrossed]} {trig.joint} {trig.direction} {trig.value}")
 
     depth = 0
     while wave:

@@ -7,9 +7,10 @@ states and an environment block. Everything is addressed by qualified refs:
 
 The runtime advances in segments, since only a tick where a
 ``ThresholdCrossed`` fires needs the behavior rules. Per segment: sample the
-force schedules, step the joints the triggers watch, cut at the first tick
-where one fires, bring every joint to that tick, run the rules there and
-apply the fired effects, then store the values the recordings need. A
+force schedules, step the joints the triggers watch, test each threshold
+rule once for its first crossing, cut at the earliest, bring every joint to
+that tick, fire the rules that cross there and apply their effects, then
+store the values the recordings need. A
 segment of more than one tick, such as each of :func:`run`'s, steps each
 joint with one ``dynamics._run`` call into float64 arrays, which ``run``
 copies into its columns. A one-tick segment, the env's tick, steps each
@@ -158,11 +159,14 @@ class Scenario:
 
     Construction, ``dataclasses.replace`` included, checks every invariant:
     unique slash-free assembly names, placed assemblies that pass
-    :func:`assets.validate`, the :func:`dynamics.check_dt` rule, a duration
-    :func:`dynamics.steps_for` accepts, env limits > 0, reward weight names,
-    initial positions within their joint's limits, unique and CSV-safe
-    recordings, and that every ref resolves. It stores a read-only copy of
-    ``initial``. :meth:`joint` and :meth:`marker` are the only ref lookups.
+    :func:`assets.validate` and unit placement orientations (the assets'
+    pose rule), the :func:`dynamics.check_dt` rule, a duration
+    :func:`dynamics.steps_for` accepts, finite env limits > 0, a finite
+    3-number effector start, finite reward weights under known names,
+    initial positions within their joint's limits and finite initial
+    velocities, unique and CSV-safe recordings, and that every ref
+    resolves. It stores a read-only copy of ``initial``. :meth:`joint` and
+    :meth:`marker` are the only ref lookups.
     """
 
     assemblies: tuple[Placement, ...]
@@ -185,8 +189,11 @@ class Scenario:
             if pl.name in by_name:
                 raise AssetSyntaxError(f"duplicate assembly name '{pl.name}'", loc)
             by_name[pl.name] = pl
-            issues = [replace(x, path=f"assemblies[{i}].assembly.{x.path}") for x in assets_mod.validate(pl.assembly)]
-            assets_mod.raise_on_issues(assets_mod.ValidationReport(issues))
+            report = assets_mod.ValidationReport(
+                [replace(x, path=f"assemblies[{i}].assembly.{x.path}") for x in assets_mod.validate(pl.assembly)]
+            )
+            assets_mod._check_pose(report, pl.world_pose, f"assemblies[{i}].world_pose")
+            assets_mod.raise_on_issues(report)
         object.__setattr__(self, "_by_name", by_name)
         object.__setattr__(
             self, "_joints", {f"{pl.name}/{j.id}": j for pl in self.assemblies for j in pl.assembly.joints}
@@ -203,6 +210,8 @@ class Scenario:
             lo, hi = self.joint(ref).bounds
             if not (lo <= init.q <= hi):
                 raise AssetSyntaxError(f"initial q={init.q} outside limits [{lo}, {hi}]", f"initial['{ref}']")
+            if not math.isfinite(init.q_dot):
+                raise AssetSyntaxError(f"initial q_dot={init.q_dot} must be finite", f"initial['{ref}']")
         for i, ref in enumerate(self.recordings):
             if ref in self.recordings[:i]:
                 raise AssetSyntaxError(f"duplicate recording '{ref}'", f"recordings[{i}]")
@@ -213,12 +222,17 @@ class Scenario:
             if ref not in self._joints:
                 self.marker(ref)
         if self.env is not None:
-            if self.env.action_max <= 0 or self.env.contact_radius <= 0:
-                raise AssetSyntaxError("action_max and contact_radius must be > 0", "env")
+            if not (0.0 < self.env.action_max < math.inf and 0.0 < self.env.contact_radius < math.inf):
+                raise AssetSyntaxError("action_max and contact_radius must be finite and > 0", "env")
+            start = self.env.effector_start
+            if len(start) != 3 or not all(map(math.isfinite, start)):
+                raise AssetSyntaxError(f"effector_start must be 3 finite numbers, got {start}", "env")
             weights = {f.name for f in fields(RewardParams)}
-            for key in self.env.reward_weights:
+            for key, weight in self.env.reward_weights.items():
                 if key not in weights:
                     raise AssetSyntaxError(f"unknown reward weight '{key}'", "env.reward_weights")
+                if not math.isfinite(weight):
+                    raise AssetSyntaxError(f"reward weight '{key}' must be finite, got {weight}", "env.reward_weights")
             self.joint(self.env.goal_joint)
             self.marker(self.env.handle_marker)
 
@@ -375,9 +389,9 @@ class ScenarioRuntime:
         self._profiles: dict[str, list[ForceProfile]] = {}
         for schedule in scenario.forces:
             self._profiles.setdefault(schedule.joint, []).append(schedule.profile)
-        self._thresholds = [r.trigger for r in self.rules if isinstance(r.trigger, bh.ThresholdCrossed)]
+        self._thresholds = [rule for rule in self.rules if isinstance(rule.trigger, bh.ThresholdCrossed)]
         # the joints a trigger watches step first in a segment: they decide the cut
-        self._watched = {trigger.joint: states[trigger.joint] for trigger in self._thresholds}
+        self._watched = {rule.trigger.joint: states[rule.trigger.joint] for rule in self._thresholds}
         self._others = {ref: state for ref, state in states.items() if ref not in self._watched}
         #: every (placement, marker) pair of the scenario, the keys of :meth:`marker_table`
         self.markers = tuple((pl, marker) for pl in scenario.assemblies for marker in pl.assembly.markers())
@@ -412,21 +426,22 @@ class ScenarioRuntime:
     def advance(self, n_ticks: int, extra_forces: "Mapping[str, float] | None" = None) -> list[bh.EventRecord]:
         """Advance ``n_ticks`` steps, adding the per-joint ``extra_forces`` to
         the schedules on each, and return their behavior event records."""
-        return [record for *_, fired in self._segments(n_ticks, extra_forces or {}) for record in fired]
+        return [record for *_, records in self._segments(n_ticks, extra_forces or {}) for record in records]
 
     def _segments(self, n_ticks: int, extra_forces: Mapping[str, float]) -> Iterator[tuple[int, dict, dict, list]]:
         """Advance ``n_ticks`` steps, yielding each segment's length ``m``,
         per joint its positions and velocities at the segment's start and
         after each of its ``m`` ticks, and its records. A segment ends at a
-        cut or after ``_CHUNK`` ticks; the rules run at its last tick. How
-        a segment steps its joints: see the module doc."""
+        cut or after ``_CHUNK`` ticks. One ``bh.first_crossing`` per
+        threshold rule is its only crossing test: the earliest hit is the
+        cut, and the rules hit there are those ``bh.evaluate`` fires. How a
+        segment steps its joints: see the module doc."""
         dt, joint_records, states = self.scenario.dt, self.joint_records, self._states
         end = self.k + n_ticks
         while self.k < end:
             n = min(end - self.k, _CHUNK)
             forces = self.scheduled_forces(self.k, n)
             if n == 1:  # the env's tick: plain floats (see the module doc)
-                m = 1
                 forces = {ref: f.item() for ref, f in forces.items()}
                 for ref, value in extra_forces.items():
                     forces[ref] = forces.get(ref, 0.0) + float(value)
@@ -442,8 +457,9 @@ class ScenarioRuntime:
                 start = {ref: (s.q, s.q_dot, s.regime, s.held_target) for ref, s in self._watched.items()}
                 for ref, state in self._watched.items():
                     dynamics._run(joint_records[ref], state, forces.get(ref, zeros), dt, q[ref], q_dot[ref])
-                hits = (bh.first_crossing(trig, q[trig.joint]) for trig in self._thresholds)
-                m = min((i for i in hits if i is not None), default=n)
+            hits = [bh.first_crossing(rule.trigger, q[rule.trigger.joint]) for rule in self._thresholds]
+            m = min((i for i in hits if i is not None), default=n)
+            if n > 1:
                 if m < n:  # a cut: step the watched joints again from the start, to the firing tick
                     for ref, state in self._watched.items():
                         state.q, state.q_dot, state.regime, state.held_target = start[ref]
@@ -451,8 +467,8 @@ class ScenarioRuntime:
                 for ref, state in self._others.items():
                     dynamics._run(joint_records[ref], state, forces.get(ref, zeros)[:m], dt, q[ref], q_dot[ref])
             self.k += m
-            prev_q = {ref: float(q[ref][m - 1]) for ref in self._watched}
-            effects, records = bh.evaluate(self.rules, prev_q, states, self.t)
+            fired = [rule for rule, i in zip(self._thresholds, hits) if i == m]
+            effects, records = bh.evaluate(self.rules, fired, self.t)
             if effects:
                 bh.apply(effects, states, self.properties)
             yield m, q, q_dot, records

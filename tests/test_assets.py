@@ -1,6 +1,8 @@
 """Asset parsing, serialization round-trips, and structural validation."""
 
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -194,6 +196,46 @@ def test_non_unit_axis_issue():
     data["joints"][0]["axis"] = [1.0, 1.0, 0.0]
     report = aj.validate(aj.assembly_from_dict(data))
     assert any(issue.code == "non-unit-axis" for issue in report)
+
+
+def first_joint(assembly, **changes):
+    """``assembly`` with ``changes`` made to its first joint."""
+    return dataclasses.replace(assembly, joints=(dataclasses.replace(assembly.joints[0], **changes),) + assembly.joints[1:])
+
+
+def first_schedule(assembly, **changes):
+    """``assembly`` with ``changes`` made to its first joint's stiffness schedule."""
+    return first_joint(assembly, stiffness=dataclasses.replace(assembly.joints[0].stiffness, **changes))
+
+
+NAN = math.nan
+UNIT_NAN = aj.Pose(orientation=(NAN, 0.0, 0.0, 0.0))
+
+
+# a code-built NaN (the file reader rejects NaN on its own) in each number a
+# validation comparison reads, and the issue it must raise
+@pytest.mark.parametrize(
+    "name, change, code, path",
+    [
+        pytest.param("drawer", lambda a: first_joint(a, axis=(NAN, 0.0, 0.0)), "non-unit-axis", "joints[0].axis", id="axis"),
+        pytest.param("drawer", lambda a: first_joint(a, damping_D=NAN), "negative-parameter", "joints[0].damping_D", id="damping_D"),
+        pytest.param("drawer", lambda a: first_joint(a, mu_s=NAN), "negative-parameter", "joints[0].mu_s", id="mu_s"),
+        pytest.param("drawer", lambda a: first_joint(a, coulomb_floor=NAN), "negative-parameter", "joints[0].coulomb_floor", id="coulomb_floor"),
+        pytest.param("drawer", lambda a: first_joint(a, stiffness=aj.ConstantStiffness(k=NAN)), "invalid-stiffness", "joints[0].stiffness", id="k"),
+        pytest.param("microwave", lambda a: first_schedule(a, k_low=NAN), "invalid-stiffness", "joints[0].stiffness", id="k_low"),
+        pytest.param("microwave", lambda a: first_schedule(a, k_high=NAN), "invalid-stiffness", "joints[0].stiffness", id="k_high"),
+        pytest.param("drawer", lambda a: dataclasses.replace(a, base_frame=UNIT_NAN), "non-unit-quaternion", "base_frame", id="base_frame"),
+        pytest.param(
+            "drawer",
+            lambda a: dataclasses.replace(a, modules=(dataclasses.replace(a.modules[0], rest_pose=UNIT_NAN),) + a.modules[1:]),
+            "non-unit-quaternion",
+            "modules[0].rest_pose",
+            id="rest_pose",
+        ),
+    ],
+)
+def test_nan_fails_every_validation_comparison(name, change, code, path):
+    assert (code, path) in [(issue.code, issue.path) for issue in aj.validate(change(load_assembly(name)))]
 
 
 def test_two_parents_is_cyclic_structure():

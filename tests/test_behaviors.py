@@ -1,9 +1,13 @@
 """Behavior rules: binding, threshold/signal triggers, same-tick chains,
 and effect application."""
 
+import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import artjoint as aj
 from artjoint import behaviors as bh
@@ -125,15 +129,7 @@ def test_validate_and_bind_agree_on_rule_references():
 
 
 def crossing_fires(direction, prev, new, value=0.005):
-    joint = make_joint(id="j")
-    rule = aj.BehaviorRule(
-        id="r",
-        trigger=aj.ThresholdCrossed(joint="j", value=value, direction=direction),
-        effects=(aj.SetOpenState(joint="j", value=True),),
-    )
-    rules = aj.bind({"a": mini_assembly("a", joints=[joint], behaviors=[rule])})
-    effects, records = bh.evaluate(rules, {"a/j": prev}, {"a/j": aj.JointState(q=new)}, t=0.001)
-    return bool(effects)
+    return bh.first_crossing(aj.ThresholdCrossed(joint="j", value=value, direction=direction), [prev, new]) == 1
 
 
 def test_rising_crossing():
@@ -152,15 +148,34 @@ def test_falling_crossing():
 
 
 def test_holding_past_threshold_fires_exactly_once():
-    joint = make_joint(id="j")
-    rule = press_rule([aj.SetOpenState(joint="j", value=True)])
-    rules = aj.bind({"a": mini_assembly("a", joints=[joint], behaviors=[rule])})
+    trigger = press_rule([]).trigger
     qs = [0.0, 0.004, 0.006, 0.007, 0.008, 0.003, 0.009]  # one dip, re-cross
-    fired = 0
-    for prev, new in zip(qs, qs[1:]):
-        effects, _ = bh.evaluate(rules, {"a/j": prev}, {"a/j": aj.JointState(q=new)}, t=0.0)
-        fired += len(effects)
-    assert fired == 2  # once on the way up, once after dipping back below
+    fired = [k for k in range(1, len(qs)) if bh.first_crossing(trigger, qs[k - 1 : k + 1])]
+    assert fired == [2, 6]  # once on the way up, once after dipping back below
+    assert bh.first_crossing(trigger, np.array(qs)) == 2
+    assert bh.first_crossing(trigger, np.array(qs[2:])) == 4  # held past it: only the re-cross
+
+
+# a float that may sit on either side of the threshold, on it, or be no number
+crossing_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 0.005, 1.0]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(prev=crossing_floats, new=crossing_floats, value=crossing_floats, direction=st.sampled_from(bh.DIRECTIONS))
+def test_the_two_forms_of_first_crossing_agree(prev, new, value, direction):
+    trigger = aj.ThresholdCrossed(joint="j", value=value, direction=direction)
+    for a, b in ((prev, new), (prev, value), (value, new), (value, value)):
+        assert bh.first_crossing(trigger, [a, b]) == bh.first_crossing(trigger, np.array([a, b]))
+
+
+def crossed(rules, prev, new):
+    """The threshold rules of ``rules`` whose trigger crosses from ``prev``
+    to ``new``, in rule order, as the scenario runtime picks them."""
+    thresholds = (r for r in rules if isinstance(r.trigger, aj.ThresholdCrossed))
+    return [r for r in thresholds if bh.first_crossing(r.trigger, [prev, new])]
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +212,7 @@ def relay_assembly():
 
 def test_signal_chain_resolves_within_one_tick():
     rules = relay_assembly()
-    effects, records = bh.evaluate(rules, {"a/j": 0.004}, {"a/j": aj.JointState(q=0.006)}, t=0.002)
+    effects, records = bh.evaluate(rules, crossed(rules, 0.004, 0.006), t=0.002)
     assert effects == [aj.SetProperty(target="c/lamp", key="on", value=True)]
     triggers = [r.rule_id for r in records if r.kind == "trigger"]
     assert triggers == ["a/press", "b/relay", "c/lamp-on"]
@@ -210,7 +225,7 @@ def test_signal_chain_resolves_within_one_tick():
 
 def test_no_crossing_means_no_records():
     rules = relay_assembly()
-    effects, records = bh.evaluate(rules, {"a/j": 0.001}, {"a/j": aj.JointState(q=0.002)}, t=0.001)
+    effects, records = bh.evaluate(rules, crossed(rules, 0.001, 0.002), t=0.001)
     assert effects == []
     assert records == []
 
@@ -226,7 +241,7 @@ def test_signal_loop_raises():
     )
     rules = aj.bind({"a": assembly})
     with pytest.raises(aj.SignalLoopError, match="depth cap 16"):
-        bh.evaluate(rules, {"a/j": 0.004}, {"a/j": aj.JointState(q=0.006)}, t=0.0)
+        bh.evaluate(rules, crossed(rules, 0.004, 0.006), t=0.0)
 
 
 def test_deep_but_finite_chain_is_fine():
@@ -239,7 +254,7 @@ def test_deep_but_finite_chain_is_fine():
         aj.BehaviorRule(id="end", trigger=aj.SignalReceived(name="s14"), effects=(aj.SetOpenState(joint="j", value=True),))
     )
     bound = aj.bind({"a": mini_assembly("a", joints=[make_joint(id="j")], behaviors=rules)})
-    effects, _ = bh.evaluate(bound, {"a/j": 0.0}, {"a/j": aj.JointState(q=0.01)}, t=0.0)
+    effects, _ = bh.evaluate(bound, crossed(bound, 0.0, 0.01), t=0.0)
     assert effects == [aj.SetOpenState(joint="a/j", value=True)]
 
 
@@ -270,19 +285,19 @@ def test_apply_ignores_emit_signal():
 
 def test_evaluate_is_pure_and_deterministic():
     rules = relay_assembly()
-    prev = {"a/j": 0.004}
-    new = {"a/j": aj.JointState(q=0.006)}
-    first = bh.evaluate(rules, prev, new, t=0.5)
-    second = bh.evaluate(rules, prev, new, t=0.5)
+    fired = crossed(rules, 0.004, 0.006)
+    assert [r.id for r in fired] == ["a/press"]
+    first = bh.evaluate(rules, fired, t=0.5)
+    second = bh.evaluate(rules, fired, t=0.5)
     assert first == second
-    assert prev["a/j"] == 0.004
-    assert new["a/j"] == aj.JointState(q=0.006)
+    assert [r.id for r in fired] == ["a/press"]
+    assert rules == relay_assembly()
 
 
 def test_event_log_counting():
     log = bh.EventLog()
     rules = relay_assembly()
-    _, records = bh.evaluate(rules, {"a/j": 0.004}, {"a/j": aj.JointState(q=0.006)}, t=0.0)
+    _, records = bh.evaluate(rules, crossed(rules, 0.004, 0.006), t=0.0)
     log.extend(records)
     assert log.count_effects("set_property") == 1
     assert log.count_effects("emit_signal") == 2

@@ -168,6 +168,20 @@ def test_simulate_rejects_unstable_dt(tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("orientation", [[0.0, 2.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+def test_simulate_rejects_a_non_unit_placement_orientation(tmp_path, orientation):
+    data = json.loads(fx.scenario_path("trashcan").read_text(encoding="utf-8"))
+    data["assemblies"][0].update(
+        asset=str(fx.asset_path("trashcan")), world_pose={"position": [0.0, 0.0, 0.0], "orientation": orientation}
+    )
+    path = tmp_path / "bent.scenario.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    proc = run_cli("simulate", path, "--out", tmp_path / "x.csv")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: assemblies[0].world_pose: orientation is not unit length"), proc.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_simulate_multiple_scenarios_need_a_directory(tmp_path):
     paths = [fx.scenario_path("drawer"), fx.scenario_path("oven")]
     proc = run_cli("simulate", *paths, "--out", tmp_path / "single.csv")

@@ -249,6 +249,45 @@ def test_code_built_scenario_rejects_an_invalid_assembly(trashcan):
         simple_scenario(bent, duration=0.1)
 
 
+@pytest.mark.parametrize("orientation", [(0.0, 2.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), (math.nan, 1.0, 0.0, 0.0)])
+def test_code_built_scenario_rejects_a_non_unit_placement_orientation(trashcan, orientation):
+    scenario = simple_scenario(trashcan, duration=0.1)
+    bent = dataclasses.replace(scenario.assemblies[0], world_pose=aj.Pose(orientation=orientation))
+    with pytest.raises(aj.AssetValidationError, match=r"^assemblies\[0\]\.world_pose: orientation is not unit length"):
+        dataclasses.replace(scenario, assemblies=(bent,))
+
+
+ENV = {"goal_joint": "drawer/slide", "handle_marker": "drawer/handle", "effector_start": (0.0, 0.0, 0.0)}
+
+
+# code-built numbers the file reader would refuse (non-finite, or the wrong
+# count), each with the location it is reported at
+@pytest.mark.parametrize(
+    "env, q_dot, location",
+    [
+        ({"action_max": math.nan}, 0.0, "env"),
+        ({"action_max": math.inf}, 0.0, "env"),
+        ({"contact_radius": math.nan}, 0.0, "env"),
+        ({"contact_radius": math.inf}, 0.0, "env"),
+        ({"effector_start": (0.0, 0.0)}, 0.0, "env"),
+        ({"effector_start": (0.0, 0.0, 0.0, 0.0)}, 0.0, "env"),
+        ({"effector_start": (0.0, math.nan, 0.0)}, 0.0, "env"),
+        ({"effector_start": (-math.inf, 0.0, 0.0)}, 0.0, "env"),
+        ({"reward_weights": {"lambda3": math.nan}}, 0.0, "env.reward_weights"),
+        ({"reward_weights": {"lambda4": -math.inf}}, 0.0, "env.reward_weights"),
+        ({}, math.nan, "initial['drawer/slide']"),
+        ({}, math.inf, "initial['drawer/slide']"),
+        ({}, -math.inf, "initial['drawer/slide']"),
+    ],
+)
+def test_code_built_scenario_rejects_what_the_file_reader_would(drawer, env, q_dot, location):
+    good = simple_scenario(drawer, initial={"drawer/slide": aj.JointInit(q=0.1, q_dot=-0.5)})
+    good = dataclasses.replace(good, env=aj.EnvConfig(**ENV, reward_weights={"lambda3": 0.0}))
+    with pytest.raises(aj.AssetSyntaxError) as exc:
+        dataclasses.replace(good, env=aj.EnvConfig(**{**ENV, **env}), initial={"drawer/slide": aj.JointInit(q=0.1, q_dot=q_dot)})
+    assert exc.value.location == location
+
+
 def test_load_validates_each_placed_asset_once(tmp_path, monkeypatch, drawer):
     validate, calls = assets.validate, []
 
@@ -697,7 +736,10 @@ def crafted_scene(drawer, trashcan, rising_tick, falling_tick=None):
     rising crossing at ``rising_tick`` and one on drawer ``push`` on the
     falling crossing at ``falling_tick``; each emits a signal that a trashcan
     rule turns into effects, one through a second emit. The thresholds are
-    the slides' own positions at those ticks in a run without rules."""
+    the slides' own positions at those ticks in a run without rules. A
+    ``rising_tick`` given as the pair ``(tick, tick)`` adds a second rule on
+    ``pull``'s slide, ``pull_again``, whose threshold lies halfway into the
+    step that reaches ``tick``: both cross there, and both emit."""
     pull = aj.ForceSchedule("pull/slide", aj.ConstantForce(value=2.0))
     push = aj.ForceSchedule("push/slide", aj.ConstantForce(value=-2.0))
     base = aj.Scenario(
@@ -712,9 +754,17 @@ def crafted_scene(drawer, trashcan, rising_tick, falling_tick=None):
     def drawer_with(rule_id, direction, tick, signal):
         if tick is None:
             return drawer
-        value = float(free.channels[f"{rule_id}/slide.q"][tick])
-        rule = aj.BehaviorRule(rule_id, aj.ThresholdCrossed("slide", value, direction), (aj.EmitSignal(signal),))
-        return dataclasses.replace(drawer, behaviors=(rule,))
+        q = free.channels[f"{rule_id}/slide.q"]
+        if isinstance(tick, tuple):
+            tick, _ = tick
+            values = {rule_id: float(q[tick]), f"{rule_id}_again": float((q[tick - 1] + q[tick]) / 2)}
+        else:
+            values = {rule_id: float(q[tick])}
+        rules = tuple(
+            aj.BehaviorRule(name, aj.ThresholdCrossed("slide", value, direction), (aj.EmitSignal(signal),))
+            for name, value in values.items()
+        )
+        return dataclasses.replace(drawer, behaviors=rules)
 
     chained = (
         aj.BehaviorRule("slam", aj.SignalReceived("pulled"), (aj.SetOpenState("lid", False), aj.SetFixedTarget("lid", 0.0))),
@@ -743,13 +793,24 @@ def crafted_scene(drawer, trashcan, rising_tick, falling_tick=None):
         (None, scenario_mod._CHUNK),
         (300, 300),  # two triggers in one tick
         (200, scenario_mod._CHUNK - 1),  # two cuts in one chunk
+        # two rules on one slide cross in one tick: at a cut inside a chunk, at a chunk's last tick
+        pytest.param((300, 300), None, id="300+300-None"),
+        pytest.param((scenario_mod._CHUNK, scenario_mod._CHUNK), None, id="512+512-None"),
     ],
 )
 def test_run_equals_the_per_tick_reference_at_crafted_crossings(drawer, trashcan, rising_tick, falling_tick):
     scenario = crafted_scene(drawer, trashcan, rising_tick, falling_tick)
     log = assert_run_matches_per_tick_reference(scenario)
     fired = sorted((r.t, r.rule_id) for r in log if r.kind == "trigger")
-    expected = [(rising_tick * 0.001, "pull/pull"), (rising_tick * 0.001, "bin/slam")] if rising_tick else []
+    expected = []
+    if isinstance(rising_tick, tuple):
+        rising_tick, _ = rising_tick
+        # both fire, in rule order, and their one signal fires the trashcan rule once
+        in_order = [r.rule_id for r in log if r.kind == "trigger" and r.t == rising_tick * 0.001]
+        assert in_order == ["pull/pull", "pull/pull_again", "bin/slam"]
+        expected.append((rising_tick * 0.001, "pull/pull_again"))
+    if rising_tick:
+        expected += [(rising_tick * 0.001, "pull/pull"), (rising_tick * 0.001, "bin/slam")]
     if falling_tick:
         expected += [(falling_tick * 0.001, "push/push"), (falling_tick * 0.001, "bin/relay"), (falling_tick * 0.001, "bin/mark")]
     assert fired == sorted(expected)
