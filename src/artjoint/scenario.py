@@ -449,6 +449,8 @@ class ScenarioRuntime:
                 for ref, state in states.items():
                     q[ref], q_dot[ref] = [state.q], [state.q_dot]
                     dynamics._advance(joint_records[ref], state, (forces.get(ref, 0.0),), dt, q[ref], q_dot[ref])
+                m = 1  # the one tick is the cut: every rule that crosses in it fires
+                fired = [rule for rule in self._thresholds if bh.first_crossing(rule.trigger, q[rule.trigger.joint])]
             else:
                 zeros = np.zeros(n)
                 for ref, value in extra_forces.items():
@@ -457,17 +459,16 @@ class ScenarioRuntime:
                 start = {ref: (s.q, s.q_dot, s.regime, s.held_target) for ref, s in self._watched.items()}
                 for ref, state in self._watched.items():
                     dynamics._run(joint_records[ref], state, forces.get(ref, zeros), dt, q[ref], q_dot[ref])
-            hits = [bh.first_crossing(rule.trigger, q[rule.trigger.joint]) for rule in self._thresholds]
-            m = min((i for i in hits if i is not None), default=n)
-            if n > 1:
+                hits = [bh.first_crossing(rule.trigger, q[rule.trigger.joint]) for rule in self._thresholds]
+                m = min((i for i in hits if i is not None), default=n)
                 if m < n:  # a cut: step the watched joints again from the start, to the firing tick
                     for ref, state in self._watched.items():
                         state.q, state.q_dot, state.regime, state.held_target = start[ref]
                         dynamics._run(joint_records[ref], state, forces.get(ref, zeros)[:m], dt, q[ref], q_dot[ref])
                 for ref, state in self._others.items():
                     dynamics._run(joint_records[ref], state, forces.get(ref, zeros)[:m], dt, q[ref], q_dot[ref])
+                fired = [rule for rule, i in zip(self._thresholds, hits) if i == m]
             self.k += m
-            fired = [rule for rule, i in zip(self._thresholds, hits) if i == m]
             effects, records = bh.evaluate(self.rules, fired, self.t)
             if effects:
                 bh.apply(effects, states, self.properties)
