@@ -201,10 +201,24 @@ def _check_pose(report: ValidationReport, pose: Pose, path: str) -> None:
         report.add("non-unit-quaternion", path, f"orientation is not unit length: {pose.orientation}")
 
 
+def _check_finite(report: ValidationReport, written: Any, path: str) -> None:
+    """Report each non-finite number of a record's written form (a JSON
+    value, :func:`_write`) at its JSON path under ``path``, as the file
+    reader would refuse it."""
+    if isinstance(written, float) and not math.isfinite(written):
+        report.add("non-finite", path, f"number must be finite, got {written}")
+    elif isinstance(written, dict):
+        for key, value in written.items():
+            _check_finite(report, value, f"{path}.{key}")
+    elif isinstance(written, list):
+        for i, value in enumerate(written):
+            _check_finite(report, value, f"{path}[{i}]")
+
+
 def check_joint(report: ValidationReport, joint: JointSpec, path: str) -> None:
     """The rules one joint satisfies on its own: unit axis, ordered limits,
-    positive inertia, non-negative friction and stiffness parameters, and
-    thresholds and fixed targets within the limits."""
+    positive inertia, non-negative friction and stiffness parameters,
+    thresholds and fixed targets within the limits, and finite numbers."""
     if not abs(vec_norm(joint.axis) - 1.0) <= UNIT_TOLERANCE:
         report.add("non-unit-axis", f"{path}.axis", f"joint '{joint.id}' axis is not unit length: {joint.axis}")
     lo, hi = joint.q_lower_bound, joint.q_upper_bound
@@ -236,6 +250,7 @@ def check_joint(report: ValidationReport, joint: JointSpec, path: str) -> None:
     else:
         if lo < hi and not (lo <= tp.q_threshold <= hi):
             report.add("threshold-out-of-range", f"{path}.target_policy", f"joint '{joint.id}' latch q_threshold {tp.q_threshold} outside [{lo}, {hi}]")
+    _check_finite(report, _write(joint), path)
 
 
 def validate(assembly: Assembly) -> ValidationReport:
@@ -246,7 +261,8 @@ def validate(assembly: Assembly) -> ValidationReport:
     friction/stiffness parameters, thresholds and fixed targets within
     limits, unit quaternions, marker-name uniqueness per module, and behavior
     rules with unique ids, in-limit fixed targets, and the reference and
-    effect-list rules of :func:`behaviors.rule_issues`.
+    effect-list rules of :func:`behaviors.rule_issues`; every number finite,
+    reported at its path in the file (:func:`assembly_to_dict`).
     """
     report = ValidationReport()
     module_ids = [m.id for m in assembly.modules]
@@ -324,6 +340,9 @@ def validate(assembly: Assembly) -> ValidationReport:
                 lo, hi = limits[effect.joint]
                 if not (lo <= effect.q_target <= hi):
                     report.add("target-out-of-limits", f"{path}.effects[{k}]", f"rule '{rule.id}' sets target {effect.q_target} outside [{lo}, {hi}] of joint '{effect.joint}'")
+    for key, written in assembly_to_dict(assembly).items():
+        if key != "joints":  # check_joint reported those
+            _check_finite(report, written, key)
     return report
 
 

@@ -38,11 +38,9 @@ call writes each position minus its sample and returns the sum of their
 squares, summed in numpy's pairwise order, so it equals
 ``trajectory.pairwise_dot`` bit for bit; the Python loop computes it with
 ``pairwise_dot``. The call passes the addresses of the record, the
-start state, the forces, the observed series and the output series (a
-writable buffer's through a ctypes view, ``c_double.from_buffer``, about
-a quarter of the cost of reading ``ndarray.ctypes.data``), and NULL for
-what is absent, including the forces of a run of none, where the stepper
-reads none. A :class:`JointState` is packed into a 5-slot ctypes array,
+start state, the forces, the observed series and the output series
+(``ndarray.ctypes.data``), and NULL for an absent series. A
+:class:`JointState` is packed into a 5-slot ctypes array,
 passed as start and end and read back after the call; the fit passes a
 start row and its whole argument tuple, bound once per problem and thread
 (``sysid``), and takes no end state. Once a step freezes the joint, the
@@ -69,7 +67,6 @@ import math
 import operator
 import os
 import shutil
-import struct
 import tempfile
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -265,45 +262,35 @@ def joint_record(spec: JointSpec) -> np.ndarray:
     scheduled stiffness and for a latch target."""
     record = np.zeros(_RECORD_SIZE)
     for path, slot in RECORD_SLOTS.items():
-        owner, _, name = path.rpartition(".")
-        component = getattr(spec, owner) if owner else spec
-        if hasattr(component, name):
-            record[slot] = getattr(component, name)
+        owner, name = _field(spec, path)
+        if hasattr(owner, name):
+            record[slot] = getattr(owner, name)
     record[_SCHEDULED] = not isinstance(spec.stiffness, ConstantStiffness)
     record[_LATCHED] = not isinstance(spec.target_policy, FixedTarget)
     record.flags.writeable = False
     return record
 
 
+def _field(spec: JointSpec, path: str) -> tuple[object, str]:
+    """What a :data:`RECORD_SLOTS` path names: the spec's component and the
+    leaf for ``component.leaf``, else the spec and the name."""
+    owner, _, name = path.rpartition(".")
+    return (getattr(spec, owner) if owner else spec), name
+
+
 def apply_params(spec: JointSpec, params: Mapping[str, float]) -> JointSpec:
     """Return a copy of ``spec`` with parameter paths replaced (e.g.
     ``"mu_s"``, ``"stiffness.k_low"``). A path must be a key of
-    :data:`RECORD_SLOTS` that names a field of ``spec`` or, as
-    ``component.leaf``, of one of its components, resolved as
-    :func:`joint_record` resolves it."""
-    top: dict[str, float] = {}
-    nested: dict[str, dict[str, float]] = {}
+    :data:`RECORD_SLOTS` whose field :func:`_field` finds on ``spec``, the
+    slots :func:`joint_record` fills; else ``ValueError``."""
     for path, value in params.items():
-        head, dot, leaf = path.partition(".")
-        if "." in leaf:
-            raise ValueError(f"parameter path '{path}' nests too deep")
-        if dot:
-            nested.setdefault(head, {})[leaf] = value
-        else:
-            top[path] = value
-    for name in top:
-        if name not in RECORD_SLOTS:
-            raise ValueError(f"spec has no parameter '{name}'")
-    out = replace(spec, **top)
-    for head, leaves in nested.items():
-        if not any(path.startswith(f"{head}.") for path in RECORD_SLOTS):
-            raise ValueError(f"spec has no component '{head}'")
-        component = getattr(out, head)
-        for leaf in leaves:
-            if f"{head}.{leaf}" not in RECORD_SLOTS or not hasattr(component, leaf):
-                raise ValueError(f"spec component '{head}' has no parameter '{leaf}'")
-        out = replace(out, **{head: replace(component, **leaves)})
-    return out
+        if path not in RECORD_SLOTS or not hasattr(*_field(spec, path)):
+            raise ValueError(f"spec has no parameter '{path}'")
+        owner, name = _field(spec, path)
+        changed = replace(owner, **{name: value})
+        head = path.rpartition(".")[0]
+        spec = replace(spec, **{head: changed}) if head else changed
+    return spec
 
 
 def steps_for(duration: float, dt: float) -> int:
@@ -388,8 +375,8 @@ def _run(
     if kernel is None:
         return _python_run(record, state, forces, dt, out, out_dot, observed)
     if type(state) is not JointState:
-        return kernel(*(args or _args(record, _address(state), None, forces, dt, out, out_dot, observed)))
-    packed = _PackedState.from_buffer_copy(_PACK(*_row(state)))
+        return kernel(*(args or _args(record, state.ctypes.data, None, forces, dt, out, out_dot, observed)))
+    packed = _PackedState(*_row(state))
     sse = kernel(*_args(record, packed, packed, forces, dt, out, out_dot, observed))
     state.q, state.q_dot, _, regime, state.held_target = packed[:]
     state.regime = _KINETIC if regime else _STATIC
@@ -398,13 +385,11 @@ def _run(
 
 def _args(record, start, end, forces, dt, out, out_dot=None, observed=None) -> tuple:
     """The compiled stepper's arguments for :func:`_run`'s buffers: the
-    addresses of the arrays, NULL (``None``) for an absent series and for
-    the forces of a run of none (an empty buffer has no address), and
+    addresses of the arrays, NULL (``None``) for an absent series, and
     ``start`` and ``end`` as given (an address, a ctypes array or None)."""
-    n = len(forces)
     return (
-        _address(record), start, end, _address(forces) if n else None, n, dt,
-        None if observed is None else _address(observed), _address(out), None if out_dot is None else _address(out_dot),
+        record.ctypes.data, start, end, forces.ctypes.data, len(forces), dt,
+        None if observed is None else observed.ctypes.data, out.ctypes.data, None if out_dot is None else out_dot.ctypes.data,
     )  # fmt: skip
 
 
@@ -428,15 +413,6 @@ def _python_run(record, state, forces, dt, out, out_dot, observed) -> float:
     r = out[: len(q)]
     np.subtract(q, observed, out=r)
     return pairwise_dot(r, r)
-
-
-def _address(a: np.ndarray) -> int:
-    """The address of the contiguous, non-empty float64 array ``a``: through
-    a ctypes view where ``a`` is writable, a quarter of the cost of
-    ``a.ctypes.data``."""
-    if a.flags.writeable:
-        return ctypes.addressof(_DOUBLE.from_buffer(a))
-    return a.ctypes.data
 
 
 def _advance(record: np.ndarray, state: JointState, forces: Iterable[float], dt: float, out: list, out_dot=None) -> None:
@@ -504,11 +480,8 @@ _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 # Tests set (None, reason) here to run the Python loop.
 _compiled: "tuple[Callable | None, str] | None" = None
 # The state the stepper advances, in _stepper.c's order: q, q_dot, s_open,
-# regime (1.0 kinetic), held_target. Packed through struct: under half the
-# cost of the ctypes array's own constructor.
-_DOUBLE = ctypes.c_double
-_PackedState = _DOUBLE * 5
-_PACK = struct.Struct("5d").pack
+# regime (1.0 kinetic), held_target.
+_PackedState = ctypes.c_double * 5
 
 
 def _kernel() -> "tuple[Callable | None, str]":

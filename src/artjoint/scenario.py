@@ -56,11 +56,16 @@ from .trajectory import Trajectory, check_csv_safe
 
 @dataclass(frozen=True)
 class ConstantForce:
-    """``value`` on ``[t_start, t_end)``, zero outside."""
+    """``value`` on ``[t_start, t_end)``, zero outside. Construction checks
+    that ``value`` is finite and the edges are not NaN (``ValueError``); an
+    edge may be infinite."""
 
     value: float
     t_start: float = 0.0
     t_end: float = math.inf
+
+    def __post_init__(self):
+        _check_effort(self.value, (self.t_start, self.t_end))
 
     def value_at(self, t: float) -> float:
         return self.value if self.t_start <= t < self.t_end else 0.0
@@ -73,7 +78,9 @@ class ConstantForce:
 @dataclass(frozen=True)
 class PiecewiseForce:
     """Zero-order hold over ``steps`` of (time, value): the latest step at or
-    before ``t`` applies; zero before the first; the last value holds on."""
+    before ``t`` applies; zero before the first; the last value holds on.
+    Construction checks for at least one step, finite values and strictly
+    increasing step times, none NaN (``ValueError``)."""
 
     steps: tuple[tuple[float, float], ...]
     _times: tuple[float, ...] = field(init=False, repr=False, compare=False)
@@ -82,6 +89,8 @@ class PiecewiseForce:
         ts = [t for t, _ in self.steps]
         if not self.steps:
             raise ValueError("piecewise profile needs at least one step")
+        for t, value in self.steps:
+            _check_effort(value, (t,))
         if ts != sorted(ts) or len(set(ts)) != len(ts):
             raise ValueError("piecewise step times must be strictly increasing")
         object.__setattr__(self, "_times", tuple(ts))
@@ -96,6 +105,14 @@ class PiecewiseForce:
 
 
 ForceProfile = Union[ConstantForce, PiecewiseForce]
+
+
+def _check_effort(value: float, times: tuple[float, ...]) -> None:
+    """A profile's effort is finite and its times are not NaN (``ValueError``)."""
+    if not math.isfinite(value):
+        raise ValueError(f"force value must be finite, got {value}")
+    if any(map(math.isnan, times)):
+        raise ValueError("force window edges and step times must not be NaN")
 
 
 @dataclass(frozen=True)
@@ -271,7 +288,7 @@ _STEPS = _list_of(_PAIR)
 def _read_steps(value, loc: str) -> tuple[tuple[float, float], ...]:
     steps = _STEPS.read(value, loc)
     try:
-        PiecewiseForce(steps)  # its own check of the step times, reported here
+        PiecewiseForce(steps)  # its own checks of the steps, reported here
     except ValueError as exc:
         raise AssetSyntaxError(str(exc), loc) from None
     return steps

@@ -80,9 +80,9 @@ class FitProblem:
     both name free parameters only. The joint must pass
     :func:`~artjoint.assets.check_joint` everywhere in the box, the observed
     series must start at t = 0, its sample step must pass
-    :func:`~artjoint.dynamics.check_dt` and every observed sample must be
-    finite. ``channel`` defaults to the observed trajectory's single
-    channel. Construction (``dataclasses.replace``
+    :func:`~artjoint.dynamics.check_dt` and every observed sample and
+    force sample must be finite. ``channel`` defaults to the observed
+    trajectory's single channel. Construction (``dataclasses.replace``
     included) checks all this and derives ``dt``, a read-only copy of the
     channel (``observed_q``) and ``force_samples``, ``forces(k * dt)`` for
     ``k < len(observed) - 1``: the times simulate_joint samples.
@@ -169,6 +169,9 @@ class FitProblem:
                     f"at {', '.join(f'{name} = {params[name]}' for name in names)}, {report.issues[0].message}"
                 )
         samples = np.array([self.forces(k * self.dt) for k in range(len(self.observed_q) - 1)], dtype=float)
+        bad = np.flatnonzero(~np.isfinite(samples))
+        if len(bad):
+            raise ValueError(f"forces give a non-finite sample ({samples[bad[0]]}) at t = {int(bad[0]) * self.dt}")
         samples.flags.writeable = False
         object.__setattr__(self, "force_samples", samples)
         # every path passed apply_params above, so each names a record slot
@@ -204,7 +207,7 @@ class _Buffers:
             self.start[:] = dynamics._row(_rest_state(self.record, problem._q0, problem.s_open0))
         self.out = np.empty(len(problem.observed_q))
         self.args = dynamics._args(
-            self.record, dynamics._address(self.start), None, problem.force_samples, problem.dt, self.out, None, problem.observed_q
+            self.record, self.start.ctypes.data, None, problem.force_samples, problem.dt, self.out, None, problem.observed_q
         )
 
     def run(self, problem: FitProblem, params: Mapping[str, float]) -> float:

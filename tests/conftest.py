@@ -3,6 +3,7 @@ the acceptance-criteria reporting hook."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,14 @@ from artjoint.geometry import quat_from_axis_angle
 
 def load_assembly(name: str) -> aj.Assembly:
     return aj.parse_asset(fx.asset_path(name))
+
+
+def with_marker_point(assembly, point):
+    """``assembly`` with its first marker moved to ``point``."""
+    i = next(i for i, m in enumerate(assembly.modules) if m.markers)
+    module = assembly.modules[i]
+    markers = (dataclasses.replace(module.markers[0], local_point=point),) + module.markers[1:]
+    return dataclasses.replace(assembly, modules=assembly.modules[:i] + (dataclasses.replace(module, markers=markers),) + assembly.modules[i + 1 :])
 
 
 @pytest.fixture(scope="session")

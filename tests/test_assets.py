@@ -10,7 +10,7 @@ import pytest
 import artjoint as aj
 from artjoint import fixtures as fx
 
-from conftest import load_assembly, random_assembly_dict
+from conftest import load_assembly, random_assembly_dict, with_marker_point
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +236,39 @@ UNIT_NAN = aj.Pose(orientation=(NAN, 0.0, 0.0, 0.0))
 )
 def test_nan_fails_every_validation_comparison(name, change, code, path):
     assert (code, path) in [(issue.code, issue.path) for issue in aj.validate(change(load_assembly(name)))]
+
+
+INF = math.inf
+
+
+# a code-built non-finite number (the file reader refuses them) that no other
+# rule reads, and its path in the asset file
+@pytest.mark.parametrize(
+    "change, path",
+    [
+        *[
+            pytest.param(lambda a, name=name: first_joint(a, **{name: INF}), f"joints[0].{name}", id=name)
+            for name in ("damping_D", "mu_s", "coulomb_floor", "effective_inertia", "q_upper_bound", "target_velocity")
+        ],
+        pytest.param(lambda a: first_joint(a, anchor=(0.0, INF, 0.0)), "joints[0].anchor[1]", id="anchor"),
+        pytest.param(
+            lambda a: dataclasses.replace(a, modules=(dataclasses.replace(a.modules[0], mass=INF),) + a.modules[1:]),
+            "modules[0].mass",
+            id="mass",
+        ),
+        pytest.param(
+            lambda a: dataclasses.replace(a, modules=(dataclasses.replace(a.modules[0], rest_pose=aj.Pose(position=(INF, 0.0, 0.0))),) + a.modules[1:]),
+            "modules[0].rest_pose.position[0]",
+            id="rest_pose",
+        ),
+        pytest.param(lambda a: dataclasses.replace(a, base_frame=aj.Pose(position=(0.0, 0.0, NAN))), "base_frame.position[2]", id="base_frame"),
+        pytest.param(lambda a: with_marker_point(a, (0.22, 0.0, INF)), "markers[0].local_point[2]", id="marker"),
+    ],
+)
+def test_non_finite_number_is_reported_once_at_its_file_path(change, path):
+    report = aj.validate(change(load_assembly("drawer")))
+    assert [(issue.code, issue.path) for issue in report] == [("non-finite", path)]
+    assert report.issues[0].message.startswith("number must be finite, got ")
 
 
 def test_two_parents_is_cyclic_structure():

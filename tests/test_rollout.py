@@ -219,6 +219,41 @@ def test_record_slots_cover_every_float_parameter():
     assert set(dynamics.RECORD_SLOTS) == paths
 
 
+@pytest.mark.parametrize(
+    "stiffness",
+    [aj.ConstantStiffness(k=2.5), aj.StiffnessSchedule(k_high=12.0, k_low=1.0, k_max=8.0, alpha=4.0, lambda_=5.0, q_threshold=0.4)],
+    ids=["constant", "schedule"],
+)
+@pytest.mark.parametrize("policy", [aj.FixedTarget(q_target=0.2), aj.LatchTarget(q_threshold=0.5)], ids=["fixed", "latch"])
+def test_apply_params_sets_exactly_the_slots_joint_record_fills(stiffness, policy):
+    """The two users of the parameter-path rule agree: for every path,
+    ``apply_params`` succeeds exactly where ``joint_record`` fills the
+    path's slot from the path's own field, and then the result's record is
+    the joint's with that one slot set to the new value, bit for bit. Every
+    float of the joint is distinct and nonzero, so a filled slot shows which
+    field filled it (slot 14 is shared by a latch's threshold and a fixed
+    target)."""
+    spec = make_joint(q_lower_bound=-0.5, q_upper_bound=1.5, damping_D=0.7, target_velocity=0.03, mu_s=0.2,
+                      coulomb_floor=0.3, effective_inertia=1.9, stiffness=stiffness, target_policy=policy)  # fmt: skip
+    record = dynamics.joint_record(spec)
+    for path, slot in dynamics.RECORD_SLOTS.items():
+        owner, _, name = path.rpartition(".")
+        component = getattr(spec, owner) if owner else spec
+        has_field = name in {f.name for f in dataclasses.fields(component)}
+        fills = has_field and bits(record[slot]) == bits(getattr(component, name))
+        value = 0.0625 + slot  # no float of the joint
+        try:
+            changed = dynamics.apply_params(spec, {path: value})
+        except ValueError as exc:
+            assert str(exc) == f"spec has no parameter '{path}'"
+            changed = None
+        assert (changed is not None) == fills == has_field, path
+        if changed is not None:
+            expected = record.copy()
+            expected[slot] = value
+            assert list(map(bits, dynamics.joint_record(changed))) == list(map(bits, expected)), path
+
+
 def test_rollout_starts_at_the_initial_position_and_checks_dt():
     spec = make_joint()
     state0 = aj.initial_state(spec, q=0.25)

@@ -15,6 +15,8 @@ from artjoint import fixtures as fx
 from artjoint import scenario as scenario_mod
 from artjoint.geometry import quat_from_axis_angle
 
+from conftest import with_marker_point
+
 
 def load(name):
     return aj.load_scenario(fx.scenario_path(name))
@@ -58,6 +60,42 @@ def test_piecewise_steps_must_increase():
         aj.PiecewiseForce(steps=((1.0, 0.0), (0.5, 1.0)))
     with pytest.raises(ValueError):
         aj.PiecewiseForce(steps=())
+
+
+def test_piecewise_step_time_error_is_reported_at_the_steps(tmp_path):
+    profile = {"type": "piecewise", "steps": [[0.0, 1.0], [0.5, 2.0], [0.5, 3.0]]}
+    with pytest.raises(aj.AssetSyntaxError, match="strictly increasing") as exc:
+        write_and_load(tmp_path, scenario_dict(forces=[{"joint": "drawer/slide", "profile": profile}]))
+    assert exc.value.location == "forces[0].profile.steps"
+
+
+# code-built profiles the file reader would refuse: a non-finite effort, or a
+# NaN window edge or step time
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: aj.ConstantForce(value=math.nan),
+        lambda: aj.ConstantForce(value=math.inf),
+        lambda: aj.ConstantForce(value=-math.inf, t_end=1.0),
+        lambda: aj.ConstantForce(value=2.0, t_start=math.nan),
+        lambda: aj.ConstantForce(value=2.0, t_end=math.nan),
+        lambda: dataclasses.replace(aj.ConstantForce(value=2.0), value=math.nan),
+        lambda: aj.PiecewiseForce(steps=((0.0, math.nan),)),
+        lambda: aj.PiecewiseForce(steps=((0.0, 2.0), (0.5, math.inf))),
+        lambda: aj.PiecewiseForce(steps=((0.0, 2.0), (math.nan, 1.0))),
+        lambda: aj.PiecewiseForce(steps=((math.nan, 2.0),)),
+    ],
+    ids=["nan", "inf", "-inf", "nan-start", "nan-end", "replace", "nan-step", "inf-step", "nan-time", "nan-first-time"],
+)
+def test_force_profile_rejects_a_non_finite_effort_or_a_nan_time(make):
+    with pytest.raises(ValueError, match="force value must be finite|force window edges and step times must not be NaN"):
+        make()
+
+
+def test_force_profile_edges_may_be_infinite():
+    always = aj.ConstantForce(value=2.0, t_start=-math.inf, t_end=math.inf)
+    assert always.value_at(-1e300) == always.value_at(1e300) == 2.0
+    assert aj.PiecewiseForce(steps=((-math.inf, 1.0), (0.5, 2.0))).value_at(-1e300) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +285,21 @@ def test_code_built_scenario_rejects_an_invalid_assembly(trashcan):
     bent = dataclasses.replace(trashcan, joints=tuple(lid if j.id == "lid" else j for j in trashcan.joints))
     with pytest.raises(aj.NonUnitAxisError, match=r"^assemblies\[0\]\.assembly\.joints\[\d\]\.axis: joint 'lid' axis"):
         simple_scenario(bent, duration=0.1)
+
+
+@pytest.mark.parametrize(
+    "change, path",
+    [
+        (lambda a: dataclasses.replace(a, joints=(dataclasses.replace(a.joints[0], damping_D=math.inf),)), "joints[0].damping_D"),
+        (lambda a: with_marker_point(a, (0.22, math.inf, 0.1)), "markers[0].local_point[1]"),
+    ],
+    ids=["damping_D", "marker"],
+)
+def test_code_built_scenario_rejects_a_non_finite_asset_number(drawer, change, path):
+    # either would run to NaN channels
+    with pytest.raises(aj.AssetValidationError, match=r"must be finite, got inf") as exc:
+        simple_scenario(change(drawer), duration=0.01, forces=[aj.ForceSchedule("drawer/slide", aj.ConstantForce(value=2.0))])
+    assert str(exc.value).startswith(f"assemblies[0].assembly.{path}: ")
 
 
 @pytest.mark.parametrize("orientation", [(0.0, 2.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), (math.nan, 1.0, 0.0, 0.0)])

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import threading
@@ -123,6 +124,14 @@ def test_box_admitting_an_invalid_joint_rejected(slide):
     problem_for(slide, observed, ["damping_D", "mu_s"], {"damping_D": (0.0, 30.0), "mu_s": (0.0, 1.0)}, {"damping_D": 10.0, "mu_s": 0.1})
 
 
+def test_box_with_an_infinite_end_rejected(slide):
+    # a joint with infinite damping passes every comparison of check_joint
+    # but its finite-number rule, and would run to NaN
+    observed = observed_for(slide)
+    with pytest.raises(ValueError, match=r"bounds for 'damping_D' admit an invalid joint: at damping_D = inf, number must be finite"):
+        problem_for(slide, observed, ["damping_D"], {"damping_D": (0.5, math.inf)}, {"damping_D": 2.6})
+
+
 def test_box_invalid_only_at_a_corner_rejected(microwave):
     # each end is valid with the other parameter at its start; k_low = 5.0
     # with k_high = 4.0 is not
@@ -153,6 +162,14 @@ def test_non_finite_observed_sample_rejected(slide):
         holed = aj.Trajectory(times=observed.times, channels={"slide.q": q})
         with pytest.raises(ValueError, match=rf"observed channel 'slide.q' has a non-finite sample \({bad}\) at t = 0.8"):
             problem_for(slide, holed, ["damping_D"], {"damping_D": (1.0, 30.0)}, {"damping_D": 10.0})
+
+
+def test_non_finite_force_sample_rejected(slide):
+    problem = problem_for(slide, observed_for(slide), ["damping_D"], {"damping_D": (1.0, 30.0)}, {"damping_D": 10.0})
+    with pytest.raises(ValueError, match=r"forces give a non-finite sample \(nan\) at t = 0\.0$"):
+        dataclasses.replace(problem, forces=lambda t: math.nan)
+    with pytest.raises(ValueError, match=r"forces give a non-finite sample \(inf\) at t = 0\.502$"):
+        dataclasses.replace(problem, forces=lambda t: math.inf if t > 0.5 else 2.0)
 
 
 def test_problem_is_frozen_and_replace_derives_afresh(slide):
@@ -294,18 +311,11 @@ def test_apply_params_top_level_and_nested(slide):
 
 
 def test_apply_params_rejects_deep_paths(slide):
-    with pytest.raises(ValueError, match="too deep"):
-        aj.apply_params(slide, {"stiffness.k.extra": 1.0})
-    with pytest.raises(ValueError, match="no component"):
-        aj.apply_params(slide, {"nothing.k": 1.0})
-    with pytest.raises(ValueError, match="no parameter"):
-        aj.apply_params(slide, {"stiffness.k_wobble": 1.0})
-    # only float fields are parameters: not a property, a component or a string
-    for name in ("bounds", "stiffness", "id"):
-        with pytest.raises(ValueError, match=f"spec has no parameter '{name}'"):
-            aj.apply_params(slide, {name: 1.0})
-    with pytest.raises(ValueError, match="no component 'id'"):
-        aj.apply_params(slide, {"id.k": 1.0})
+    # too deep, no such component, no such leaf, and only float fields are
+    # parameters: not a property, a component or a string
+    for path in ("stiffness.k.extra", "nothing.k", "stiffness.k_wobble", "bounds", "stiffness", "id", "id.k"):
+        with pytest.raises(ValueError, match=re.escape(f"spec has no parameter '{path}'")):
+            aj.apply_params(slide, {path: 1.0})
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +600,11 @@ FITSPEC_SHAPE_ERRORS = {
     "string s_open0": (lambda spec: {**spec, "s_open0": "no"}, "fitspec.s_open0", "expected a boolean, got str"),
     "number channel": (lambda spec: {**spec, "channel": 3}, "fitspec.channel", "expected a string, got int"),
     "array overrides": (lambda spec: {**spec, "overrides": [["stiffness.k", 30.0]]}, "fitspec.overrides", "expected an object, got list"),
+    "unsorted steps": (
+        lambda spec: {**spec, "forces": {"type": "piecewise", "steps": [[0.0, 1.0], [0.6, -1.6], [0.3, 0.25]]}},
+        "fitspec.forces.steps",
+        "piecewise step times must be strictly increasing",
+    ),
 }
 
 
