@@ -197,7 +197,7 @@ class ValidationReport:
 
 
 def _check_pose(report: ValidationReport, pose: Pose, path: str) -> None:
-    if not abs(quat_norm(pose.orientation) - 1.0) <= UNIT_TOLERANCE:
+    if abs(quat_norm(pose.orientation) - 1.0) > UNIT_TOLERANCE:
         report.add("non-unit-quaternion", path, f"orientation is not unit length: {pose.orientation}")
 
 
@@ -218,37 +218,39 @@ def _check_finite(report: ValidationReport, written: Any, path: str) -> None:
 def check_joint(report: ValidationReport, joint: JointSpec, path: str) -> None:
     """The rules one joint satisfies on its own: unit axis, ordered limits,
     positive inertia, non-negative friction and stiffness parameters,
-    thresholds and fixed targets within the limits, and finite numbers."""
-    if not abs(vec_norm(joint.axis) - 1.0) <= UNIT_TOLERANCE:
+    thresholds and fixed targets within the limits, and finite numbers.
+    Each order rule reports only a violation it can show, so a NaN is one
+    issue, the finite scan's."""
+    if abs(vec_norm(joint.axis) - 1.0) > UNIT_TOLERANCE:
         report.add("non-unit-axis", f"{path}.axis", f"joint '{joint.id}' axis is not unit length: {joint.axis}")
     lo, hi = joint.q_lower_bound, joint.q_upper_bound
-    if not (lo < hi):
+    if lo >= hi:
         report.add("invalid-limits", path, f"joint '{joint.id}' requires q_lower_bound < q_upper_bound, got [{lo}, {hi}]")
-    if not (joint.effective_inertia > 0.0):
+    if joint.effective_inertia <= 0.0:
         report.add("non-positive-inertia", path, f"joint '{joint.id}' effective_inertia must be > 0")
     for name in ("damping_D", "mu_s", "coulomb_floor"):
-        if not getattr(joint, name) >= 0.0:
+        if getattr(joint, name) < 0.0:
             report.add("negative-parameter", f"{path}.{name}", f"joint '{joint.id}' {name} must be >= 0")
 
     st = joint.stiffness
     if isinstance(st, ConstantStiffness):
-        if not st.k >= 0.0:
+        if st.k < 0.0:
             report.add("invalid-stiffness", f"{path}.stiffness", f"joint '{joint.id}' constant stiffness must be >= 0")
     else:
         for name in ("k_high", "k_low", "k_max", "alpha", "lambda_"):
-            if not getattr(st, name) >= 0.0:
+            if getattr(st, name) < 0.0:
                 report.add("invalid-stiffness", f"{path}.stiffness", f"joint '{joint.id}' schedule {name} must be >= 0")
-        if not st.k_low <= st.k_high:
+        if st.k_low > st.k_high:
             report.add("invalid-stiffness", f"{path}.stiffness", f"joint '{joint.id}' schedule requires k_low <= k_high")
-        if lo < hi and not (lo <= st.q_threshold <= hi):
+        if lo < hi and (st.q_threshold < lo or st.q_threshold > hi):
             report.add("threshold-out-of-range", f"{path}.stiffness", f"joint '{joint.id}' stiffness q_threshold {st.q_threshold} outside [{lo}, {hi}]")
 
     tp = joint.target_policy
     if isinstance(tp, FixedTarget):
-        if lo < hi and not (lo <= tp.q_target <= hi):
+        if lo < hi and (tp.q_target < lo or tp.q_target > hi):
             report.add("target-out-of-limits", f"{path}.target_policy", f"joint '{joint.id}' fixed target {tp.q_target} outside [{lo}, {hi}]")
     else:
-        if lo < hi and not (lo <= tp.q_threshold <= hi):
+        if lo < hi and (tp.q_threshold < lo or tp.q_threshold > hi):
             report.add("threshold-out-of-range", f"{path}.target_policy", f"joint '{joint.id}' latch q_threshold {tp.q_threshold} outside [{lo}, {hi}]")
     _check_finite(report, _write(joint), path)
 
@@ -279,7 +281,7 @@ def validate(assembly: Assembly) -> ValidationReport:
     _check_pose(report, assembly.base_frame, "base_frame")
     for i, module in enumerate(assembly.modules):
         path = f"modules[{i}]"
-        if not (module.mass > 0.0):
+        if module.mass <= 0.0:
             report.add("non-positive-mass", path, f"module '{module.id}' mass must be > 0, got {module.mass}")
         _check_pose(report, module.rest_pose, f"{path}.rest_pose")
         seen = set()
@@ -338,7 +340,7 @@ def validate(assembly: Assembly) -> ValidationReport:
         for k, effect in enumerate(rule.effects):
             if isinstance(effect, bh.SetFixedTarget) and effect.joint in limits:
                 lo, hi = limits[effect.joint]
-                if not (lo <= effect.q_target <= hi):
+                if effect.q_target < lo or effect.q_target > hi:
                     report.add("target-out-of-limits", f"{path}.effects[{k}]", f"rule '{rule.id}' sets target {effect.q_target} outside [{lo}, {hi}] of joint '{effect.joint}'")
     for key, written in assembly_to_dict(assembly).items():
         if key != "joints":  # check_joint reported those

@@ -108,7 +108,7 @@ class ManipulationEnv:
             raise ValueError("scenario has no env block")
         self.scenario = scenario
         self.config = scenario.env
-        self.params = RewardParams(**self.config.reward_weights)
+        self.params = self.config.reward_weights
         self._goal = self.config.goal_joint
         self._goal_spec = scenario.joint(self._goal)
         self._handle = -1  # the handle marker's index in the runtime's marker table

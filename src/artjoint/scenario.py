@@ -33,7 +33,7 @@ from __future__ import annotations
 import bisect
 import math
 import struct
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterator, Mapping, Union
@@ -44,7 +44,7 @@ from . import assets as assets_mod
 from . import behaviors as bh
 from . import dynamics, kinematics
 from .assets import Assembly, JointSpec, Marker, _as_str, _check_keys, _decode_json, _require_dict, _require_list
-from .assets import _BOOL, _FLOAT, _PAIR, _SHAPES, _STR, _VEC3, _Codec, _declare, _list_of, _map_of, _record, _tagged, _write
+from .assets import _BOOL, _FLOAT, _PAIR, _SHAPES, _STR, _VEC3, _Codec, _declare, _list_of, _record, _tagged, _write
 from .errors import AssetSyntaxError, UnknownJointError
 from .geometry import Pose, Vec3, vec_cross, vec_sub
 from .kinematics import find_marker, forward_kinematics
@@ -142,8 +142,8 @@ class JointInit:
 
 @dataclass(frozen=True)
 class RewardParams:
-    """The closure-task reward weights (see :mod:`artjoint.envs`); their
-    field names are the keys an env block's ``reward_weights`` may hold."""
+    """The closure-task reward weights (see :mod:`artjoint.envs`), the
+    record an env block's ``reward_weights`` holds; each key is optional."""
 
     lambda1: float = 0.5
     lambda2: float = 0.125
@@ -153,20 +153,15 @@ class RewardParams:
 
 @dataclass(frozen=True)
 class EnvConfig:
-    """Environment block: goal joint, its handle marker, and the point-agent
-    effector parameters. ``reward_weights`` optionally overrides the default
-    :class:`RewardParams` by field name; construction stores a read-only
-    copy of it."""
+    """Environment block: goal joint, its handle marker, the point-agent
+    effector parameters and the reward weights; its scenario checks it."""
 
     goal_joint: str
     handle_marker: str
     effector_start: Vec3
     action_max: float = 10.0
     contact_radius: float = 0.05
-    reward_weights: Mapping[str, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "reward_weights", MappingProxyType(dict(self.reward_weights)))
+    reward_weights: RewardParams = RewardParams()
 
 
 @dataclass(frozen=True)
@@ -175,15 +170,15 @@ class Scenario:
     optional env block.
 
     Construction, ``dataclasses.replace`` included, checks every invariant:
-    unique slash-free assembly names, placed assemblies that pass
+    the file reader's own checks of ``recordings``, ``initial``, ``env`` and
+    each placement's ``world_pose``, run on their written form, then unique
+    slash-free assembly names, placed assemblies that pass
     :func:`assets.validate` and unit placement orientations (the assets'
     pose rule), the :func:`dynamics.check_dt` rule, a duration
-    :func:`dynamics.steps_for` accepts, finite env limits > 0, a finite
-    3-number effector start, finite reward weights under known names,
-    initial positions within their joint's limits and finite initial
-    velocities, unique and CSV-safe recordings, and that every ref
-    resolves. It stores a read-only copy of ``initial``. :meth:`joint` and
-    :meth:`marker` are the only ref lookups.
+    :func:`dynamics.steps_for` accepts, env limits > 0, initial positions
+    within their joint's limits, unique and CSV-safe recordings, and that
+    every ref resolves. It stores a read-only copy of ``initial``.
+    :meth:`joint` and :meth:`marker` are the only ref lookups.
     """
 
     assemblies: tuple[Placement, ...]
@@ -198,8 +193,13 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "initial", MappingProxyType(dict(self.initial)))
+        codecs = _SHAPES[Scenario].codecs  # the file reader's checks, on each declared value's written form
+        for key in ("recordings", "initial", "env"):
+            if getattr(self, key) is not None:
+                codecs[key].read(codecs[key].write(getattr(self, key)), key)
         by_name: dict[str, Placement] = {}
         for i, pl in enumerate(self.assemblies):
+            _SHAPES[Pose].read(_write(pl.world_pose), f"assemblies[{i}].world_pose")
             loc = f"assemblies[{i}].name"
             if "/" in pl.name or not pl.name:
                 raise AssetSyntaxError(f"assembly name '{pl.name}' must be non-empty and slash-free", loc)
@@ -227,8 +227,6 @@ class Scenario:
             lo, hi = self.joint(ref).bounds
             if not (lo <= init.q <= hi):
                 raise AssetSyntaxError(f"initial q={init.q} outside limits [{lo}, {hi}]", f"initial['{ref}']")
-            if not math.isfinite(init.q_dot):
-                raise AssetSyntaxError(f"initial q_dot={init.q_dot} must be finite", f"initial['{ref}']")
         for i, ref in enumerate(self.recordings):
             if ref in self.recordings[:i]:
                 raise AssetSyntaxError(f"duplicate recording '{ref}'", f"recordings[{i}]")
@@ -239,17 +237,8 @@ class Scenario:
             if ref not in self._joints:
                 self.marker(ref)
         if self.env is not None:
-            if not (0.0 < self.env.action_max < math.inf and 0.0 < self.env.contact_radius < math.inf):
-                raise AssetSyntaxError("action_max and contact_radius must be finite and > 0", "env")
-            start = self.env.effector_start
-            if len(start) != 3 or not all(map(math.isfinite, start)):
-                raise AssetSyntaxError(f"effector_start must be 3 finite numbers, got {start}", "env")
-            weights = {f.name for f in fields(RewardParams)}
-            for key, weight in self.env.reward_weights.items():
-                if key not in weights:
-                    raise AssetSyntaxError(f"unknown reward weight '{key}'", "env.reward_weights")
-                if not math.isfinite(weight):
-                    raise AssetSyntaxError(f"reward weight '{key}' must be finite, got {weight}", "env.reward_weights")
+            if self.env.action_max <= 0.0 or self.env.contact_radius <= 0.0:
+                raise AssetSyntaxError("action_max and contact_radius must be > 0", "env")
             self.joint(self.env.goal_joint)
             self.marker(self.env.handle_marker)
 
@@ -303,6 +292,7 @@ _declare(ConstantForce, {"value": _FLOAT, "t_start": _FLOAT, "t_end": _FLOAT})
 _declare(PiecewiseForce, {"steps": _Codec(_read_steps, _STEPS.write)})
 _declare(ForceSchedule, {"joint": _STR, "profile": _FORCE_PROFILE})
 _declare(JointInit, {"q": _FLOAT, "q_dot": _FLOAT, "s_open": _BOOL})
+_declare(RewardParams, {"lambda1": _FLOAT, "lambda2": _FLOAT, "lambda3": _FLOAT, "lambda4": _FLOAT})
 _declare(
     EnvConfig,
     {
@@ -311,7 +301,7 @@ _declare(
         "effector_start": _VEC3,
         "action_max": _FLOAT,
         "contact_radius": _FLOAT,
-        "reward_weights": _map_of(_FLOAT),
+        "reward_weights": _record(RewardParams),
     },
 )
 # every key but "assemblies", which load_scenario reads itself because asset

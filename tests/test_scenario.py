@@ -205,35 +205,35 @@ def test_unknown_scenario_key_rejected(tmp_path):
     with pytest.raises(aj.AssetSyntaxError, match="gravity") as exc:
         write_and_load(tmp_path, scenario_dict(env={**env_block(), "gravity": 9.81}))
     assert exc.value.location == "env"
-    with pytest.raises(aj.AssetSyntaxError, match="reward weight 'nope'") as exc:
+    with pytest.raises(aj.AssetSyntaxError, match=r"unknown key\(s\) \['nope'\]") as exc:
         write_and_load(tmp_path, scenario_dict(env={**env_block(), "reward_weights": {"nope": 1.0}}))
     assert exc.value.location == "env.reward_weights"
     with pytest.raises(aj.AssetSyntaxError, match="expected a number, got str") as exc:
         write_and_load(tmp_path, scenario_dict(env={**env_block(), "reward_weights": {"lambda3": "high"}}))
     assert exc.value.location == "env.reward_weights.lambda3"
     scenario = write_and_load(tmp_path, scenario_dict(env={**env_block(), "reward_weights": {"lambda3": 0.0}}))
-    with pytest.raises(aj.AssetSyntaxError, match="reward weight 'nope'"):
-        dataclasses.replace(scenario, env=dataclasses.replace(scenario.env, reward_weights={"nope": 1.0}))
+    assert scenario.env.reward_weights == aj.RewardParams(lambda3=0.0)
+    with pytest.raises(TypeError):
+        aj.RewardParams(nope=1.0)  # in code, an unknown weight has no name to go under
 
 
 def test_initial_states_and_reward_weights_are_read_only_copies(drawer):
-    initial, weights = {"drawer/slide": aj.JointInit(q=0.1)}, {"lambda3": 0.0}
-    env = aj.EnvConfig(goal_joint="drawer/slide", handle_marker="drawer/handle", effector_start=(0.0, 0.0, 0.0), reward_weights=weights)
+    initial = {"drawer/slide": aj.JointInit(q=0.1)}
+    env = aj.EnvConfig(goal_joint="drawer/slide", handle_marker="drawer/handle", effector_start=(0.0, 0.0, 0.0), reward_weights=aj.RewardParams(lambda3=0.0))
     scenario = dataclasses.replace(simple_scenario(drawer, initial=initial), env=env)
     with pytest.raises(TypeError):
         scenario.initial["drawer/slide"] = aj.JointInit(q=9.0)  # would get past the limit check
-    with pytest.raises(TypeError):
-        scenario.env.reward_weights["nope"] = 1.0  # would get past the weight-name check
-    initial["drawer/slide"], weights["nope"] = aj.JointInit(q=9.0), 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scenario.env.reward_weights.lambda3 = math.nan  # would get past the reader's finite check
+    initial["drawer/slide"] = aj.JointInit(q=9.0)
     assert dict(scenario.initial) == {"drawer/slide": aj.JointInit(q=0.1)}
-    assert dict(scenario.env.reward_weights) == {"lambda3": 0.0}
     longer = dataclasses.replace(scenario, duration=2.0)
     assert (longer.initial, longer.env) == (scenario.initial, scenario.env)
     with pytest.raises(TypeError):
         longer.initial["drawer/slide"] = aj.JointInit(q=9.0)
     document = json.loads(json.dumps(assets._write(scenario)))
     assert document["initial"] == {"drawer/slide": {"q": 0.1, "q_dot": 0.0, "s_open": False}}
-    assert document["env"]["reward_weights"] == {"lambda3": 0.0}
+    assert document["env"]["reward_weights"] == {"lambda1": 0.5, "lambda2": 0.125, "lambda3": 0.0, "lambda4": -0.01}
     assert aj.Scenario(assemblies=scenario.assemblies, **assets._SHAPES[aj.Scenario].args(document, "")) == scenario
 
 
@@ -302,43 +302,101 @@ def test_code_built_scenario_rejects_a_non_finite_asset_number(drawer, change, p
     assert str(exc.value).startswith(f"assemblies[0].assembly.{path}: ")
 
 
-@pytest.mark.parametrize("orientation", [(0.0, 2.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), (math.nan, 1.0, 0.0, 0.0)])
-def test_code_built_scenario_rejects_a_non_unit_placement_orientation(trashcan, orientation):
+@pytest.mark.parametrize(
+    "orientation, error, match",
+    [
+        pytest.param((0.0, 2.0, 0.0, 0.0), aj.AssetValidationError, r"^assemblies\[0\]\.world_pose: orientation is not unit length", id="orientation0"),
+        pytest.param((0.0, 0.0, 0.0, 0.0), aj.AssetValidationError, r"^assemblies\[0\]\.world_pose: orientation is not unit length", id="orientation1"),
+        # a NaN shows no length the unit rule can read: the reader refuses the number
+        pytest.param((math.nan, 1.0, 0.0, 0.0), aj.AssetSyntaxError, r"^assemblies\[0\]\.world_pose\.orientation\[0\]: number must be finite", id="orientation2"),
+    ],
+)
+def test_code_built_scenario_rejects_a_non_unit_placement_orientation(trashcan, orientation, error, match):
     scenario = simple_scenario(trashcan, duration=0.1)
     bent = dataclasses.replace(scenario.assemblies[0], world_pose=aj.Pose(orientation=orientation))
-    with pytest.raises(aj.AssetValidationError, match=r"^assemblies\[0\]\.world_pose: orientation is not unit length"):
+    with pytest.raises(error, match=match):
         dataclasses.replace(scenario, assemblies=(bent,))
 
 
+@pytest.mark.parametrize("position", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0)])
+def test_code_built_scenario_rejects_a_non_finite_placement_position(drawer, position):
+    # either would run to NaN marker channels
+    scenario = simple_scenario(drawer, duration=0.1, recordings=("drawer/handle",))
+    moved = dataclasses.replace(scenario.assemblies[0], world_pose=aj.Pose(position=position))
+    with pytest.raises(aj.AssetSyntaxError, match="number must be finite") as exc:
+        dataclasses.replace(scenario, assemblies=(moved,))
+    axis = next(i for i, x in enumerate(position) if not math.isfinite(x))
+    assert exc.value.location == f"assemblies[0].world_pose.position[{axis}]"
+
+
 ENV = {"goal_joint": "drawer/slide", "handle_marker": "drawer/handle", "effector_start": (0.0, 0.0, 0.0)}
+NAN, INF = math.nan, math.inf
 
 
 # code-built numbers the file reader would refuse (non-finite, or the wrong
-# count), each with the location it is reported at
+# count), each with the location the reader reports; the ids are the ones
+# these cases had when each was reported at its record
 @pytest.mark.parametrize(
     "env, q_dot, location",
     [
-        ({"action_max": math.nan}, 0.0, "env"),
-        ({"action_max": math.inf}, 0.0, "env"),
-        ({"contact_radius": math.nan}, 0.0, "env"),
-        ({"contact_radius": math.inf}, 0.0, "env"),
-        ({"effector_start": (0.0, 0.0)}, 0.0, "env"),
-        ({"effector_start": (0.0, 0.0, 0.0, 0.0)}, 0.0, "env"),
-        ({"effector_start": (0.0, math.nan, 0.0)}, 0.0, "env"),
-        ({"effector_start": (-math.inf, 0.0, 0.0)}, 0.0, "env"),
-        ({"reward_weights": {"lambda3": math.nan}}, 0.0, "env.reward_weights"),
-        ({"reward_weights": {"lambda4": -math.inf}}, 0.0, "env.reward_weights"),
-        ({}, math.nan, "initial['drawer/slide']"),
-        ({}, math.inf, "initial['drawer/slide']"),
-        ({}, -math.inf, "initial['drawer/slide']"),
+        pytest.param({"action_max": NAN}, 0.0, "env.action_max", id="env0-0.0-env"),
+        pytest.param({"action_max": INF}, 0.0, "env.action_max", id="env1-0.0-env"),
+        pytest.param({"contact_radius": NAN}, 0.0, "env.contact_radius", id="env2-0.0-env"),
+        pytest.param({"contact_radius": INF}, 0.0, "env.contact_radius", id="env3-0.0-env"),
+        pytest.param({"effector_start": (0.0, 0.0)}, 0.0, "env.effector_start", id="env4-0.0-env"),
+        pytest.param({"effector_start": (0.0, 0.0, 0.0, 0.0)}, 0.0, "env.effector_start", id="env5-0.0-env"),
+        pytest.param({"effector_start": (0.0, NAN, 0.0)}, 0.0, "env.effector_start[1]", id="env6-0.0-env"),
+        pytest.param({"effector_start": (-INF, 0.0, 0.0)}, 0.0, "env.effector_start[0]", id="env7-0.0-env"),
+        pytest.param({"reward_weights": aj.RewardParams(lambda3=NAN)}, 0.0, "env.reward_weights.lambda3", id="env8-0.0-env.reward_weights"),
+        pytest.param({"reward_weights": aj.RewardParams(lambda4=-INF)}, 0.0, "env.reward_weights.lambda4", id="env9-0.0-env.reward_weights"),
+        pytest.param({}, NAN, "initial['drawer/slide'].q_dot", id="env10-nan-initial['drawer/slide']"),
+        pytest.param({}, INF, "initial['drawer/slide'].q_dot", id="env11-inf-initial['drawer/slide']"),
+        pytest.param({}, -INF, "initial['drawer/slide'].q_dot", id="env12--inf-initial['drawer/slide']"),
     ],
 )
 def test_code_built_scenario_rejects_what_the_file_reader_would(drawer, env, q_dot, location):
     good = simple_scenario(drawer, initial={"drawer/slide": aj.JointInit(q=0.1, q_dot=-0.5)})
-    good = dataclasses.replace(good, env=aj.EnvConfig(**ENV, reward_weights={"lambda3": 0.0}))
+    good = dataclasses.replace(good, env=aj.EnvConfig(**ENV, reward_weights=aj.RewardParams(lambda3=0.0)))
     with pytest.raises(aj.AssetSyntaxError) as exc:
         dataclasses.replace(good, env=aj.EnvConfig(**{**ENV, **env}), initial={"drawer/slide": aj.JointInit(q=0.1, q_dot=q_dot)})
     assert exc.value.location == location
+
+
+# values a JSON file can hold that the reader refuses, each as a change to
+# the file's document and the same change to the scenario built in code
+@pytest.mark.parametrize(
+    "document, code, location",
+    [
+        pytest.param({"recordings": ["drawer/slide", 5]}, lambda s: {"recordings": ("drawer/slide", 5)}, "recordings[1]", id="recording"),
+        pytest.param(
+            {"initial": {"drawer/slide": {"q": 0.1, "s_open": 1.0}}},
+            lambda s: {"initial": {"drawer/slide": aj.JointInit(q=0.1, s_open=1.0)}},
+            "initial['drawer/slide'].s_open",
+            id="s_open",
+        ),
+        pytest.param({"env": {**env_block(), "action_max": "10"}}, lambda s: {"env": aj.EnvConfig(**ENV, action_max="10")}, "env.action_max", id="action_max"),
+        pytest.param(
+            {"env": {**env_block(), "effector_start": [0.0, 0.0]}},
+            lambda s: {"env": aj.EnvConfig(**{**ENV, "effector_start": (0.0, 0.0)})},
+            "env.effector_start",
+            id="effector_start",
+        ),
+        pytest.param(
+            {"assemblies": [{"asset": str(fx.asset_path("drawer")), "world_pose": {"position": [0.0, 0.0]}}]},
+            lambda s: {"assemblies": (dataclasses.replace(s.assemblies[0], world_pose=aj.Pose(position=(0.0, 0.0))),)},
+            "assemblies[0].world_pose.position",
+            id="world_pose",
+        ),
+    ],
+)
+def test_code_built_and_file_built_scenarios_fail_alike(tmp_path, drawer, document, code, location):
+    with pytest.raises(aj.AssetSyntaxError) as from_file:
+        write_and_load(tmp_path, scenario_dict(**document))
+    good = simple_scenario(drawer, recordings=("drawer/slide",))
+    with pytest.raises(aj.AssetSyntaxError) as in_code:
+        dataclasses.replace(good, **code(good))
+    assert (in_code.value.location, in_code.value.message) == (from_file.value.location, from_file.value.message)
+    assert from_file.value.location == location
 
 
 def test_load_validates_each_placed_asset_once(tmp_path, monkeypatch, drawer):
