@@ -3,10 +3,10 @@
    below), and against an observed series it writes residuals and returns
    their SSE, which dynamics._run computes around the Python loop.
 
-   artjoint.dynamics builds this file with
+   artjoint._native builds this file, with _csv.c, into one library with
        cc -O2 -fPIC -shared -ffp-contract=off -lm
-   and calls it through ctypes from dynamics._run; the dynamics module doc says
-   which runs reach it.
+   and dynamics calls it through ctypes from dynamics._run; the dynamics module
+   doc says which runs reach it.
    The flags keep the arithmetic Python's: every operation is one IEEE double
    operation in the order written (no fused multiply-add, no -ffast-math),
    and exp is the C library's, the function math.exp calls. A change to the

@@ -476,6 +476,8 @@ class _Shape:
         return {self.names[key]: codec.read(data[key], prefix + key) for key, codec in self.codecs.items() if key in data}
 
     def read(self, value: Any, loc: str) -> Any:
+        if isinstance(value, _Unwritable):
+            raise AssetSyntaxError(f"expected a record of type {self.cls.__name__}, got {type(value.value).__name__}", loc)
         data = _require_dict(value, loc)
         _check_keys(data, self.required, self.optional, loc)
         return self.cls(**self.args(data, f"{loc}."))
@@ -491,8 +493,18 @@ def _declare(cls: type, codecs: dict[str, _Codec]) -> None:
     _SHAPES[cls] = _Shape(cls, codecs)
 
 
-def _write(obj: Any) -> dict:
-    return _SHAPES[type(obj)].write(obj)
+class _Unwritable:
+    """What :func:`_write` makes of a value of no declared record type (a
+    dict, say, built in code): the reader of the record expected there
+    rejects it at its location, as it rejects a bad value in a file."""
+
+    def __init__(self, value: Any):
+        self.value = value
+
+
+def _write(obj: Any) -> "dict | _Unwritable":
+    shape = _SHAPES.get(type(obj))
+    return _Unwritable(obj) if shape is None else shape.write(obj)
 
 
 def _plain(value: Any) -> Any:

@@ -48,10 +48,9 @@ compiled stepper writes each following tick whose force stays within the
 breakaway threshold without evaluating the drive again (``_stepper.c``
 says why that gives the loop's bits).
 
-The library is built on the first :func:`_run`, never on import,
-cached under ``$XDG_CACHE_HOME/artjoint`` (else ``~/.cache/artjoint``),
-named by a hash of the source, the compiler's ``--version`` and the flags;
-with no compiler, or if the build or load fails, :func:`_run` runs
+The stepper is one function of the package's one compiled library
+(``artjoint._native``), loaded on the first :func:`_run`, never on
+import; with no compiler, or if the build or load fails, :func:`_run` runs
 :func:`_advance` and :func:`_stepper` says why. :func:`step`,
 :func:`simulate_joint` and the runtime's one-tick segments (``scenario``
 says why) call :func:`_advance` directly.
@@ -65,16 +64,13 @@ from __future__ import annotations
 import ctypes
 import math
 import operator
-import os
-import shutil
-import tempfile
 from dataclasses import dataclass, replace
 from enum import Enum
-from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import _native
 from .assets import ConstantStiffness, FixedTarget, JointSpec, StiffnessProfile, TargetPolicy, ValidationReport
 from .assets import check_joint, raise_on_issues
 from .errors import NonPositiveDtError, UnstableDtError
@@ -473,10 +469,8 @@ def _advance(record: np.ndarray, state: JointState, forces: Iterable[float], dt:
 
 # -- the compiled stepper ----------------------------------------------------
 
-_SOURCE = Path(__file__).with_name("_stepper.c")
-_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
-# (the compiled stepper or None, why): None until the first _run (or
-# _stepper) loads it.
+# (artjoint_advance or None, why): None until the first _run (or _stepper)
+# loads the library (artjoint._native).
 # Tests set (None, reason) here to run the Python loop.
 _compiled: "tuple[Callable | None, str] | None" = None
 # The state the stepper advances, in _stepper.c's order: q, q_dot, s_open,
@@ -487,7 +481,8 @@ _PackedState = ctypes.c_double * 5
 def _kernel() -> "tuple[Callable | None, str]":
     global _compiled
     if _compiled is None:
-        _compiled = _load_kernel()
+        lib, why = _native.library()
+        _compiled = (None if lib is None else lib.artjoint_advance), why
     return _compiled
 
 
@@ -496,66 +491,3 @@ def _stepper() -> tuple[str, str]:
     the stepper :func:`_run` runs, loaded if no run has loaded it yet."""
     kernel, why = _kernel()
     return ("compiled" if kernel is not None else "python"), why
-
-
-def _load_kernel() -> "tuple[Callable | None, str]":
-    """Find ``_stepper.c``'s library in the cache, building it there on a
-    miss, and load it: ``(function, library path)``, or ``(None, why not)``.
-
-    The file name carries a hash of the source, the compiler's ``--version``
-    and the flags, so a build of other source, by another compiler or with
-    other flags is never loaded; a build lands under its name by
-    ``os.replace``, so a half-written one never is. If the cache directory
-    cannot be written, the library is built in a temporary directory for
-    this process and removed once loaded.
-    """
-    import hashlib  # imported here: a process that never loads the kernel pays nothing
-    import subprocess
-
-    cc = shutil.which("cc")
-    if cc is None:
-        return None, "no C compiler (cc) on PATH"
-    try:
-        version = subprocess.run([cc, "--version"], capture_output=True, check=True, timeout=60).stdout
-        source = _SOURCE.read_bytes()
-        digest = hashlib.sha256(b"\0".join([source, version, " ".join(_CFLAGS).encode()])).hexdigest()
-        name = f"_stepper-{digest[:16]}.so"
-        cache = Path(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")) / "artjoint"
-        try:
-            cache.mkdir(parents=True, exist_ok=True)
-            if not (cache / name).exists():
-                _build(cc, source, cache / name)
-        except OSError:  # an unwritable cache: build for this process only
-            with tempfile.TemporaryDirectory(prefix="artjoint-") as tmp:
-                path = Path(tmp) / name
-                _build(cc, source, path)
-                return _bind(path), f"{path}, removed once loaded ({cache} is not writable)"
-        return _bind(cache / name), str(cache / name)
-    except subprocess.CalledProcessError as exc:  # the first error line, for a one-line reason
-        lines = exc.stderr.decode(errors="replace").splitlines() or [f"exit status {exc.returncode}"]
-        return None, "cc failed: " + next((line for line in lines if "error" in line), lines[-1]).strip()
-    except (OSError, AttributeError, subprocess.SubprocessError) as exc:
-        return None, f"the compiled stepper did not build or load: {exc}"
-
-
-def _build(cc: str, source: bytes, path: Path) -> None:
-    """Compile ``source`` with ``cc`` to ``path``, through a temporary file
-    in the same directory that is renamed over ``path`` once complete."""
-    import subprocess
-
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
-    os.close(fd)
-    try:
-        subprocess.run([cc, *_CFLAGS, "-o", tmp, "-x", "c", "-", "-lm"], input=source, capture_output=True, check=True, timeout=120)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def _bind(path: Path) -> Callable:
-    kernel = ctypes.CDLL(str(path)).artjoint_advance
-    pointer = ctypes.c_void_p
-    kernel.argtypes = (pointer, pointer, pointer, pointer, ctypes.c_long, ctypes.c_double, pointer, pointer, pointer)
-    kernel.restype = ctypes.c_double
-    return kernel

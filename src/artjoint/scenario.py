@@ -201,6 +201,7 @@ class Scenario:
         for i, pl in enumerate(self.assemblies):
             _SHAPES[Pose].read(_write(pl.world_pose), f"assemblies[{i}].world_pose")
             loc = f"assemblies[{i}].name"
+            _STR.read(pl.name, loc)
             if "/" in pl.name or not pl.name:
                 raise AssetSyntaxError(f"assembly name '{pl.name}' must be non-empty and slash-free", loc)
             if pl.name in by_name:

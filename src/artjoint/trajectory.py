@@ -2,9 +2,13 @@
 
 CSV layout: header ``t,<channel>,...`` then one row per sample. Floats are
 written with shortest round-trip precision (``repr``), so export/import is
-lossless and repeated runs produce bit-identical bytes. Export formats each
-distinct float of a 1,024-row block once; a channel name must be CSV-safe
-(:func:`check_csv_safe`).
+lossless and repeated runs produce bit-identical bytes. Export writes the
+data rows 1,024 at a time with one call of the compiled writer
+(``_csv.c``, Ryu's shortest digits laid out as ``repr`` lays them out) per
+block into one reused buffer; where the package's compiled library
+(``artjoint._native``) does not load, :func:`_reprs` formats each distinct
+float of a block once, and is the reference the writer is held to. A
+channel name must be CSV-safe (:func:`check_csv_safe`).
 
 Import reads the header with :mod:`csv` and accepts every data cell that
 ``float()`` accepts: padded, quoted, ``1_0``, ``nan``/``inf`` in any case,
@@ -18,15 +22,19 @@ as on export.
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
+from . import _native
 from .errors import DisjointTimeSpansError, MalformedCsvError
 
 _BLOCK_ROWS = 1024  # CSV data rows per write
+_CELL_BYTES = 25  # the longest repr of a float64 (24) and its ',' or '\n'
 
 
 @dataclass
@@ -183,12 +191,24 @@ def export_csv(trajectory: Trajectory, path: "str | Path") -> None:
     names = trajectory.channel_names
     for name in names:
         check_csv_safe(name)
-    columns = [np.asarray(c, dtype=np.float64) for c in [trajectory.times, *trajectory.channels.values()]]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(["t"] + names)
+    columns = [np.ascontiguousarray(c, dtype=np.float64) for c in [trajectory.times, *trajectory.channels.values()]]
+    if any(column.shape != (len(trajectory),) for column in columns):  # the writer reads len(trajectory) of each
+        raise ValueError("every channel must hold one sample per time")
+    header = io.StringIO()
+    csv.writer(header, lineterminator="\n").writerow(["t"] + names)
+    write_rows = _writer()[0]
+    with open(path, "wb") as fh:
+        fh.write(header.getvalue().encode("utf-8"))
+        if write_rows is None:
+            for i in range(0, len(trajectory), _BLOCK_ROWS):
+                cells = [_reprs(column[i : i + _BLOCK_ROWS]) for column in columns]
+                fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]).encode("ascii"))
+            return
+        addresses = np.array([column.ctypes.data for column in columns], dtype=np.uintp)
+        block = np.empty(min(len(trajectory), _BLOCK_ROWS) * len(columns) * _CELL_BYTES, dtype=np.uint8)
         for i in range(0, len(trajectory), _BLOCK_ROWS):
-            cells = [_reprs(column[i : i + _BLOCK_ROWS]) for column in columns]
-            fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
+            rows = min(_BLOCK_ROWS, len(trajectory) - i)
+            fh.write(block[: write_rows(addresses.ctypes.data, len(columns), i, rows, block.ctypes.data)])
 
 
 def _reprs(values: np.ndarray) -> list[str]:
@@ -197,6 +217,20 @@ def _reprs(values: np.ndarray) -> list[str]:
     bits, index = np.unique(values.view(np.int64), return_inverse=True)
     text = list(map(repr, bits.view(np.float64).tolist()))
     return [text[j] for j in index.tolist()]
+
+
+# (artjoint_write_rows or None, why): None until the first export_csv loads
+# the library (artjoint._native).
+# Tests set (None, reason) here to write through _reprs.
+_compiled: "tuple[Callable | None, str] | None" = None
+
+
+def _writer() -> "tuple[Callable | None, str]":
+    global _compiled
+    if _compiled is None:
+        lib, why = _native.library()
+        _compiled = (None if lib is None else lib.artjoint_write_rows), why
+    return _compiled
 
 
 def import_csv(path: "str | Path") -> Trajectory:

@@ -12,7 +12,7 @@ import pytest
 import artjoint as aj
 from artjoint import dynamics
 from artjoint import fixtures as fx
-from artjoint import kinematics
+from artjoint import kinematics, trajectory
 from artjoint.geometry import quat_from_axis_angle
 
 
@@ -54,6 +54,13 @@ def python_stepper(monkeypatch):
     multi-tick segments) runs the Python loop, as where the compiled stepper
     cannot be built."""
     monkeypatch.setattr(dynamics, "_compiled", (None, "the Python loop, chosen by the test"))
+
+
+@pytest.fixture()
+def python_writer(monkeypatch):
+    """``trajectory.export_csv`` writes every cell through ``_reprs``, as
+    where the compiled writer cannot be built."""
+    monkeypatch.setattr(trajectory, "_compiled", (None, "_reprs, chosen by the test"))
 
 
 @pytest.fixture(params=["compiled", "python"])

@@ -1,7 +1,7 @@
 """Byte gate: each bundled scenario's exported CSV and event log, and one
 scripted trashcan_env episode, hash to the digests committed in
-``tests/data/golden_digests.json``, on the compiled stepper (where it loads)
-and on the Python loop.
+``tests/data/golden_digests.json``, on the compiled stepper and writer (where
+they load), on the Python loop and through ``trajectory._reprs``.
 
 A refactor that is meant to keep simulation output unchanged must leave
 these digests alone. A change that moves output on purpose regenerates them
@@ -77,6 +77,11 @@ def test_scenario_output_matches_golden_digests_on_the_python_loop(python_steppe
 
 def test_env_episode_matches_golden_digest_on_the_python_loop(python_stepper, golden):
     test_env_episode_matches_golden_digest(golden)
+
+
+@pytest.mark.parametrize("name", fx.SCENARIO_NAMES)
+def test_scenario_output_matches_golden_digests_through_reprs(python_writer, name, golden, tmp_path):
+    test_scenario_output_matches_golden_digests(name, golden, tmp_path)
 
 
 def test_golden_csv_digests_agree_with_the_benchmark(golden):

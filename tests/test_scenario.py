@@ -387,6 +387,12 @@ def test_code_built_scenario_rejects_what_the_file_reader_would(drawer, env, q_d
             "assemblies[0].world_pose.position",
             id="world_pose",
         ),
+        pytest.param(
+            {"assemblies": [{"asset": str(fx.asset_path("drawer")), "name": 5}]},
+            lambda s: {"assemblies": (dataclasses.replace(s.assemblies[0], name=5),)},
+            "assemblies[0].name",
+            id="name",
+        ),
     ],
 )
 def test_code_built_and_file_built_scenarios_fail_alike(tmp_path, drawer, document, code, location):
@@ -397,6 +403,22 @@ def test_code_built_and_file_built_scenarios_fail_alike(tmp_path, drawer, docume
         dataclasses.replace(good, **code(good))
     assert (in_code.value.location, in_code.value.message) == (from_file.value.location, from_file.value.message)
     assert from_file.value.location == location
+
+
+@pytest.mark.parametrize(
+    "code, record, location",
+    [
+        (lambda s: {"env": dataclasses.replace(s.env, reward_weights={"lambda1": 0.5})}, "RewardParams", "env.reward_weights"),
+        (lambda s: {"initial": {**s.initial, "trashcan/lid": {"q": 1.8}}}, "JointInit", "initial['trashcan/lid']"),
+        (lambda s: {"env": {"goal_joint": "trashcan/lid"}}, "EnvConfig", "env"),
+    ],
+    ids=["reward_weights", "initial", "env"],
+)
+def test_a_record_given_as_a_dict_in_code_names_the_record_expected(code, record, location):
+    scenario = load("trashcan_env")
+    with pytest.raises(aj.AssetSyntaxError) as exc:
+        dataclasses.replace(scenario, **code(scenario))
+    assert (exc.value.location, exc.value.message) == (location, f"expected a record of type {record}, got dict")
 
 
 def test_load_validates_each_placed_asset_once(tmp_path, monkeypatch, drawer):

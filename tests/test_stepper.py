@@ -1,9 +1,11 @@
-"""Loading the compiled stepper: it loads wherever ``cc`` is on ``PATH``, its
-library is cached under a name that changes with the source, a stale,
-half-written or failed build is never loaded, an unwritable cache falls
-back to a temporary directory, and without a compiler the fit runs the
-Python loop to the same bits. Every run of forces enters through
-``dynamics._run``, and nothing is built before the first: not for a fit
+"""Loading the compiled library, the stepper (``_stepper.c``) and the CSV
+row writer (``_csv.c``) built as one: it loads wherever ``cc`` is on
+``PATH``, it is cached under a name that changes with either source, a
+stale, half-written or failed build is never loaded, an unwritable cache
+falls back to a temporary directory, and without a compiler the fit runs
+the Python loop to the same bits and ``export_csv`` writes the same bytes
+through ``_reprs``. Every run of forces enters through ``dynamics._run``,
+and nothing is built before the first run or export: not for a fit
 problem, nor for an env episode."""
 
 import importlib.resources
@@ -13,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import artjoint as aj
-from artjoint import dynamics, fixtures, sysid
+from artjoint import _native, dynamics, fixtures, sysid, trajectory
 
 import test_sysid
 from conftest import press_and_close
@@ -21,50 +23,71 @@ from conftest import press_and_close
 
 @pytest.fixture()
 def load(monkeypatch):
-    """``load(cache, source=None)``: ``dynamics._load_kernel()`` with the
-    cache under ``cache`` and, if given, another source file."""
+    """``load(cache, sources=None)``: ``_native._load()`` with the cache
+    under ``cache`` and, if given, other source files."""
 
-    def load(cache, source=None):
+    def load(cache, sources=None):
         monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
-        if source is not None:
-            monkeypatch.setattr(dynamics, "_SOURCE", source)
-        return dynamics._load_kernel()
+        if sources is not None:
+            monkeypatch.setattr(_native, "_SOURCES", sources)
+        return _native._load()
 
     return load
+
+
+# the loaded library, the bound stepper and the bound writer: None until loaded
+LOADED = ((_native, "_loaded"), (dynamics, "_compiled"), (trajectory, "_compiled"))
+
+
+@pytest.fixture()
+def unloaded(monkeypatch):
+    """Nothing of :data:`LOADED` loaded, as in a fresh process."""
+    for module, name in LOADED:
+        monkeypatch.setattr(module, name, None)
+
+
+def loaded() -> tuple[bool, ...]:
+    """Whether each of :data:`LOADED` is loaded."""
+    return tuple(getattr(module, name) is not None for module, name in LOADED)
 
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
 
 
 def test_the_compiled_stepper_loads_where_cc_is_on_path():
+    """And the writer with it, from the one library."""
     kind, why = dynamics._stepper()
     assert kind == ("compiled" if shutil.which("cc") else "python"), why
+    assert (trajectory._writer()[0] is not None) == (kind == "compiled")
+    assert trajectory._writer()[1] == why  # one library, one reason
 
 
-def test_nothing_is_built_before_the_first_rollout(monkeypatch):
+def test_nothing_is_built_before_the_first_rollout(unloaded):
     """Loading a fitspec and deriving a start from it (the fit benchmark's
     set-up) build and load nothing: the first evaluation does."""
-    monkeypatch.setattr(dynamics, "_compiled", None)
     problem = sysid.load_fitspec(fixtures.fitspec_path("drawer_sprung"))
     seeded = test_sysid.benchmark_start(problem, 1)
-    assert dynamics._compiled is None
+    assert loaded() == (False, False, False)
     sysid.residuals(problem, dict(problem.init))
-    assert dynamics._compiled is not None
-    monkeypatch.setattr(dynamics, "_compiled", None)
+    assert loaded() == (True, True, False)
+    dynamics._compiled = None
     sysid.objective(seeded, dict(seeded.init))
     assert dynamics._compiled is not None
 
 
-def test_an_env_episode_builds_nothing_and_the_first_run_does(monkeypatch):
-    """The env's ticks are one-tick segments, which step in floats, so env
-    set-up and a scripted episode never pay for a build; the first
-    multi-tick run loads the kernel."""
-    monkeypatch.setattr(dynamics, "_compiled", None)
+def test_an_env_episode_builds_nothing_and_the_first_run_does(unloaded, tmp_path):
+    """The env's ticks are one-tick segments, which step in floats, so
+    loading a scenario, env set-up and a scripted episode never pay for a
+    build; the first multi-tick run loads the library, and so does the
+    first export on its own."""
     scenario = aj.load_scenario(fixtures.scenario_path("trashcan_env"))
     *_, (_, _, _, done) = press_and_close(aj.ManipulationEnv(scenario))
-    assert done and dynamics._compiled is None
-    aj.run(scenario)
-    assert dynamics._compiled is not None
+    assert done and loaded() == (False, False, False)
+    t, _ = aj.run(scenario)
+    assert loaded() == (True, True, False)
+    _native._loaded = dynamics._compiled = None
+    aj.export_csv(t, tmp_path / "t.csv")
+    assert loaded() == (True, False, True)
 
 
 def test_every_run_of_forces_enters_through_run_and_the_env_tick_does_not(monkeypatch):
@@ -99,21 +122,26 @@ def test_every_run_of_forces_enters_through_run_and_the_env_tick_does_not(monkey
 
 
 def test_the_source_ships_with_the_package():
-    assert (importlib.resources.files("artjoint") / "_stepper.c").is_file()
+    for name in ("_stepper.c", "_csv.c"):
+        assert (importlib.resources.files("artjoint") / name).is_file(), name
 
 
 @needs_cc
 def test_an_edited_source_gets_a_new_library(load, tmp_path):
-    source = dynamics._SOURCE
-    kernel, path = load(tmp_path)
-    assert kernel is not None, path
+    """Editing either source renames the library."""
+    sources = _native._SOURCES
+    lib, path = load(tmp_path)
+    assert lib is not None, path
     assert Path(path).parent == tmp_path / "artjoint" and Path(path).is_file()
-    edited = tmp_path / "_stepper.c"
-    edited.write_text(source.read_text() + "/* edited */\n")
-    kernel, edited_path = load(tmp_path, edited)
-    assert kernel is not None, edited_path
-    assert edited_path != path and Path(edited_path).parent == Path(path).parent
-    assert load(tmp_path, source)[1] == path  # the first build, found in the cache
+    names = {path}
+    for edited, source in enumerate(sources):
+        copy = tmp_path / source.name
+        copy.write_text(source.read_text() + "/* edited */\n")
+        lib, edited_path = load(tmp_path, sources[:edited] + (copy,) + sources[edited + 1 :])
+        assert lib is not None, edited_path
+        assert edited_path not in names and Path(edited_path).parent == Path(path).parent, source.name
+        names.add(edited_path)
+    assert load(tmp_path, sources)[1] == path  # the first build, found in the cache
 
 
 @needs_cc
@@ -122,18 +150,19 @@ def test_stale_half_written_and_failed_builds_are_never_loaded(load, tmp_path):
     cache = tmp_path / "second" / "artjoint"
     cache.mkdir(parents=True)
     # an older build and one cut off mid-write: neither is a loadable library
-    stale, partial = cache / "_stepper-0123456789abcdef.so", cache / f"{name}.abcd1234.tmp"
+    stale, partial = cache / "_artjoint-0123456789abcdef.so", cache / f"{name}.abcd1234.tmp"
     for junk in (stale, partial):
         junk.write_bytes(b"\x7fELF cut short")
-    kernel, path = load(tmp_path / "second")
-    assert kernel is not None, path
+    lib, path = load(tmp_path / "second")
+    assert lib is not None, path
     assert path == str(cache / name)
     assert stale.read_bytes() == partial.read_bytes() == b"\x7fELF cut short"
 
-    broken = tmp_path / "broken.c"
-    broken.write_text(dynamics._SOURCE.read_text() + "this does not compile\n")
-    kernel, why = load(tmp_path / "third", broken)
-    assert kernel is None and why.startswith("cc failed: ") and "error" in why and "\n" not in why
+    broken = tmp_path / "_csv.c"
+    broken.write_text(_native._SOURCES[1].read_text() + "this does not compile\n")
+    lib, why = load(tmp_path / "third", (_native._SOURCES[0], broken))
+    assert lib is None and why.startswith("cc failed: ") and "error" in why and "\n" not in why
+    assert "_csv.c:" in why  # the file the error is in, by name
     assert list((tmp_path / "third" / "artjoint").iterdir()) == []  # no library, no temporary file
 
 
@@ -141,17 +170,25 @@ def test_stale_half_written_and_failed_builds_are_never_loaded(load, tmp_path):
 def test_an_unwritable_cache_builds_in_a_temporary_directory(load, tmp_path):
     blocker = tmp_path / "cache"
     blocker.write_text("a file where the cache directory would go")
-    kernel, why = load(blocker)
-    assert kernel is not None, why
+    lib, why = load(blocker)
+    assert lib is not None, why
     assert f"({blocker / 'artjoint'} is not writable)" in why
     assert not Path(why.split(",")[0]).exists()  # removed once loaded
     assert blocker.read_text() == "a file where the cache directory would go"
 
 
 @pytest.mark.parametrize("label", sorted(test_sysid.PINNED_FITS))
-def test_without_a_compiler_the_fit_runs_the_python_loop_to_the_same_pins(monkeypatch, tmp_path, label):
+def test_without_a_compiler_the_fit_runs_the_python_loop_to_the_same_pins(monkeypatch, unloaded, tmp_path, label):
+    """... and ``export_csv`` writes, through ``_reprs``, the bytes the
+    compiled writer wrote where it loaded."""
+    t, _ = aj.run(aj.load_scenario(fixtures.scenario_path("microwave")))
+    aj.export_csv(t, tmp_path / "compiled.csv")
     monkeypatch.setenv("PATH", str(tmp_path))
-    monkeypatch.setattr(dynamics, "_compiled", None)
+    for module, name in LOADED:
+        setattr(module, name, None)
     assert dynamics._stepper() == ("python", "no C compiler (cc) on PATH")
     problem = sysid.load_fitspec(fixtures.fitspec_path("drawer_sprung"))
     test_sysid.test_fit_on_the_bundled_fitspec_is_pinned(problem, label)
+    aj.export_csv(t, tmp_path / "reprs.csv")
+    assert trajectory._writer() == (None, "no C compiler (cc) on PATH")
+    assert (tmp_path / "reprs.csv").read_bytes() == (tmp_path / "compiled.csv").read_bytes()

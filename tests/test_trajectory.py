@@ -1,10 +1,13 @@
 """Trajectory container, comparison metrics, averaging, and CSV round-trip."""
 
 import csv
+import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -16,6 +19,8 @@ from hypothesis import strategies as st
 import artjoint as aj
 from artjoint import fixtures as fx
 from artjoint import trajectory as trajectory_mod
+
+from test_benchmark_contract import load_perfbench
 
 
 def make_trajectory(times, **channels):
@@ -283,6 +288,164 @@ def test_csv_export_writes_the_reference_bytes(tmp_path, odd_name):
     for name in ["t"] + t.channel_names:
         a, b = (back.times, t.times) if name == "t" else (back.channels[name], t.channels[name])
         assert [float(v).hex() for v in a] == [float(v).hex() for v in b], name  # signbit and all
+
+
+@pytest.mark.parametrize("odd_name", ["odd name"])
+def test_csv_export_writes_the_reference_bytes_through_reprs(python_writer, tmp_path, odd_name):
+    test_csv_export_writes_the_reference_bytes(tmp_path, odd_name)
+
+
+# ---------------------------------------------------------------------------
+# the compiled row writer (_csv.c)
+
+CSV_SOURCE = Path(trajectory_mod.__file__).with_name("_csv.c").read_text()
+
+
+@pytest.fixture(scope="module")
+def write_rows():
+    """``artjoint_write_rows`` of the compiled library (skipped where it
+    does not load)."""
+    write, why = trajectory_mod._writer()
+    if write is None:
+        pytest.skip(why)
+    return write
+
+
+def compiled_cells(write_rows, values) -> list[str]:
+    """Each of ``values`` as the compiled writer writes it: one column of
+    one-cell rows."""
+    column = np.ascontiguousarray(values, dtype=np.float64)
+    addresses = np.array([column.ctypes.data], dtype=np.uintp)
+    out = np.empty(len(column) * trajectory_mod._CELL_BYTES, dtype=np.uint8)
+    size = write_rows(addresses.ctypes.data, 1, 0, len(column), out.ctypes.data)
+    return out[:size].tobytes().decode("ascii").split("\n")[:-1]
+
+
+def near(value: float, spread: int) -> st.SearchStrategy:
+    """Bit patterns within ``spread`` ulps of ``value``."""
+    bits = int(np.float64(value).view(np.uint64))
+    return st.integers(-spread, spread).map(lambda d: bits + d)
+
+
+BIT_PATTERNS = st.one_of(
+    st.integers(0, 2**63 - 1),  # any magnitude, NaN payloads and infinities
+    st.integers(1, 2**52 - 1),  # subnormals
+    st.integers(0, 2046).map(lambda e: e << 52),  # powers of two, 0.0
+    st.integers(1, 2046).flatmap(lambda e: st.integers(-2, 2).map(lambda d: (e << 52) + d)),  # and their neighbours
+    st.integers(2**52 - 1, 2**52 + 1),  # around the smallest normal
+    st.integers(0x7FF0000000000001, 0x7FFFFFFFFFFFFFFF),  # NaN payloads
+    near(1e-5, 64),  # the exponent form starts below 1e-4 ...
+    near(1e-4, 64),
+    near(1e16, 64),  # ... and at 1e16
+    near(1e15, 64),
+    st.integers(2**52 - 1, 2**52 + 1).map(lambda m: m + (1075 << 52)),  # integral values at 2^53
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), BIT_PATTERNS), min_size=1, max_size=64))
+@example([(False, 1), (True, 1), (False, 0x7FEFFFFFFFFFFFFF), (True, 0x7FEFFFFFFFFFFFFF), (False, 0), (True, 0)])
+@example([(False, 0x7FF0000000000000), (True, 0x7FF0000000000000), (False, 0x7FF8000000000000), (True, 0x7FF0000000000ABC)])
+def test_the_compiled_writer_writes_repr_of_every_bit_pattern(write_rows, cells):
+    """Signed raw float64 bit patterns: subnormals, ``5e-324``, the largest
+    double, powers of two, signed zeros, infinities, NaN payloads of both
+    signs and values next to where the exponent form begins."""
+    values = np.array([pattern | (sign << 63) for sign, pattern in cells], dtype=np.uint64).view(np.float64)
+    assert compiled_cells(write_rows, values) == [repr(v) for v in values.tolist()]
+
+
+def simulate_outputs() -> list[aj.Trajectory]:
+    """The benchmark's simulate outputs: each bundled fixture's run and the
+    seed-1 scene of three copies of each (``perfbench/workloads.py``)."""
+    workloads = load_perfbench("workloads")
+    paths = [fx.scenario_path(name) for name in fx.FIXTURE_NAMES]
+    with tempfile.TemporaryDirectory() as tmp:
+        scene = Path(tmp) / "scene.scenario.json"
+        scene.write_text(json.dumps(workloads.make_scene(np.random.default_rng(1), 3)), encoding="utf-8")
+        return [aj.run(aj.load_scenario(path))[0] for path in (*paths, scene)]
+
+
+def test_the_compiled_writer_writes_every_simulate_output_as_reprs(write_rows, tmp_path, request):
+    """Every cell of the five simulate outputs: the compiled writer's file
+    is ``_reprs``'s, byte for byte."""
+    outputs = simulate_outputs()
+    assert sum(len(t) * (len(t.channels) + 1) for t in outputs) == 493_101
+    for i, t in enumerate(outputs):
+        aj.export_csv(t, tmp_path / f"{i}.compiled.csv")
+    request.getfixturevalue("python_writer")
+    for i, t in enumerate(outputs):
+        aj.export_csv(t, tmp_path / f"{i}.reprs.csv")
+        assert (tmp_path / f"{i}.compiled.csv").read_bytes() == (tmp_path / f"{i}.reprs.csv").read_bytes(), i
+
+
+def c_array(name: str) -> list[int]:
+    """The integers of ``_csv.c``'s table ``name``, in source order."""
+    body = re.search(rf"\b{name}\[[^]]*\](?:\[\d+\])? = \{{(.*?)\}};", CSV_SOURCE, re.S).group(1)
+    return [int(v, 0) for v in re.findall(r"0x[0-9a-f]+|\d+", body)]
+
+
+def pow5bits(e: int) -> int:
+    """ceil(log2(5^e)), 1 at e = 0."""
+    return (5**e).bit_length()
+
+
+def pow5_split(i: int) -> int:
+    """floor(5^i * 2^(125 - pow5bits(i)))."""
+    shift = pow5bits(i) - 125
+    return 5**i >> shift if shift >= 0 else 5**i << -shift
+
+
+def pow5_inv_floor(i: int) -> int:
+    """floor(2^(pow5bits(i) + 124) / 5^i)."""
+    return (1 << (pow5bits(i) + 124)) // 5**i
+
+
+def corrections(exact, base_of, n: int) -> list[int]:
+    """The 2-bit corrections of powers 0 .. n - 1, 16 to a word: ``exact(i)``
+    less its power of a multiple of 26 (``base_of(i)``) times 5^|i - base|,
+    shifted as ``_csv.c`` shifts it."""
+    deltas = []
+    for i in range(n):
+        b = base_of(i)
+        approximate = (exact(b) * 5 ** abs(i - b)) >> abs(pow5bits(i) - pow5bits(b))
+        deltas.append(exact(i) - approximate)
+    assert all(0 <= d <= 3 for d in deltas)
+    return [sum(d << 2 * k for k, d in enumerate(deltas[w : w + 16])) for w in range(0, n, 16)]
+
+
+def halves(values: list[int]) -> list[int]:
+    return [part for v in values for part in (v & (2**64 - 1), v >> 64)]
+
+
+def test_every_table_constant_of_the_compiled_writer_is_recomputed():
+    """The tables of ``_csv.c`` from Python integers: 5^i over every
+    exponent a double reaches (i <= 325) and 2^k / 5^i (i <= 290), and the
+    magic multipliers of its logarithms over the ranges they state."""
+    assert c_array("POW5") == [5**o for o in range(26)]
+    assert c_array("POW5_SPLIT") == halves([pow5_split(b) for b in range(0, 326, 26)])
+    assert c_array("POW5_INV_SPLIT") == halves([pow5_inv_floor(b) for b in range(0, 291 + 25, 26)])
+    assert c_array("POW5_CORRECTION") == corrections(pow5_split, lambda i: i // 26 * 26, 326)
+    assert c_array("POW5_INV_CORRECTION") == corrections(pow5_inv_floor, lambda i: (i + 25) // 26 * 26, 291)
+    pairs = "".join(re.findall(r'"(\d+)"', CSV_SOURCE[CSV_SOURCE.index("PAIRS[200] =") :].split(";")[0]))
+    assert pairs == "".join(f"{k:02d}" for k in range(100))
+    for name, exact, limit in (
+        ("pow5bits", lambda e: pow5bits(e), 3528),
+        ("log10_pow2", lambda e: len(str(2**e)) - 1, 1650),
+        ("log10_pow5", lambda e: len(str(5**e)) - 1, 2620),
+    ):
+        multiplier, shift, one = re.search(rf"int32_t {name}\(int32_t e\) {{ return \(int32_t\)\(\(\(uint32_t\)e \* (\d+)u\) >> (\d+)\)( \+ 1)?;", CSV_SOURCE).groups()
+        assert f"exact for 0 <= e <= {limit} */\nstatic inline int32_t {name}(" in CSV_SOURCE
+        assert all((e * int(multiplier) >> int(shift)) + bool(one) == exact(e) for e in range(limit + 1)), name
+
+
+@pytest.mark.parametrize("writer", ["compiled", "reprs"])
+def test_export_refuses_a_channel_resized_after_construction(tmp_path, request, writer):
+    if writer == "reprs":
+        request.getfixturevalue("python_writer")
+    t = make_trajectory([0.0, 0.001, 0.002], q=[0.0, 0.1, 0.2])
+    t.channels["q"] = np.zeros(2)
+    with pytest.raises(ValueError, match="one sample per time"):
+        aj.export_csv(t, tmp_path / "t.csv")
 
 
 def test_csv_header_layout(tmp_path):
