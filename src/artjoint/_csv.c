@@ -23,8 +23,9 @@
    columns:   n_columns addresses of contiguous float64 columns.
    first:     the first row written.
    n_rows:    rows written, from first on.
-   out:       receives them; at most 25 bytes per cell (24 for the longest
-              repr, 1 for the ',' or '\n' after it).
+   out:       receives them; it must hold 25 bytes per cell (24 for the
+              longest repr, 1 for the ',' or '\n' after it), as the writer
+              may use that room past the bytes it returns.
    Returns the number of bytes written. */
 
 #include <stdint.h>

@@ -191,8 +191,9 @@ def export_csv(trajectory: Trajectory, path: "str | Path") -> None:
     names = trajectory.channel_names
     for name in names:
         check_csv_safe(name)
+    n = len(trajectory)
     columns = [np.ascontiguousarray(c, dtype=np.float64) for c in [trajectory.times, *trajectory.channels.values()]]
-    if any(column.shape != (len(trajectory),) for column in columns):  # the writer reads len(trajectory) of each
+    if any(column.shape != (n,) for column in columns):  # the writer reads n floats of each
         raise ValueError("every channel must hold one sample per time")
     header = io.StringIO()
     csv.writer(header, lineterminator="\n").writerow(["t"] + names)
@@ -200,15 +201,15 @@ def export_csv(trajectory: Trajectory, path: "str | Path") -> None:
     with open(path, "wb") as fh:
         fh.write(header.getvalue().encode("utf-8"))
         if write_rows is None:
-            for i in range(0, len(trajectory), _BLOCK_ROWS):
+            for i in range(0, n, _BLOCK_ROWS):
                 cells = [_reprs(column[i : i + _BLOCK_ROWS]) for column in columns]
                 fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]).encode("ascii"))
             return
         addresses = np.array([column.ctypes.data for column in columns], dtype=np.uintp)
-        block = np.empty(min(len(trajectory), _BLOCK_ROWS) * len(columns) * _CELL_BYTES, dtype=np.uint8)
-        for i in range(0, len(trajectory), _BLOCK_ROWS):
-            rows = min(_BLOCK_ROWS, len(trajectory) - i)
-            fh.write(block[: write_rows(addresses.ctypes.data, len(columns), i, rows, block.ctypes.data)])
+        block = np.empty(min(n, _BLOCK_ROWS) * len(columns) * _CELL_BYTES, dtype=np.uint8)
+        for i in range(0, n, _BLOCK_ROWS):
+            size = write_rows(addresses.ctypes.data, len(columns), i, min(_BLOCK_ROWS, n - i), block.ctypes.data)
+            fh.write(block[:size])
 
 
 def _reprs(values: np.ndarray) -> list[str]:
