@@ -1,5 +1,7 @@
-/* The data rows of artjoint.trajectory.export_csv: each float64 cell written
-   as repr(float) writes it, cells joined by ',' and rows ended by '\n'.
+/* The data rows of artjoint.trajectory's CSVs: each float64 cell as
+   repr(float) writes it, cells joined by ',' and rows ended by '\n'.
+   artjoint_write_rows writes them for export_csv; artjoint_read_rows reads
+   them back for import_csv.
 
    repr writes the shortest decimal that reads back to the same double and,
    of those, the one closest to it, ties to an even last digit (mode 0 of
@@ -17,18 +19,12 @@
    every constant below from Python integers.
 
    artjoint builds this file together with _stepper.c into one library
-   (artjoint._native says how) and calls artjoint_write_rows through ctypes
-   from trajectory.export_csv.
+   (artjoint._native says how) and calls both functions through ctypes. */
 
-   columns:   n_columns addresses of contiguous float64 columns.
-   first:     the first row written.
-   n_rows:    rows written, from first on.
-   out:       receives them; it must hold 25 bytes per cell (24 for the
-              longest repr, 1 for the ',' or '\n' after it), as the writer
-              may use that room past the bytes it returns.
-   Returns the number of bytes written. */
-
+#include <locale.h>
+#include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 typedef unsigned __int128 uint128_t;
@@ -304,6 +300,14 @@ static inline int write_double(double value, char *out)
     return (int)(p - cell);
 }
 
+/* artjoint_write_rows:
+   columns:   n_columns addresses of contiguous float64 columns.
+   first:     the first row written.
+   n_rows:    rows written, from first on.
+   out:       receives them; it must hold 25 bytes per cell (24 for the
+              longest repr, 1 for the ',' or '\n' after it), as the writer
+              may use that room past the bytes it returns.
+   Returns the number of bytes written. */
 long artjoint_write_rows(const double *const *columns, long n_columns, long first, long n_rows, char *out)
 {
     char *p = out;
@@ -315,4 +319,118 @@ long artjoint_write_rows(const double *const *columns, long n_columns, long firs
         p[-1] = '\n';
     }
     return (long)(p - out);
+}
+
+/* The reader takes repr's grammar: -?D+(.D+)?(e[+-]D+)?, inf, -inf and nan.
+
+   A cell whose digits make an integer m <= 2^53 (at most 19 of them from
+   the first nonzero one, so that m holds in 64 bits) and whose decimal
+   exponent e lies within +-22 is m * 10^e or m / 10^-e in one IEEE
+   operation: m and 10^|e| are both exact doubles, so its one rounding is
+   the correct one (Clinger 1990, "How to Read Floating Point Numbers
+   Accurately", PLDI). Any other cell goes to strtod_l in a C locale, which
+   rounds correctly too, whatever LC_NUMERIC the host process has set. */
+
+/* 10^0 .. 10^22, each exact in a double */
+static const double POW10[23] = {
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+};
+
+static locale_t c_locale; /* made once, when the library loads */
+
+__attribute__((constructor)) static void make_c_locale(void) { c_locale = newlocale(LC_ALL_MASK, "C", (locale_t)0); }
+
+static inline int is_digit(char c) { return (unsigned char)(c - '0') < 10; }
+
+/* The cell at p: its value at *value and the end of its text, or NULL where
+   the text at p does not start with the grammar. The text must end in a
+   byte outside the grammar, as the caller's NUL does. */
+static const char *read_double(const char *p, double *value)
+{
+    const char *const cell = p, *start;
+    const int negative = *p == '-';
+    p += negative;
+    if (p[0] == 'i' && p[1] == 'n' && p[2] == 'f') {
+        *value = negative ? -INFINITY : INFINITY;
+        return p + 3;
+    }
+    if (!negative && p[0] == 'n' && p[1] == 'a' && p[2] == 'n') {
+        const uint64_t bits = 0x7ff8000000000000u; /* float('nan') */
+        memcpy(value, &bits, sizeof bits);
+        return p + 3;
+    }
+    uint64_t m = 0;
+    int digits = 0; /* from the first nonzero one on */
+    long e10 = 0;
+    for (start = p; is_digit(*p); p++)
+        m = 10 * m + (uint64_t)(*p - '0'), digits += m != 0;
+    if (p == start)
+        return NULL;
+    if (*p == '.') {
+        for (start = ++p; is_digit(*p); p++)
+            m = 10 * m + (uint64_t)(*p - '0'), digits += m != 0;
+        if (p == start)
+            return NULL;
+        e10 = -(long)(p - start);
+    }
+    if (*p == 'e') {
+        const int minus = p[1] == '-';
+        if (!minus && p[1] != '+')
+            return NULL;
+        long x = 0; /* stops growing past 10^17, beyond any digit count a text can hold */
+        for (start = p += 2; is_digit(*p); p++)
+            x = x < 100000000000000000 ? 10 * x + (*p - '0') : x;
+        if (p == start)
+            return NULL;
+        e10 += minus ? -x : x;
+    }
+    if (digits <= 19 && m <= 1ull << 53 && -22 <= e10 && e10 <= 22) {
+        const double v = e10 < 0 ? (double)m / POW10[-e10] : (double)m * POW10[e10];
+        *value = negative ? -v : v;
+        return p;
+    }
+    if (c_locale == (locale_t)0)
+        return NULL;
+    char *end;
+    *value = strtod_l(cell, &end, c_locale);
+    return end == p ? p : NULL;
+}
+
+/* artjoint_read_rows:
+   text:      size bytes of CSV data rows, then a NUL (text[size] == 0).
+   n_columns: cells per row.
+   at_end:    whether the text runs to the end of the file, so that a last
+              line with no '\n' is a row too.
+   out:       receives the rows, n_columns doubles each; it must have room
+              for size / (2 n_columns) + 1 rows, as a row takes at least one
+              byte and one separator per cell.
+   used:      receives the number of bytes read: up to the end of the last
+              whole line, or all of them at the end.
+   Returns the number of rows read, or -1 at a line that is not n_columns
+   cells of the grammar joined by ',' and ended by '\n'. */
+long artjoint_read_rows(const char *text, long size, long n_columns, int at_end, double *out, long *used)
+{
+    const char *const end = text + size;
+    const char *row = text;
+    long rows = 0;
+    for (; row < end; rows++) {
+        double *const values = out + rows * n_columns;
+        const char *p = row;
+        for (long c = 0; c < n_columns && p; c++) {
+            p = read_double(p, values + c);
+            if (p && c + 1 < n_columns)
+                p = *p == ',' ? p + 1 : NULL;
+        }
+        if (p && *p == '\n')
+            row = p + 1;
+        else if (p == end && at_end) /* the last line, with no '\n' */
+            row = end;
+        else if (!at_end && !memchr(row, '\n', (size_t)(end - row))) /* a line the text cuts off */
+            break;
+        else
+            return -1;
+    }
+    *used = (long)(row - text);
+    return rows;
 }

@@ -1,14 +1,18 @@
 """The one compiled library: ``_stepper.c`` (the joint stepper
 ``dynamics._run`` calls) and ``_csv.c`` (the row writer
-``trajectory.export_csv`` calls), built together by one ``cc`` run.
+``trajectory.export_csv`` calls and the row reader ``trajectory.import_csv``
+calls), built together by one ``cc`` run.
 
 The library is built on the first :func:`library` call, never on import,
 cached under ``$XDG_CACHE_HOME/artjoint`` (else ``~/.cache/artjoint``),
 named by a hash of both sources, the compiler's ``--version`` and the
-flags. The flags are the stepper's: ``-ffp-contract=off`` keeps its
-arithmetic Python's (``_stepper.c`` says why); the writer does integer
-arithmetic only. With no compiler, or if the build or load fails,
-:func:`library` says why, and each caller runs its Python fallback.
+flags. ``-ffp-contract=off`` keeps the stepper's arithmetic Python's
+(``_stepper.c`` says why); the writer does integer arithmetic only, and the
+reader's one multiply or divide per cell is exact or correctly rounded
+either way. ``-D_GNU_SOURCE`` declares the reader's ``strtod_l`` ahead of
+the first header of the one translation unit. With no compiler, or if the
+build or load fails, :func:`library` says why, and each caller runs its
+Python fallback.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import tempfile
 from pathlib import Path
 
 _SOURCES = (Path(__file__).with_name("_stepper.c"), Path(__file__).with_name("_csv.c"))
-_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-D_GNU_SOURCE")
 # (the library or None, why): None until the first library() loads it.
 _loaded: "tuple[ctypes.CDLL | None, str] | None" = None
 
@@ -53,8 +57,7 @@ def _load() -> "tuple[ctypes.CDLL | None, str]":
         return None, "no C compiler (cc) on PATH"
     try:
         version = subprocess.run([cc, "--version"], capture_output=True, check=True, timeout=60).stdout
-        # one translation unit; each file's own name and line numbers in cc's messages
-        source = b"".join(b'#line 1 "%s"\n' % path.name.encode() + path.read_bytes() for path in _SOURCES)
+        source = _source()
         digest = hashlib.sha256(b"\0".join([source, version, " ".join(_CFLAGS).encode()])).hexdigest()
         name = f"_artjoint-{digest[:16]}.so"
         cache = Path(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")) / "artjoint"
@@ -75,6 +78,12 @@ def _load() -> "tuple[ctypes.CDLL | None, str]":
         return None, f"the compiled library did not build or load: {exc}"
 
 
+def _source() -> bytes:
+    """Both sources as one translation unit, each file with its own name
+    and line numbers in cc's messages."""
+    return b"".join(b'#line 1 "%s"\n' % path.name.encode() + path.read_bytes() for path in _SOURCES)
+
+
 def _build(cc: str, source: bytes, path: Path) -> None:
     """Compile ``source`` with ``cc`` to ``path``, through a temporary file
     in the same directory that is renamed over ``path`` once complete."""
@@ -91,7 +100,7 @@ def _build(cc: str, source: bytes, path: Path) -> None:
 
 
 def _bind(path: Path) -> ctypes.CDLL:
-    """Load ``path`` and declare both functions' signatures (an
+    """Load ``path`` and declare its functions' signatures (an
     ``AttributeError`` where one is missing)."""
     lib = ctypes.CDLL(str(path))
     pointer, long = ctypes.c_void_p, ctypes.c_long
@@ -99,4 +108,6 @@ def _bind(path: Path) -> ctypes.CDLL:
     lib.artjoint_advance.restype = ctypes.c_double
     lib.artjoint_write_rows.argtypes = (pointer, long, long, long, pointer)
     lib.artjoint_write_rows.restype = long
+    lib.artjoint_read_rows.argtypes = (pointer, long, long, ctypes.c_int, pointer, pointer)
+    lib.artjoint_read_rows.restype = long
     return lib

@@ -4,7 +4,7 @@
    their SSE, which dynamics._run computes around the Python loop.
 
    artjoint._native builds this file, with _csv.c, into one library with
-       cc -O2 -fPIC -shared -ffp-contract=off -lm
+       cc -O2 -fPIC -shared -ffp-contract=off -D_GNU_SOURCE -lm
    and dynamics calls it through ctypes from dynamics._run; the dynamics module
    doc says which runs reach it.
    The flags keep the arithmetic Python's: every operation is one IEEE double

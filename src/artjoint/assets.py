@@ -477,7 +477,7 @@ class _Shape:
 
     def read(self, value: Any, loc: str) -> Any:
         if isinstance(value, _Unwritable):
-            raise AssetSyntaxError(f"expected a record of type {self.cls.__name__}, got {type(value.value).__name__}", loc)
+            raise value.error(self.cls.__name__, loc)
         data = _require_dict(value, loc)
         _check_keys(data, self.required, self.optional, loc)
         return self.cls(**self.args(data, f"{loc}."))
@@ -500,6 +500,9 @@ class _Unwritable:
 
     def __init__(self, value: Any):
         self.value = value
+
+    def error(self, expected: str, loc: str) -> AssetSyntaxError:
+        return AssetSyntaxError(f"expected a record of type {expected}, got {type(self.value).__name__}", loc)
 
 
 def _write(obj: Any) -> "dict | _Unwritable":
@@ -559,13 +562,18 @@ def _tagged(types: dict[str, type]) -> _Codec:
     tags = {cls: tag for tag, cls in types.items()}
 
     def read(value: Any, loc: str) -> Any:
+        if isinstance(value, _Unwritable):
+            raise value.error(" or ".join(cls.__name__ for cls in types.values()), loc)
         data = _require_dict(value, loc)
         tag = _as_str(data.get("type", ""), f"{loc}.type")
         if tag not in types:
             raise AssetSyntaxError(f"unknown type '{tag}', expected one of {list(types)}", loc)
         return _SHAPES[types[tag]].read({k: v for k, v in data.items() if k != "type"}, loc)
 
-    return _Codec(read, lambda obj: {"type": tags[type(obj)], **_write(obj)})
+    def write(obj: Any) -> "dict | _Unwritable":
+        return {"type": tags[type(obj)], **_write(obj)} if type(obj) in tags else _Unwritable(obj)
+
+    return _Codec(read, write)
 
 
 STIFFNESS_TYPES = {"constant": ConstantStiffness, "schedule": StiffnessSchedule}

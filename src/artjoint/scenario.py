@@ -43,8 +43,8 @@ import numpy as np
 from . import assets as assets_mod
 from . import behaviors as bh
 from . import dynamics, kinematics
-from .assets import Assembly, JointSpec, Marker, _as_str, _check_keys, _decode_json, _require_dict, _require_list
-from .assets import _BOOL, _FLOAT, _PAIR, _SHAPES, _STR, _VEC3, _Codec, _declare, _list_of, _record, _tagged, _write
+from .assets import Assembly, JointSpec, Marker, _as_float, _as_str, _check_keys, _decode_json, _require_dict, _require_list
+from .assets import _BOOL, _FLOAT, _PAIR, _SHAPES, _STR, _VEC3, _Codec, _declare, _list_of, _plain, _record, _tagged, _write
 from .errors import AssetSyntaxError, UnknownJointError
 from .geometry import Pose, Vec3, vec_cross, vec_sub
 from .kinematics import find_marker, forward_kinematics
@@ -194,7 +194,7 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "initial", MappingProxyType(dict(self.initial)))
         codecs = _SHAPES[Scenario].codecs  # the file reader's checks, on each declared value's written form
-        for key in ("recordings", "initial", "env"):
+        for key in ("forces", "recordings", "initial", "env"):
             if getattr(self, key) is not None:
                 codecs[key].read(codecs[key].write(getattr(self, key)), key)
         by_name: dict[str, Placement] = {}
@@ -284,12 +284,19 @@ def _read_steps(value, loc: str) -> tuple[tuple[float, float], ...]:
     return steps
 
 
+def _read_edge(value, loc: str) -> float:
+    """A force window edge: a number, infinite where the window is open on
+    that side (as ``t_end`` is by default)."""
+    return value if isinstance(value, float) and math.isinf(value) else _as_float(value, loc)
+
+
 def _read_initial(value, loc: str) -> dict[str, JointInit]:
     return {ref: _SHAPES[JointInit].read(entry, f"{loc}['{ref}']") for ref, entry in _require_dict(value, loc).items()}
 
 
 _FORCE_PROFILE = _tagged(FORCE_PROFILE_TYPES)
-_declare(ConstantForce, {"value": _FLOAT, "t_start": _FLOAT, "t_end": _FLOAT})
+_EDGE = _Codec(_read_edge, _plain)
+_declare(ConstantForce, {"value": _FLOAT, "t_start": _EDGE, "t_end": _EDGE})
 _declare(PiecewiseForce, {"steps": _Codec(_read_steps, _STEPS.write)})
 _declare(ForceSchedule, {"joint": _STR, "profile": _FORCE_PROFILE})
 _declare(JointInit, {"q": _FLOAT, "q_dot": _FLOAT, "s_open": _BOOL})

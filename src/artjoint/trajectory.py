@@ -10,23 +10,27 @@ block into one reused buffer; where the package's compiled library
 float of a block once, and is the reference the writer is held to. A
 channel name must be CSV-safe (:func:`check_csv_safe`).
 
-Import reads the header with :mod:`csv` and accepts every data cell that
-``float()`` accepts: padded, quoted, ``1_0``, ``nan``/``inf`` in any case,
-with ``\n``, ``\r\n`` or lone ``\r`` line ends; blank lines are skipped.
-Plain numeric rows parse in one ``np.loadtxt`` call; any other file is read
-again row by row, which raises :class:`MalformedCsvError` with the file
-line where the first bad row starts. Header channel names must be CSV-safe,
-as on export.
+Import reads the header with :mod:`csv`, then the data rows in 1 MiB blocks
+with the compiled reader (``_csv.c``), straight into one float64 array. It
+takes ``repr``'s grammar only: ``-?D+(.D+)?(e[+-]D+)?``, ``inf``, ``-inf``
+and ``nan``, cells joined by ``,`` and rows ended by ``\n`` (the last may
+end the file instead). Any other file is read again by :func:`_read_rows`,
+the reference, which accepts every data cell that ``float()`` accepts:
+padded, quoted, ``1_0``, ``nan``/``inf`` in any case, with ``\n``, ``\r\n``
+or lone ``\r`` line ends; blank lines are skipped. It also reads every file
+where the library does not load, and raises :class:`MalformedCsvError` with
+the file line where the first bad row starts; a byte that is not UTF-8 is a
+bad cell there. Header channel names must be CSV-safe, as on export.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
 import io
-import warnings
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -35,6 +39,7 @@ from .errors import DisjointTimeSpansError, MalformedCsvError
 
 _BLOCK_ROWS = 1024  # CSV data rows per write
 _CELL_BYTES = 25  # the longest repr of a float64 (24) and its ',' or '\n'
+_BLOCK_BYTES = 1 << 20  # CSV bytes per read on import
 
 
 @dataclass
@@ -70,11 +75,12 @@ class Trajectory:
         return self.channels[name]
 
     def equals(self, other: "Trajectory") -> bool:
-        """Exact structural equality (names, order, and every float)."""
+        """Exact structural equality (names, order, and every float, a NaN
+        equal to a NaN)."""
         return (
             self.channel_names == other.channel_names
             and np.array_equal(self.times, other.times)
-            and all(np.array_equal(self.channels[n], other.channels[n]) for n in self.channels)
+            and all(np.array_equal(self.channels[n], other.channels[n], equal_nan=True) for n in self.channels)
         )
 
     def __eq__(self, other) -> bool:
@@ -179,10 +185,16 @@ def average(trajectories: "list[Trajectory]") -> Trajectory:
     return Trajectory(times=first.times.copy(), channels=channels)
 
 
+# a comma, quote, CR, LF or lone surrogate (what a byte that is not UTF-8
+# decodes to on import)
+_UNSAFE = re.compile('[,"\r\n\ud800-\udfff]')
+
+
 def check_csv_safe(name: str) -> None:
-    """Raise ``ValueError`` if ``name`` holds a comma, quote, CR or LF: a
-    header cell that :func:`export_csv` writes unquoted must read back whole."""
-    if "," in name or '"' in name or "\n" in name or "\r" in name:
+    """Raise ``ValueError`` if ``name`` holds a comma, quote, CR, LF or a
+    lone surrogate: a header cell that :func:`export_csv` writes unquoted
+    in UTF-8 must read back whole."""
+    if _UNSAFE.search(name):
         raise ValueError(f"channel name {name!r} is not CSV-safe")
 
 
@@ -197,10 +209,10 @@ def export_csv(trajectory: Trajectory, path: "str | Path") -> None:
         raise ValueError("every channel must hold one sample per time")
     header = io.StringIO()
     csv.writer(header, lineterminator="\n").writerow(["t"] + names)
-    write_rows = _writer()[0]
+    lib = _library()[0]
     with open(path, "wb") as fh:
         fh.write(header.getvalue().encode("utf-8"))
-        if write_rows is None:
+        if lib is None:
             for i in range(0, n, _BLOCK_ROWS):
                 cells = [_reprs(column[i : i + _BLOCK_ROWS]) for column in columns]
                 fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]).encode("ascii"))
@@ -208,7 +220,7 @@ def export_csv(trajectory: Trajectory, path: "str | Path") -> None:
         addresses = np.array([column.ctypes.data for column in columns], dtype=np.uintp)
         block = np.empty(min(n, _BLOCK_ROWS) * len(columns) * _CELL_BYTES, dtype=np.uint8)
         for i in range(0, n, _BLOCK_ROWS):
-            size = write_rows(addresses.ctypes.data, len(columns), i, min(_BLOCK_ROWS, n - i), block.ctypes.data)
+            size = lib.artjoint_write_rows(addresses.ctypes.data, len(columns), i, min(_BLOCK_ROWS, n - i), block.ctypes.data)
             fh.write(block[:size])
 
 
@@ -220,17 +232,17 @@ def _reprs(values: np.ndarray) -> list[str]:
     return [text[j] for j in index.tolist()]
 
 
-# (artjoint_write_rows or None, why): None until the first export_csv loads
-# the library (artjoint._native).
-# Tests set (None, reason) here to write through _reprs.
-_compiled: "tuple[Callable | None, str] | None" = None
+# (the library of artjoint_write_rows and artjoint_read_rows or None, why):
+# None until the first export_csv or import_csv loads it (artjoint._native).
+# Tests set (None, reason) here to write through _reprs and read through
+# _read_rows.
+_compiled: "tuple[ctypes.CDLL | None, str] | None" = None
 
 
-def _writer() -> "tuple[Callable | None, str]":
+def _library() -> "tuple[ctypes.CDLL | None, str]":
     global _compiled
     if _compiled is None:
-        lib, why = _native.library()
-        _compiled = (None if lib is None else lib.artjoint_write_rows), why
+        _compiled = _native.library()
     return _compiled
 
 
@@ -238,57 +250,87 @@ def import_csv(path: "str | Path") -> Trajectory:
     """Read a trajectory CSV written by :func:`export_csv` (or shaped like
     one). Raises :class:`MalformedCsvError` on bad headers, ragged rows, or
     non-numeric cells."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedCsvError(f"{path}: empty file (no header)") from None
-        if not header or header[0] != "t":
-            raise MalformedCsvError(f"{path}: first header column must be 't', got {header[:1]}")
-        names = header[1:]
-        if len(set(names)) != len(names):
-            raise MalformedCsvError(f"{path}: duplicate channel names in header")
-        for name in names:
+    with open(path, "rb") as fh:
+        lib = _library()[0]
+        data = None
+        if lib is not None:
+            lines = (line.decode("utf-8", "surrogateescape") for line in fh)  # as the re-read decodes them
             try:
-                check_csv_safe(name)
-            except ValueError as exc:
-                raise MalformedCsvError(f"{path}: header {exc}") from None
-        try:
-            with warnings.catch_warnings():  # a header-only file is a valid, empty trajectory
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                data = np.loadtxt(_plain_lines(fh), delimiter=",", comments=None, dtype=float, ndmin=2)
-        except ValueError:
-            data = None
-        if data is None or data.shape[1] != len(header):
+                header = _header(csv.reader(lines), path)
+                data = _parse(lib, fh, len(header))
+            except csv.Error:  # at a lone CR, which ends a line only for the re-read
+                pass
+        if data is None:
             fh.seek(0)
-            data = _read_rows(csv.reader(fh), path)
+            reader = csv.reader(io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape", newline=""))
+            header = _header(reader, path)
+            data = _read_rows(reader, header, path)
     try:
         return Trajectory(
             times=data[:, 0],
-            channels={name: data[:, i + 1] for i, name in enumerate(names)},
+            channels={name: data[:, i + 1] for i, name in enumerate(header[1:])},
         )
     except ValueError as exc:
         raise MalformedCsvError(f"{path}: {exc}") from None
 
 
-def _plain_lines(lines):
-    """``lines`` for ``np.loadtxt``, raising ``ValueError`` at a line holding
-    U+001C..U+001F, which loadtxt strips around a number and ``float()``
-    rejects."""
-    for line in lines:
-        if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
-            raise ValueError("information separator in a data line")
-        yield line
+def _header(reader, path) -> list[str]:
+    """The header row of ``reader``: ``t`` and CSV-safe, distinct channel
+    names."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise MalformedCsvError(f"{path}: empty file (no header)") from None
+    if not header or header[0] != "t":
+        raise MalformedCsvError(f"{path}: first header column must be 't', got {header[:1]}")
+    names = header[1:]
+    if len(set(names)) != len(names):
+        raise MalformedCsvError(f"{path}: duplicate channel names in header")
+    for name in names:
+        try:
+            check_csv_safe(name)
+        except ValueError as exc:
+            raise MalformedCsvError(f"{path}: header {exc}") from None
+    return header
 
 
-def _read_rows(reader, path) -> np.ndarray:
+def _parse(lib: ctypes.CDLL, fh, width: int) -> "np.ndarray | None":
+    """The data rows from ``fh``'s position on, ``width`` cells each, read
+    by ``artjoint_read_rows`` a block at a time into one float64 array; or
+    ``None`` at the first line outside its grammar. The block carries the
+    tail of a line it cuts off into the next read, and grows only for a
+    line longer than itself."""
+    block = np.empty(_BLOCK_BYTES + 1, dtype=np.uint8)  # and the NUL the reader stops at
+    data = np.empty((0, width))
+    rows = filled = 0
+    used = ctypes.c_long()
+    while True:
+        if filled == len(block) - 1:
+            block = np.concatenate([block, np.empty_like(block)])
+        got = fh.readinto(block[filled:-1])
+        filled += got
+        block[filled] = 0
+        need = rows + filled // (2 * width) + 1  # the reader's bound: a row takes a byte and a separator per cell
+        if len(data) < need:
+            grown = np.empty((max(need, 2 * len(data)), width))
+            grown[:rows] = data[:rows]
+            data = grown
+        n = lib.artjoint_read_rows(block.ctypes.data, filled, width, got == 0, data[rows:].ctypes.data, ctypes.byref(used))
+        if n < 0:
+            return None
+        rows += n
+        if got == 0:
+            return data[:rows]
+        filled -= used.value
+        block[:filled] = block[used.value : used.value + filled]
+
+
+def _read_rows(reader, header: list[str], path) -> np.ndarray:
     """The row-by-row reader behind :func:`import_csv`: each row after the
     header through ``float()``, with an error naming the file line where the
     first bad row starts (a quoted cell may span lines). The only path for
-    what ``np.loadtxt`` refuses (quoted cells, ``1_0``, ...) and for the
-    error texts."""
-    header = next(reader)
+    what the compiled reader refuses (quoted cells, ``1_0``, ...), for the
+    error texts, and where the library does not load."""
     rows: list[list[float]] = []
     first = reader.line_num + 1
     for row in reader:

@@ -57,10 +57,11 @@ def python_stepper(monkeypatch):
 
 
 @pytest.fixture()
-def python_writer(monkeypatch):
-    """``trajectory.export_csv`` writes every cell through ``_reprs``, as
-    where the compiled writer cannot be built."""
-    monkeypatch.setattr(trajectory, "_compiled", (None, "_reprs, chosen by the test"))
+def python_csv(monkeypatch):
+    """``trajectory.export_csv`` writes every cell through ``_reprs`` and
+    ``trajectory.import_csv`` reads every row through ``_read_rows``, as
+    where the compiled writer and reader cannot be built."""
+    monkeypatch.setattr(trajectory, "_compiled", (None, "_reprs and _read_rows, chosen by the test"))
 
 
 @pytest.fixture(params=["compiled", "python"])

@@ -267,6 +267,14 @@ def test_compare_channel_mismatch_is_a_domain_error(tmp_path):
     assert "channel" in proc.stderr
 
 
+def test_compare_rejects_a_csv_that_is_not_utf8(tmp_path):
+    write_csv(tmp_path / "a.csv", [0.0, 0.1], q=[1.0, 2.0])
+    (tmp_path / "b.csv").write_bytes(b"t,q\n0.0,1.0\n0.1,\xff\n")
+    proc = run_cli("compare", tmp_path / "a.csv", tmp_path / "b.csv")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(f"error: {tmp_path / 'b.csv'}:3: ")
+
+
 # ---------------------------------------------------------------------------
 # fit
 

@@ -80,7 +80,7 @@ def test_env_episode_matches_golden_digest_on_the_python_loop(python_stepper, go
 
 
 @pytest.mark.parametrize("name", fx.SCENARIO_NAMES)
-def test_scenario_output_matches_golden_digests_through_reprs(python_writer, name, golden, tmp_path):
+def test_scenario_output_matches_golden_digests_through_reprs(python_csv, name, golden, tmp_path):
     test_scenario_output_matches_golden_digests(name, golden, tmp_path)
 
 

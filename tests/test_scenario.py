@@ -393,6 +393,12 @@ def test_code_built_scenario_rejects_what_the_file_reader_would(drawer, env, q_d
             "assemblies[0].name",
             id="name",
         ),
+        pytest.param(
+            {"forces": [{"joint": 5, "profile": {"type": "constant", "value": 1.0}}]},
+            lambda s: {"forces": (aj.ForceSchedule(5, aj.ConstantForce(value=1.0)),)},
+            "forces[0].joint",
+            id="force_joint",
+        ),
     ],
 )
 def test_code_built_and_file_built_scenarios_fail_alike(tmp_path, drawer, document, code, location):
@@ -411,8 +417,14 @@ def test_code_built_and_file_built_scenarios_fail_alike(tmp_path, drawer, docume
         (lambda s: {"env": dataclasses.replace(s.env, reward_weights={"lambda1": 0.5})}, "RewardParams", "env.reward_weights"),
         (lambda s: {"initial": {**s.initial, "trashcan/lid": {"q": 1.8}}}, "JointInit", "initial['trashcan/lid']"),
         (lambda s: {"env": {"goal_joint": "trashcan/lid"}}, "EnvConfig", "env"),
+        # built, it used to fail only in run, on the dict's missing values_at
+        (
+            lambda s: {"forces": (aj.ForceSchedule("trashcan/lid", {"type": "constant", "value": 1.0}),)},
+            "ConstantForce or PiecewiseForce",
+            "forces[0].profile",
+        ),
     ],
-    ids=["reward_weights", "initial", "env"],
+    ids=["reward_weights", "initial", "env", "profile"],
 )
 def test_a_record_given_as_a_dict_in_code_names_the_record_expected(code, record, location):
     scenario = load("trashcan_env")

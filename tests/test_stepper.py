@@ -1,15 +1,17 @@
 """Loading the compiled library, the stepper (``_stepper.c``) and the CSV
-row writer (``_csv.c``) built as one: it loads wherever ``cc`` is on
-``PATH``, it is cached under a name that changes with either source, a
-stale, half-written or failed build is never loaded, an unwritable cache
-falls back to a temporary directory, and without a compiler the fit runs
-the Python loop to the same bits and ``export_csv`` writes the same bytes
-through ``_reprs``. Every run of forces enters through ``dynamics._run``,
-and nothing is built before the first run or export: not for a fit
-problem, nor for an env episode."""
+row writer and reader (``_csv.c``) built as one: it loads wherever ``cc``
+is on ``PATH``, it is cached under a name that changes with either source,
+a stale, half-written or failed build is never loaded, an unwritable cache
+falls back to a temporary directory, both sources compile without a
+warning, and without a compiler the fit runs the Python loop to the same
+bits and ``export_csv`` writes the same bytes through ``_reprs``. Every run
+of forces enters through ``dynamics._run``, and nothing is built before the
+first run, export or import: not for an env episode, and for a fit problem
+only the library its CSV import loads."""
 
 import importlib.resources
 import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -35,7 +37,8 @@ def load(monkeypatch):
     return load
 
 
-# the loaded library, the bound stepper and the bound writer: None until loaded
+# the loaded library, the bound stepper and the CSV writer and reader's
+# library: None until loaded
 LOADED = ((_native, "_loaded"), (dynamics, "_compiled"), (trajectory, "_compiled"))
 
 
@@ -55,21 +58,22 @@ needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler 
 
 
 def test_the_compiled_stepper_loads_where_cc_is_on_path():
-    """And the writer with it, from the one library."""
+    """And the CSV writer and reader with it, from the one library."""
     kind, why = dynamics._stepper()
     assert kind == ("compiled" if shutil.which("cc") else "python"), why
-    assert (trajectory._writer()[0] is not None) == (kind == "compiled")
-    assert trajectory._writer()[1] == why  # one library, one reason
+    assert (trajectory._library()[0] is not None) == (kind == "compiled")
+    assert trajectory._library()[1] == why  # one library, one reason
 
 
 def test_nothing_is_built_before_the_first_rollout(unloaded):
     """Loading a fitspec and deriving a start from it (the fit benchmark's
-    set-up) build and load nothing: the first evaluation does."""
+    set-up) bind no stepper: the first evaluation does. The library is
+    loaded by the import of the fitspec's observed CSV."""
     problem = sysid.load_fitspec(fixtures.fitspec_path("drawer_sprung"))
     seeded = test_sysid.benchmark_start(problem, 1)
-    assert loaded() == (False, False, False)
+    assert loaded() == (True, False, True)
     sysid.residuals(problem, dict(problem.init))
-    assert loaded() == (True, True, False)
+    assert loaded() == (True, True, True)
     dynamics._compiled = None
     sysid.objective(seeded, dict(seeded.init))
     assert dynamics._compiled is not None
@@ -79,7 +83,7 @@ def test_an_env_episode_builds_nothing_and_the_first_run_does(unloaded, tmp_path
     """The env's ticks are one-tick segments, which step in floats, so
     loading a scenario, env set-up and a scripted episode never pay for a
     build; the first multi-tick run loads the library, and so does the
-    first export on its own."""
+    first export on its own, and the first import."""
     scenario = aj.load_scenario(fixtures.scenario_path("trashcan_env"))
     *_, (_, _, _, done) = press_and_close(aj.ManipulationEnv(scenario))
     assert done and loaded() == (False, False, False)
@@ -87,6 +91,9 @@ def test_an_env_episode_builds_nothing_and_the_first_run_does(unloaded, tmp_path
     assert loaded() == (True, True, False)
     _native._loaded = dynamics._compiled = None
     aj.export_csv(t, tmp_path / "t.csv")
+    assert loaded() == (True, False, True)
+    _native._loaded = trajectory._compiled = None
+    assert aj.import_csv(tmp_path / "t.csv") == t
     assert loaded() == (True, False, True)
 
 
@@ -124,6 +131,15 @@ def test_every_run_of_forces_enters_through_run_and_the_env_tick_does_not(monkey
 def test_the_source_ships_with_the_package():
     for name in ("_stepper.c", "_csv.c"):
         assert (importlib.resources.files("artjoint") / name).is_file(), name
+
+
+@needs_cc
+def test_both_sources_compile_without_a_warning():
+    """As ``_native`` feeds them to ``cc``: one translation unit, its
+    flags, and every warning of ``-Wall -Wextra`` an error."""
+    flags = [*_native._CFLAGS, "-Wall", "-Wextra", "-Werror", "-fsyntax-only"]
+    result = subprocess.run(["cc", *flags, "-x", "c", "-"], input=_native._source(), capture_output=True, timeout=120)
+    assert result.returncode == 0, result.stderr.decode(errors="replace")
 
 
 @needs_cc
@@ -180,7 +196,8 @@ def test_an_unwritable_cache_builds_in_a_temporary_directory(load, tmp_path):
 @pytest.mark.parametrize("label", sorted(test_sysid.PINNED_FITS))
 def test_without_a_compiler_the_fit_runs_the_python_loop_to_the_same_pins(monkeypatch, unloaded, tmp_path, label):
     """... and ``export_csv`` writes, through ``_reprs``, the bytes the
-    compiled writer wrote where it loaded."""
+    compiled writer wrote where it loaded, which ``import_csv`` reads back
+    through ``_read_rows``."""
     t, _ = aj.run(aj.load_scenario(fixtures.scenario_path("microwave")))
     aj.export_csv(t, tmp_path / "compiled.csv")
     monkeypatch.setenv("PATH", str(tmp_path))
@@ -190,5 +207,6 @@ def test_without_a_compiler_the_fit_runs_the_python_loop_to_the_same_pins(monkey
     problem = sysid.load_fitspec(fixtures.fitspec_path("drawer_sprung"))
     test_sysid.test_fit_on_the_bundled_fitspec_is_pinned(problem, label)
     aj.export_csv(t, tmp_path / "reprs.csv")
-    assert trajectory._writer() == (None, "no C compiler (cc) on PATH")
+    assert trajectory._library() == (None, "no C compiler (cc) on PATH")
     assert (tmp_path / "reprs.csv").read_bytes() == (tmp_path / "compiled.csv").read_bytes()
+    assert aj.import_csv(tmp_path / "reprs.csv") == t

@@ -57,6 +57,11 @@ def test_equality_is_exact_and_trajectories_stay_unhashable():
     assert a != make_trajectory([0.0, 0.1, 0.2], r=[0.3, 0.4, 0.5])
     assert a != make_trajectory([0.0, 0.1, 0.3], q=[0.3, 0.4, 0.5])
     assert a != "q"
+    # a NaN equals a NaN, as a CSV round trip of one gives it back
+    gap = make_trajectory([0.0, 1.0], a=[math.nan, 1.0])
+    assert gap.equals(gap) and gap == make_trajectory([0.0, 1.0], a=[math.nan, 1.0])
+    assert gap != make_trajectory([0.0, 1.0], a=[math.nan, 2.0])
+    assert gap != make_trajectory([0.0, 1.0], a=[0.0, 1.0])
     with pytest.raises(TypeError, match="unhashable"):
         hash(a)
 
@@ -291,7 +296,7 @@ def test_csv_export_writes_the_reference_bytes(tmp_path, odd_name):
 
 
 @pytest.mark.parametrize("odd_name", ["odd name"])
-def test_csv_export_writes_the_reference_bytes_through_reprs(python_writer, tmp_path, odd_name):
+def test_csv_export_writes_the_reference_bytes_through_reprs(python_csv, tmp_path, odd_name):
     test_csv_export_writes_the_reference_bytes(tmp_path, odd_name)
 
 
@@ -305,10 +310,10 @@ CSV_SOURCE = Path(trajectory_mod.__file__).with_name("_csv.c").read_text()
 def write_rows():
     """``artjoint_write_rows`` of the compiled library (skipped where it
     does not load)."""
-    write, why = trajectory_mod._writer()
-    if write is None:
+    lib, why = trajectory_mod._library()
+    if lib is None:
         pytest.skip(why)
-    return write
+    return lib.artjoint_write_rows
 
 
 def compiled_cells(write_rows, values) -> list[str]:
@@ -372,7 +377,7 @@ def test_the_compiled_writer_writes_every_simulate_output_as_reprs(write_rows, t
     assert sum(len(t) * (len(t.channels) + 1) for t in outputs) == 493_101
     for i, t in enumerate(outputs):
         aj.export_csv(t, tmp_path / f"{i}.compiled.csv")
-    request.getfixturevalue("python_writer")
+    request.getfixturevalue("python_csv")
     for i, t in enumerate(outputs):
         aj.export_csv(t, tmp_path / f"{i}.reprs.csv")
         assert (tmp_path / f"{i}.compiled.csv").read_bytes() == (tmp_path / f"{i}.reprs.csv").read_bytes(), i
@@ -441,7 +446,7 @@ def test_every_table_constant_of_the_compiled_writer_is_recomputed():
 @pytest.mark.parametrize("writer", ["compiled", "reprs"])
 def test_export_refuses_a_channel_resized_after_construction(tmp_path, request, writer):
     if writer == "reprs":
-        request.getfixturevalue("python_writer")
+        request.getfixturevalue("python_csv")
     t = make_trajectory([0.0, 0.001, 0.002], q=[0.0, 0.1, 0.2])
     t.channels["q"] = np.zeros(2)
     with pytest.raises(ValueError, match="one sample per time"):
@@ -539,7 +544,7 @@ def test_import_csv_errors_name_the_file_line(tmp_path, text, message):
 def reference_import_csv(path):
     """The row-at-a-time reader: ``csv.reader`` rows through ``float()``, with
     the texts of every :class:`MalformedCsvError`."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:  # a bad byte fails as a cell
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -551,7 +556,7 @@ def reference_import_csv(path):
         if len(set(names)) != len(names):
             raise aj.MalformedCsvError(f"{path}: duplicate channel names in header")
         for name in names:
-            if any(c in name for c in ',"\r\n'):
+            if any(c in name for c in ',"\r\n') or any("\ud800" <= c <= "\udfff" for c in name):
                 raise aj.MalformedCsvError(f"{path}: header channel name {name!r} is not CSV-safe")
         rows = []
         first = reader.line_num + 1
@@ -631,13 +636,22 @@ def csv_texts(draw):
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=csv_texts())
-@example(text="t,c0\n0.0,\x1c1.0\n")  # loadtxt strips U+001C as whitespace, float() does not
+@example(text="t,c0\n0.0,\x1c1.0\n")  # float() refuses U+001C, which some readers strip as whitespace
 @example(text="t,c0\r0.0,-0.0\r0.5,nan\r")
 @example(text='t,c0\n0.0,"1.0"\n')
+@example(text="t,q\n0.0,1.0\n0.1,\udcff\n")  # the byte 0xff, not UTF-8: a bad cell on file line 3
+@example(text="t,q\udcff\n0.0,1.0\n")  # and in a header name
+@example(text="\ufefft,q\n0.0,1.0\n")  # a UTF-8 byte order mark is part of the first header cell
+@example(text="t,q\n0.0,1.0\n0.1,2.0")  # no end after the last row
+@example(text="t,q\n0.0,1e+400\n0.1,-1e-400\n0.2,4.9406564584124654e-324\n0.3,0.000001\n")
 def test_import_csv_agrees_with_the_row_reader(tmp_path, text):
     path = tmp_path / "x.csv"
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))  # a lone surrogate stands for the byte it escapes
     assert import_outcome(aj.import_csv, path) == import_outcome(reference_import_csv, path)
+
+
+def test_import_csv_agrees_with_the_row_reader_through_read_rows(python_csv, tmp_path):
+    test_import_csv_agrees_with_the_row_reader(tmp_path)
 
 
 def test_import_csv_agrees_on_a_header_only_file(tmp_path, recwarn):
@@ -662,3 +676,88 @@ def test_bundled_csvs_import_without_the_row_reader(tmp_path, monkeypatch):
         back = aj.import_csv(path)
         assert len(calls) == 1, path  # the header's reader; a second one is the row-by-row re-read
         assert import_outcome(lambda p: back, path) == import_outcome(reference_import_csv, path)
+
+
+def test_bundled_csvs_import_without_the_row_reader_through_read_rows(python_csv, tmp_path, monkeypatch):
+    test_bundled_csvs_import_without_the_row_reader(tmp_path, monkeypatch)
+
+
+# ---------------------------------------------------------------------------
+# the compiled row reader (_csv.c)
+
+
+@pytest.fixture(params=["compiled", "python"])
+def csv_path(request) -> str:
+    """The test once through the compiled writer and reader (skipped where
+    they do not load) and once through ``_reprs`` and ``_read_rows``, as
+    :func:`python_csv` sets them."""
+    if request.param == "python":
+        request.getfixturevalue("python_csv")
+    elif trajectory_mod._library()[0] is None:
+        pytest.skip(trajectory_mod._library()[1])
+    return request.param
+
+
+def bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(st.booleans(), BIT_PATTERNS), min_size=1, max_size=64))
+@example([(False, 1), (True, 1), (False, 0x7FEFFFFFFFFFFFFF), (True, 0x7FEFFFFFFFFFFFFF), (False, 0), (True, 0)])
+@example([(False, 0x7FF0000000000000), (True, 0x7FF0000000000000), (False, 0x7FF8000000000000), (True, 0x7FF0000000000ABC)])
+@example([(False, int(np.float64(v).view(np.uint64))) for v in (2.0**53, 2.0**53 + 2, 1e22, 1e23, 9007199254740993e-22, 0.1, 1e-05)])
+def test_every_bit_pattern_reads_back_from_the_text_written(csv_path, tmp_path, cells):
+    """Signed raw float64 bit patterns written by ``export_csv`` and read
+    back by ``import_csv``: every value gives back its bits, every NaN the
+    bits of ``float('nan')``, and each is ``float()`` of its ``repr``."""
+    values = np.array([pattern | (sign << 63) for sign, pattern in cells], dtype=np.uint64).view(np.float64)
+    path = tmp_path / "bits.csv"
+    aj.export_csv(make_trajectory(np.arange(len(values)), v=values), path)
+    back = aj.import_csv(path).channels["v"]
+    assert bits(back) == bits([float(repr(v)) for v in values.tolist()])
+    assert bits(back) == bits(np.where(np.isnan(values), math.nan, values))
+
+
+def test_every_simulate_output_and_the_observed_csv_read_back_bit_equal(csv_path, tmp_path):
+    """Every cell of the five simulate outputs reads back to the bits it
+    was written from, and every cell of ``drawer_sprung_observed.csv`` to
+    the bits ``float()`` reads from its text."""
+    for i, t in enumerate(simulate_outputs()):
+        aj.export_csv(t, tmp_path / f"{i}.csv")
+        back = aj.import_csv(tmp_path / f"{i}.csv")
+        assert back.channel_names == t.channel_names, i
+        for a, b in zip([back.times, *back.channels.values()], [t.times, *t.channels.values()]):
+            assert bits(a) == bits(b), i
+    observed = fx.fixtures_dir() / "drawer_sprung_observed.csv"
+    assert import_outcome(aj.import_csv, observed) == import_outcome(reference_import_csv, observed)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 7, 64, 4096])
+def test_the_compiled_reader_carries_every_cut_line_into_the_next_block(tmp_path, monkeypatch, block_bytes):
+    """Blocks shorter than a line, a cell, or one byte: each line a block
+    cuts off is read whole from the next, the block grows for a line longer
+    than itself, a last line with no end is a row, and no file is read
+    again by the row reader."""
+    if trajectory_mod._library()[0] is None:
+        pytest.skip(trajectory_mod._library()[1])
+    unended = tmp_path / "unended.csv"
+    aj.export_csv(make_trajectory([0.0, 0.5, 1.0], q=[-1.5e-300, math.inf, 2.0**53 + 2]), unended)
+    unended.write_bytes(unended.read_bytes().rstrip(b"\n"))
+    calls = []
+    reader = csv.reader
+    monkeypatch.setattr(trajectory_mod.csv, "reader", lambda *a, **k: calls.append(a) or reader(*a, **k))
+    monkeypatch.setattr(trajectory_mod, "_BLOCK_BYTES", block_bytes)
+    for path in (fx.fixtures_dir() / "drawer_sprung_observed.csv", unended):
+        calls.clear()
+        got = import_outcome(aj.import_csv, path)
+        assert len(calls) == 1, path  # the header's reader only
+        assert got == import_outcome(reference_import_csv, path)
+
+
+def test_the_power_of_ten_table_of_the_compiled_reader_is_exact():
+    """``POW10[k]`` is 10^k exactly, for k = 0 .. 22: 10^22 = 2^22 5^22 is
+    the largest power of ten whose odd part, 5^22, fits in 53 bits."""
+    body = re.search(r"\bPOW10\[23\] = \{(.*?)\};", CSV_SOURCE, re.S).group(1)
+    table = [float(v) for v in re.findall(r"1e\d+", body)]
+    assert [int(v) for v in table] == [10**k for k in range(23)]
