@@ -19,7 +19,7 @@ import keyword
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Union
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Union
 
 from . import behaviors as bh
 from .errors import (
@@ -376,6 +376,16 @@ def _reject_constant(text: str):
     raise AssetSyntaxError(f"non-finite JSON constant '{text}' is not allowed", "")
 
 
+def _read_text(path: Path) -> str:
+    """The text of an asset, scenario or fitspec file, decoded as strict
+    UTF-8: a byte that is not UTF-8 raises :class:`AssetSyntaxError` naming
+    the file."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise AssetSyntaxError(f"not UTF-8: {exc.reason} at byte {exc.start}", str(path)) from None
+
+
 def _decode_json(text: str, source: str) -> Any:
     """Decode the text of an asset, scenario or fitspec file: malformed JSON
     and the non-finite constants ``NaN``/``Infinity`` raise
@@ -514,6 +524,14 @@ def _plain(value: Any) -> Any:
     return value
 
 
+def _write_list(items: Any, write: Callable[[Any], Any] = _plain) -> Any:
+    """``items`` as a JSON array; a string, a mapping or a value that is not
+    iterable unchanged, so that its reader refuses it at its location."""
+    if isinstance(items, (str, Mapping)) or not isinstance(items, Iterable):
+        return items
+    return [write(v) for v in items]
+
+
 def _as_flag_or_float(value: Any, loc: str) -> Union[float, bool]:
     return value if isinstance(value, bool) else _as_float(value, loc)
 
@@ -521,9 +539,9 @@ def _as_flag_or_float(value: Any, loc: str) -> Union[float, bool]:
 _STR = _Codec(_as_str, _plain)
 _FLOAT = _Codec(_as_float, _plain)
 _BOOL = _Codec(_as_bool, _plain)
-_PAIR = _Codec(lambda value, loc: _as_vec(value, 2, loc), list)
-_VEC3 = _Codec(lambda value, loc: _as_vec(value, 3, loc), list)
-_QUAT = _Codec(lambda value, loc: _as_vec(value, 4, loc), list)
+_PAIR = _Codec(lambda value, loc: _as_vec(value, 2, loc), _write_list)
+_VEC3 = _Codec(lambda value, loc: _as_vec(value, 3, loc), _write_list)
+_QUAT = _Codec(lambda value, loc: _as_vec(value, 4, loc), _write_list)
 
 
 def _record(cls: type) -> _Codec:
@@ -534,7 +552,7 @@ def _record(cls: type) -> _Codec:
 def _list_of(item: _Codec) -> _Codec:
     return _Codec(
         lambda value, loc: tuple(item.read(v, f"{loc}[{i}]") for i, v in enumerate(_require_list(value, loc))),
-        lambda items: [item.write(v) for v in items],
+        lambda items: _write_list(items, item.write),
     )
 
 
@@ -542,7 +560,7 @@ def _map_of(item: _Codec) -> _Codec:
     """An object of free-form keys; key ``k`` is read at ``loc.k``."""
     return _Codec(
         lambda value, loc: {key: item.read(v, f"{loc}.{key}") for key, v in _require_dict(value, loc).items()},
-        lambda items: {key: item.write(v) for key, v in items.items()},
+        lambda items: {key: item.write(v) for key, v in items.items()} if isinstance(items, Mapping) else items,
     )
 
 
@@ -675,7 +693,7 @@ def parse_asset_text(text: str, source: str = "<text>") -> Assembly:
 def parse_asset(path: "str | Path") -> Assembly:
     """Load and validate a ``.artjoint.json`` file. See :func:`parse_asset_text`."""
     p = Path(path)
-    return parse_asset_text(p.read_text(encoding="utf-8"), source=str(p))
+    return parse_asset_text(_read_text(p), source=str(p))
 
 
 # --------------------------------------------------------------------------

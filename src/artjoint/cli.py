@@ -6,9 +6,10 @@ description, ``demo`` a bundled fixture with self-checking summaries, and
 ``average`` repeated-trial CSVs sample-by-sample.
 
 Exit codes: 0 success, 1 domain failure (validation issues, comparison above
-tolerance, simulation/fit errors, a run too long for memory), 2 usage error,
-3 internal error.  Each subcommand accepts ``--json`` to emit one
-machine-readable document on stdout instead of the human-readable lines.
+tolerance, simulation/fit errors, a run too long for memory), 2 usage error
+(an input path that is missing or a directory included), 3 internal error.
+Each subcommand accepts ``--json`` to emit one machine-readable document on
+stdout instead of the human-readable lines.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import dynamics, fixtures
 # the benchmark's tracer wraps cli.parse_asset, unused here, and cli.import_csv by name
-from .assets import _decode_json, assembly_from_dict, parse_asset, validate
+from .assets import _decode_json, _read_text, assembly_from_dict, parse_asset, validate
 from .errors import ArtjointError
 from .scenario import Scenario, load_scenario, run
 from .sysid import fit, load_fitspec
@@ -48,7 +49,7 @@ def _emit(args, document: dict, human_lines: "list[str]") -> None:
 
 def cmd_validate(args) -> int:
     source = str(args.asset)
-    assembly = assembly_from_dict(_decode_json(Path(source).read_text(encoding="utf-8"), source), source)
+    assembly = assembly_from_dict(_decode_json(_read_text(Path(source)), source), source)
     report = validate(assembly)
     doc = {
         "command": "validate",
@@ -350,7 +351,7 @@ def main(argv: "list[str] | None" = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

@@ -7,25 +7,23 @@ states and an environment block. Everything is addressed by qualified refs:
 
 The runtime advances in segments, since only a tick where a
 ``ThresholdCrossed`` fires needs the behavior rules. Per segment: sample the
-force schedules, step the joints the triggers watch, test each threshold
-rule once for its first crossing, cut at the earliest, bring every joint to
-that tick, fire the rules that cross there and apply their effects, then
-store the values the recordings need. A
-segment of more than one tick, such as each of :func:`run`'s, steps each
-joint with one ``dynamics._run`` call into float64 arrays, which ``run``
-copies into its columns. A one-tick segment, the env's tick, steps each
-joint through ``dynamics._advance`` in plain floats and never loads the
-compiled stepper: the float64 buffers and ``ctypes`` conversions of a
-kernel call cost more than the one step they would carry. Marker
-channels come after the run, from one forward-kinematics call per placement
-over its whole joint series. For the env, the runtime keeps one geometry
-memo: whenever the bits of the joint positions that place a marker change,
-it walks the forward-kinematics plan it built for each placement with a
-marker (the same walk ``forward_kinematics`` runs, without its
+force schedules, step the joints the triggers watch, test each threshold rule
+once for its first crossing, cut at the earliest, bring every joint to that
+tick, fire the rules that cross there and apply their effects, then store the
+values the recordings need. A segment of more than one tick, such as each of
+:func:`run`'s, steps each joint with one ``dynamics._run`` call into float64
+arrays, which ``run`` copies into its columns. A one-tick segment, the env's
+tick, steps each joint through ``dynamics._advance`` in plain floats and
+never loads the compiled stepper: the float64 buffers and ``ctypes``
+conversions of a kernel call cost more than the one step they would carry.
+Marker channels come after the run, from one forward-kinematics call per
+placement over its whole joint series. For the env, the runtime keeps one
+geometry memo: whenever the bits of the joint positions that place a marker
+change, it walks the forward-kinematics plan it built for each placement with
+a marker (the same walk ``forward_kinematics`` runs, without its
 configuration check) and rebuilds one table of every marker's world point,
-which every marker query reads.
-Runs are seedless and bit-deterministic: the same scenario always yields
-the same bytes when exported.
+which every marker query reads. Runs are seedless and bit-deterministic: the
+same scenario always yields the same bytes when exported.
 """
 
 from __future__ import annotations
@@ -43,8 +41,8 @@ import numpy as np
 from . import assets as assets_mod
 from . import behaviors as bh
 from . import dynamics, kinematics
-from .assets import Assembly, JointSpec, Marker, _as_float, _as_str, _check_keys, _decode_json, _require_dict, _require_list
-from .assets import _BOOL, _FLOAT, _PAIR, _SHAPES, _STR, _VEC3, _Codec, _declare, _list_of, _plain, _record, _tagged, _write
+from .assets import Assembly, JointSpec, Marker, _as_float, _as_str, _check_keys, _decode_json, _read_text, _require_dict
+from .assets import _BOOL, _FLOAT, _PAIR, _SHAPES, _STR, _VEC3, _Codec, _declare, _list_of, _map_of, _plain, _record, _tagged
 from .errors import AssetSyntaxError, UnknownJointError
 from .geometry import Pose, Vec3, vec_cross, vec_sub
 from .kinematics import find_marker, forward_kinematics
@@ -130,7 +128,7 @@ class Placement:
     name: str
     assembly: Assembly
     world_pose: Pose = Pose()
-    asset_path: str = ""
+    asset_path: str = ""  # the "asset" file load_scenario read the assembly from, not a key
 
 
 @dataclass(frozen=True)
@@ -170,14 +168,14 @@ class Scenario:
     optional env block.
 
     Construction, ``dataclasses.replace`` included, checks every invariant:
-    the file reader's own checks of ``recordings``, ``initial``, ``env`` and
-    each placement's ``world_pose``, run on their written form, then unique
-    slash-free assembly names, placed assemblies that pass
-    :func:`assets.validate` and unit placement orientations (the assets'
-    pose rule), the :func:`dynamics.check_dt` rule, a duration
+    first the file reader's checks, on the written form of each placement
+    (its ``assembly`` by type) and of every declared key but a ``None``
+    ``env`` (``dt`` by :func:`dynamics.check_dt`); then unique slash-free
+    assembly names, placed assemblies that pass :func:`assets.validate` and
+    unit placement orientations (the assets' pose rule), a duration
     :func:`dynamics.steps_for` accepts, env limits > 0, initial positions
     within their joint's limits, unique and CSV-safe recordings, and that
-    every ref resolves. It stores a read-only copy of ``initial``.
+    every ref resolves. It stores the read-back ``initial``, read-only.
     :meth:`joint` and :meth:`marker` are the only ref lookups.
     """
 
@@ -192,16 +190,15 @@ class Scenario:
     _joints: dict[str, JointSpec] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "initial", MappingProxyType(dict(self.initial)))
-        codecs = _SHAPES[Scenario].codecs  # the file reader's checks, on each declared value's written form
-        for key in ("forces", "recordings", "initial", "env"):
-            if getattr(self, key) is not None:
-                codecs[key].read(codecs[key].write(getattr(self, key)), key)
+        read = {  # the file reader's checks, on the written form of each placement and declared key
+            key: codec.read(codec.write(getattr(self, key)), key)
+            for key, codec in _READ_BACK.items()
+            if key != "env" or self.env is not None
+        }
+        object.__setattr__(self, "initial", MappingProxyType(read["initial"]))
         by_name: dict[str, Placement] = {}
         for i, pl in enumerate(self.assemblies):
-            _SHAPES[Pose].read(_write(pl.world_pose), f"assemblies[{i}].world_pose")
             loc = f"assemblies[{i}].name"
-            _STR.read(pl.name, loc)
             if "/" in pl.name or not pl.name:
                 raise AssetSyntaxError(f"assembly name '{pl.name}' must be non-empty and slash-free", loc)
             if pl.name in by_name:
@@ -217,7 +214,6 @@ class Scenario:
             self, "_joints", {f"{pl.name}/{j.id}": j for pl in self.assemblies for j in pl.assembly.joints}
         )
 
-        dynamics.check_dt(self.dt)
         try:
             dynamics.steps_for(self.duration, self.dt)
         except ValueError as exc:
@@ -269,11 +265,6 @@ class Scenario:
 # --------------------------------------------------------------------------
 # loading
 
-FORCE_PROFILE_TYPES = {"constant": ConstantForce, "piecewise": PiecewiseForce}
-
-
-_STEPS = _list_of(_PAIR)
-
 
 def _read_steps(value, loc: str) -> tuple[tuple[float, float], ...]:
     steps = _STEPS.read(value, loc)
@@ -290,10 +281,26 @@ def _read_edge(value, loc: str) -> float:
     return value if isinstance(value, float) and math.isinf(value) else _as_float(value, loc)
 
 
+def _read_dt(value, loc: str) -> float:
+    """A timestep :func:`dynamics.check_dt` accepts (a NaN one, which only code gives, is not > 0)."""
+    dynamics.check_dt(value if isinstance(value, float) else _as_float(value, loc))
+    return value
+
+
+def _read_assembly(value, loc: str) -> Assembly:
+    """A placed assembly, checked by type: :func:`assets.validate` checks the rest."""
+    if not isinstance(value, Assembly):
+        raise AssetSyntaxError(f"expected a record of type Assembly, got {type(value).__name__}", loc)
+    return value
+
+
 def _read_initial(value, loc: str) -> dict[str, JointInit]:
     return {ref: _SHAPES[JointInit].read(entry, f"{loc}['{ref}']") for ref, entry in _require_dict(value, loc).items()}
 
 
+FORCE_PROFILE_TYPES = {"constant": ConstantForce, "piecewise": PiecewiseForce}
+
+_STEPS = _list_of(_PAIR)
 _FORCE_PROFILE = _tagged(FORCE_PROFILE_TYPES)
 _EDGE = _Codec(_read_edge, _plain)
 _declare(ConstantForce, {"value": _FLOAT, "t_start": _EDGE, "t_end": _EDGE})
@@ -318,31 +325,25 @@ _declare(
     Scenario,
     {
         "duration": _FLOAT,
-        "dt": _FLOAT,
+        "dt": _Codec(_read_dt, _plain),
         "forces": _list_of(_record(ForceSchedule)),
         "recordings": _list_of(_STR),
-        "initial": _Codec(_read_initial, lambda initial: {ref: _write(i) for ref, i in initial.items()}),
+        "initial": _Codec(_read_initial, _map_of(_record(JointInit)).write),
         "env": _record(EnvConfig),
     },
 )
+_declare(Placement, {"name": _STR, "assembly": _Codec(_read_assembly, _plain), "world_pose": _record(Pose)})
+_READ_BACK = {"assemblies": _list_of(_record(Placement)), **_SHAPES[Scenario].codecs}
 
 
 def _read_placement(value, loc: str, base: Path) -> Placement:
     data = _require_dict(value, loc)
     _check_keys(data, ("asset",), ("name", "world_pose"), loc)
-    asset_path = Path(_as_str(data["asset"], f"{loc}.asset"))
-    if not asset_path.is_absolute():
-        asset_path = base / asset_path
+    source = str(base / _as_str(data["asset"], f"{loc}.asset"))  # an absolute "asset" stays as it is
     # built unvalidated: Scenario validates every placed assembly once
-    source = str(asset_path)
-    assembly = assets_mod.assembly_from_dict(_decode_json(asset_path.read_text(encoding="utf-8"), source), source)
-    pose = {"world_pose": _SHAPES[Pose].read(data["world_pose"], f"{loc}.world_pose")} if "world_pose" in data else {}
-    return Placement(
-        name=_as_str(data["name"], f"{loc}.name") if "name" in data else assembly.id,
-        assembly=assembly,
-        asset_path=source,
-        **pose,
-    )
+    assembly = assets_mod.assembly_from_dict(_decode_json(_read_text(Path(source)), source), source)
+    args = {"name": assembly.id, **_SHAPES[Placement].args(data, f"{loc}.")}
+    return Placement(assembly=assembly, asset_path=source, **args)
 
 
 def load_scenario(path: "str | Path") -> Scenario:
@@ -353,13 +354,11 @@ def load_scenario(path: "str | Path") -> Scenario:
     assets, and UnknownJoint/UnknownMarker for dangling references.
     """
     p = Path(path)
-    root = _require_dict(_decode_json(p.read_text(encoding="utf-8"), str(p)), str(p))
+    root = _require_dict(_decode_json(_read_text(p), str(p)), str(p))
     shape = _SHAPES[Scenario]
     _check_keys(root, ("assemblies",) + shape.required, shape.optional, str(p))
-    placements = tuple(
-        _read_placement(entry, f"assemblies[{i}]", p.parent)
-        for i, entry in enumerate(_require_list(root["assemblies"], "assemblies"))
-    )
+    placement = _Codec(lambda value, loc: _read_placement(value, loc, p.parent), _plain)
+    placements = _list_of(placement).read(root["assemblies"], "assemblies")
     return Scenario(assemblies=placements, **shape.args(root, ""))
 
 

@@ -47,7 +47,7 @@ import numpy as np
 
 from . import assets, dynamics, trajectory
 from .assets import JointSpec, ValidationReport, check_joint
-from .assets import _BOOL, _FLOAT, _PAIR, _SHAPES, _STR, _as_str, _check_keys, _decode_json, _declare, _list_of, _map_of, _require_dict
+from .assets import _BOOL, _FLOAT, _PAIR, _SHAPES, _STR, _as_str, _check_keys, _decode_json, _declare, _list_of, _map_of, _read_text, _require_dict
 from .dynamics import RECORD_SLOTS, _rest_state, apply_params, check_dt, initial_state, joint_record, simulate_joint
 from .errors import AssetSyntaxError, InsufficientDataError, UnknownJointError, UnstableDtError
 from .scenario import _FORCE_PROFILE
@@ -528,7 +528,7 @@ def load_fitspec(path: "str | Path") -> FitProblem:
     problem :class:`FitProblem` rejects, at ``fitspec``; an observed sample
     step above the guard raises :class:`UnstableDtError` at ``fitspec.observed``."""
     p = Path(path)
-    root = _require_dict(_decode_json(p.read_text(encoding="utf-8"), str(p)), "fitspec")
+    root = _require_dict(_decode_json(_read_text(p), str(p)), "fitspec")
     shape = _SHAPES[FitProblem]
     _check_keys(root, ("asset", "joint", "observed") + shape.required, shape.optional + ("overrides",), "fitspec")
     # parse_asset and import_csv are called through their modules, where the benchmark's tracer wraps them

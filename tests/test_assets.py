@@ -77,6 +77,7 @@ def nested(data, path):
 READ_BY_A_LOADER = {
     (aj.RigidModule, "markers"),  # the asset file's top-level markers list
     (aj.Scenario, "assemblies"),  # asset paths resolve against the scenario file
+    (aj.Placement, "asset_path"),  # the resolved "asset" path, not a file key
     (aj.FitProblem, "observed"),  # the fitspec's "observed" CSV file
     (aj.FitProblem, "spec_template"),  # its "asset", "joint" and "overrides"
 }

@@ -101,6 +101,22 @@ def test_validate_rejects_non_json(tmp_path):
     assert "error" in proc.stderr
 
 
+def with_a_byte_not_utf8(path):
+    """The bytes of the JSON file ``path`` with a byte that is not UTF-8
+    inside its first string."""
+    raw = path.read_bytes()
+    at = raw.index(b'"') + 1
+    return raw[:at] + b"\xff" + raw[at:]
+
+
+def test_validate_rejects_an_asset_that_is_not_utf8(tmp_path):
+    asset = tmp_path / "drawer.artjoint.json"
+    asset.write_bytes(with_a_byte_not_utf8(fx.asset_path("drawer")))
+    proc = run_cli("validate", asset)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(f"error: {asset}: not UTF-8: invalid start byte"), proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -220,6 +236,33 @@ def test_simulate_rejects_a_csv_unsafe_recording_at_load(tmp_path):
     proc = run_cli("simulate", path, "--out", tmp_path / "x.csv")
     assert proc.returncode == 1, proc.stderr
     assert "recordings[0]" in proc.stderr and "CSV-safe" in proc.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_simulate_rejects_a_scenario_or_a_placed_asset_that_is_not_utf8(tmp_path):
+    scenario = tmp_path / "drawer.scenario.json"
+    scenario.write_bytes(with_a_byte_not_utf8(fx.scenario_path("drawer")))
+    asset = tmp_path / "drawer.artjoint.json"
+    asset.write_bytes(with_a_byte_not_utf8(fx.asset_path("drawer")))
+    placed = tmp_path / "placed.scenario.json"
+    data = json.loads(fx.scenario_path("drawer").read_text(encoding="utf-8"))
+    data["assemblies"][0]["asset"] = asset.name
+    placed.write_text(json.dumps(data), encoding="utf-8")
+    for path, bad in ((scenario, scenario), (placed, asset)):
+        proc = run_cli("simulate", path, "--out", tmp_path / "x.csv")
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith(f"error: {bad}: not UTF-8: invalid start byte"), proc.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_simulate_rejects_a_placed_asset_that_is_a_directory(tmp_path):
+    data = json.loads(fx.scenario_path("drawer").read_text(encoding="utf-8"))
+    data["assemblies"][0]["asset"] = "."
+    path = tmp_path / "dir.scenario.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    proc = run_cli("simulate", path, "--out", tmp_path / "x.csv")
+    assert proc.returncode == 2, proc.stderr  # as a missing asset file is
+    assert proc.stderr.startswith("error: ") and str(tmp_path) in proc.stderr, proc.stderr
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -349,6 +392,14 @@ def test_fit_rejects_malformed_fitspec(tmp_path):
     proc = run_cli("fit", spec, "--out", tmp_path / "params.json")
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr == "error: fitspec.observed: dt=0.02 exceeds the stability guard 0.01\n"
+
+
+def test_fit_rejects_a_fitspec_that_is_not_utf8(tmp_path):
+    spec = tmp_path / "drawer_sprung.fitspec.json"
+    spec.write_bytes(with_a_byte_not_utf8(fx.fitspec_path("drawer_sprung")))
+    proc = run_cli("fit", spec, "--out", tmp_path / "params.json")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(f"error: {spec}: not UTF-8: invalid start byte"), proc.stderr
 
 
 def test_fit_reports_the_sweep_limit(tmp_path, monkeypatch, capsys):

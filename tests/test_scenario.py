@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -399,6 +400,24 @@ def test_code_built_scenario_rejects_what_the_file_reader_would(drawer, env, q_d
             "forces[0].joint",
             id="force_joint",
         ),
+        # a value of the wrong kind where a collection or number belongs
+        pytest.param({"duration": True}, lambda s: {"duration": True}, "duration", id="duration_true"),
+        pytest.param({"forces": 5}, lambda s: {"forces": 5}, "forces", id="forces_number"),
+        pytest.param({"recordings": {}}, lambda s: {"recordings": {}}, "recordings", id="recordings_object"),
+        pytest.param({"initial": 5}, lambda s: {"initial": 5}, "initial", id="initial_number"),
+        pytest.param({"dt": "x"}, lambda s: {"dt": "x"}, "dt", id="dt_string"),
+        pytest.param(
+            {"env": {**env_block(), "effector_start": 5}},
+            lambda s: {"env": aj.EnvConfig(**{**ENV, "effector_start": 5})},
+            "env.effector_start",
+            id="effector_start_number",
+        ),
+        pytest.param(
+            {"assemblies": [{"asset": str(fx.asset_path("drawer")), "world_pose": {"position": 5}}]},
+            lambda s: {"assemblies": (dataclasses.replace(s.assemblies[0], world_pose=aj.Pose(position=5)),)},
+            "assemblies[0].world_pose.position",
+            id="position_number",
+        ),
     ],
 )
 def test_code_built_and_file_built_scenarios_fail_alike(tmp_path, drawer, document, code, location):
@@ -431,6 +450,82 @@ def test_a_record_given_as_a_dict_in_code_names_the_record_expected(code, record
     with pytest.raises(aj.AssetSyntaxError) as exc:
         dataclasses.replace(scenario, **code(scenario))
     assert (exc.value.location, exc.value.message) == (location, f"expected a record of type {record}, got dict")
+
+
+# the one-field swap sweep: each nested field of a bundled scenario (the
+# placed assemblies' internals and asset_path aside) swapped in code for each
+# of these values
+SWAP_VALUES = (None, "x", 1.5, NAN, INF, -1.0, 0, True, (), {}, (0.0, 1.0), {"type": "constant", "value": 1.0}, 5)
+
+
+class ProfileRefused(Exception):
+    """A force profile refused its own construction (``ValueError`` or
+    ``TypeError``): the swap built no scenario to check."""
+
+
+def swap_paths(value, path=()):
+    """The path to every nested field of ``value``: dataclass fields, tuple
+    items and mapping values, in order."""
+    if isinstance(value, aj.Assembly):
+        return
+    if dataclasses.is_dataclass(value):
+        items = [(f.name, getattr(value, f.name)) for f in dataclasses.fields(value) if f.init and f.name != "asset_path"]
+    elif isinstance(value, tuple):
+        items = list(enumerate(value))
+    elif isinstance(value, Mapping):
+        items = list(value.items())
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from swap_paths(child, path + (key,))
+
+
+def swapped(value, path, new):
+    """``value`` with the field at ``path`` replaced by ``new``, rebuilt
+    outward with ``dataclasses.replace``."""
+    if not path:
+        return new
+    key, rest = path[0], path[1:]
+    if isinstance(value, tuple):
+        return value[:key] + (swapped(value[key], rest, new),) + value[key + 1 :]
+    if not dataclasses.is_dataclass(value):
+        return {**value, key: swapped(value[key], rest, new)}
+    child = swapped(getattr(value, key), rest, new)
+    try:
+        return dataclasses.replace(value, **{key: child})
+    except (ValueError, TypeError):
+        if isinstance(value, (aj.ConstantForce, aj.PiecewiseForce)):
+            raise ProfileRefused from None  # the profile's own checks
+        raise
+
+
+@pytest.mark.parametrize("name", fx.SCENARIO_NAMES)
+def test_every_one_field_swap_in_code_runs_or_fails_with_an_artjoint_error(name):
+    base = dataclasses.replace(load(name), duration=0.05)
+    built, refused, escaped = 0, 0, []
+    for path in list(swap_paths(base)):
+        for value in SWAP_VALUES:
+            try:
+                scenario = swapped(base, path, value)
+            except (ProfileRefused, aj.ArtjointError):
+                refused += 1
+                continue
+            except Exception as exc:
+                escaped.append((path, value, f"built: {type(exc).__name__}: {exc}"))
+                continue
+            built += 1
+            try:
+                if scenario.env is None:
+                    aj.run(scenario)
+                else:
+                    env = aj.ManipulationEnv(scenario)
+                    env.reset()
+                    env.step(np.zeros(3))
+            except Exception as exc:
+                escaped.append((path, value, f"ran: {type(exc).__name__}: {exc}"))
+    assert escaped == []
+    assert built and refused
 
 
 def test_load_validates_each_placed_asset_once(tmp_path, monkeypatch, drawer):
