@@ -256,7 +256,8 @@ def check_joint(report: ValidationReport, joint: JointSpec, path: str) -> None:
 
 
 def validate(assembly: Assembly) -> ValidationReport:
-    """Check every structural invariant; returns a report, never raises.
+    """Check every structural invariant; returns a report, and never raises
+    on the declared kinds, which every reader and read-back guarantees.
 
     Covered: unique ids, tree-ness rooted at root_module, positive masses and
     inertias, unit axes (1e-9), ordered limits, non-negative
@@ -396,7 +397,10 @@ def _decode_json(text: str, source: str) -> Any:
         raise AssetSyntaxError(str(exc), source) from None
 
 
-def _require_dict(value: Any, loc: str) -> dict:
+def _require_dict(value: Any, loc: str, record: str = "") -> dict:
+    """``value``, an object; an :class:`_Unwritable` is refused as no ``record``."""
+    if isinstance(value, _Unwritable):
+        raise value.error(record, loc)
     if not isinstance(value, dict):
         raise AssetSyntaxError(f"expected an object, got {type(value).__name__}", loc)
     return value
@@ -486,14 +490,16 @@ class _Shape:
         return {self.names[key]: codec.read(data[key], prefix + key) for key, codec in self.codecs.items() if key in data}
 
     def read(self, value: Any, loc: str) -> Any:
-        if isinstance(value, _Unwritable):
-            raise value.error(self.cls.__name__, loc)
-        data = _require_dict(value, loc)
+        data = _require_dict(value, loc, self.cls.__name__)
         _check_keys(data, self.required, self.optional, loc)
         return self.cls(**self.args(data, f"{loc}."))
 
     def write(self, obj: Any) -> dict:
         return {key: codec.write(getattr(obj, self.names[key])) for key, codec in self.codecs.items()}
+
+    def read_back(self, obj: Any, loc: str = "", skip: Iterable[str] = ()) -> dict:
+        """The file reader's checks on ``obj``, built in code: :meth:`args` of its written keys but ``skip``."""
+        return self.args({key: value for key, value in self.write(obj).items() if key not in skip}, loc)
 
 
 _SHAPES: dict[type, _Shape] = {}
@@ -580,9 +586,7 @@ def _tagged(types: dict[str, type]) -> _Codec:
     tags = {cls: tag for tag, cls in types.items()}
 
     def read(value: Any, loc: str) -> Any:
-        if isinstance(value, _Unwritable):
-            raise value.error(" or ".join(cls.__name__ for cls in types.values()), loc)
-        data = _require_dict(value, loc)
+        data = _require_dict(value, loc, " or ".join(cls.__name__ for cls in types.values()))
         tag = _as_str(data.get("type", ""), f"{loc}.type")
         if tag not in types:
             raise AssetSyntaxError(f"unknown type '{tag}', expected one of {list(types)}", loc)
@@ -661,20 +665,30 @@ def assembly_from_dict(data: Any, source: str = "<data>") -> Assembly:
     :class:`MissingModuleError` for markers naming modules that don't exist.
     No other semantic validation happens here — see :func:`validate`.
     """
-    root = _require_dict(data, source)
+    return _assembly_at(data, source, "")
+
+
+def _assembly_at(data: Any, source: str, prefix: str) -> Assembly:
+    """:func:`assembly_from_dict`, reading key ``k`` at ``prefix + k``."""
+    root = _require_dict(data, source, "Assembly")
     shape = _SHAPES[Assembly]
     _check_keys(root, shape.required, shape.optional + ("markers",), source)
-    args = shape.args(root, "")
+    args = shape.args(root, prefix)
 
     markers_by_module: dict[str, list[Marker]] = {m.id: [] for m in args["modules"]}
-    for i, marker in enumerate(_MARKERS.read(root.get("markers", []), "markers")):
+    for i, marker in enumerate(_MARKERS.read(root.get("markers", []), f"{prefix}markers")):
         if marker.module_id not in markers_by_module:
-            raise MissingModuleError(f"markers[{i}]: marker '{marker.name}' references unknown module '{marker.module_id}'")
+            raise MissingModuleError(f"{prefix}markers[{i}]: marker '{marker.name}' references unknown module '{marker.module_id}'")
         markers_by_module[marker.module_id].append(marker)
     args["modules"] = tuple(
         dataclasses.replace(m, markers=tuple(markers_by_module[m.id])) for m in args["modules"]
     )
     return Assembly(**args)
+
+
+def _read_asset(path: "str | Path") -> Assembly:
+    """A ``.artjoint.json`` file's assembly, not validated (:func:`validate`)."""
+    return assembly_from_dict(_decode_json(_read_text(Path(path)), str(path)), str(path))
 
 
 def parse_asset_text(text: str, source: str = "<text>") -> Assembly:
@@ -700,8 +714,15 @@ def parse_asset(path: "str | Path") -> Assembly:
 # serialization
 
 
-def assembly_to_dict(assembly: Assembly) -> dict:
-    return {**_write(assembly), "markers": _MARKERS.write(assembly.markers())}
+def assembly_to_dict(assembly: Assembly) -> "dict | _Unwritable":
+    """``assembly`` as a file holds it; never raises, writing a wrong kind as :func:`_write` does."""
+    written = _write(assembly)
+    if isinstance(written, _Unwritable):
+        return written
+    modules = assembly.modules if isinstance(written["modules"], list) else ()
+    lists = [_MARKERS.write(m.markers) for m in modules if isinstance(m, RigidModule)]
+    wrong = [own for own in lists if not isinstance(own, list)]  # a module's markers of the wrong kind
+    return {**written, "markers": wrong[0] if wrong else [marker for own in lists for marker in own]}
 
 
 def serialize_asset(assembly: Assembly) -> str:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import dynamics, fixtures
 # the benchmark's tracer wraps cli.parse_asset, unused here, and cli.import_csv by name
-from .assets import _decode_json, _read_text, assembly_from_dict, parse_asset, validate
+from .assets import _read_asset, parse_asset, validate
 from .errors import ArtjointError
 from .scenario import Scenario, load_scenario, run
 from .sysid import fit, load_fitspec
@@ -48,9 +48,7 @@ def _emit(args, document: dict, human_lines: "list[str]") -> None:
 
 
 def cmd_validate(args) -> int:
-    source = str(args.asset)
-    assembly = assembly_from_dict(_decode_json(_read_text(Path(source)), source), source)
-    report = validate(assembly)
+    report = validate(_read_asset(args.asset))
     doc = {
         "command": "validate",
         "asset": str(args.asset),

@@ -72,7 +72,7 @@ import numpy as np
 
 from . import _native
 from .assets import ConstantStiffness, FixedTarget, JointSpec, StiffnessProfile, TargetPolicy, ValidationReport
-from .assets import check_joint, raise_on_issues
+from .assets import _SHAPES, check_joint, raise_on_issues
 from .errors import NonPositiveDtError, UnstableDtError
 from .trajectory import pairwise_dot
 
@@ -334,15 +334,16 @@ def rollout(spec: JointSpec, forces: Sequence[float], dt: float, state0: JointSt
     at ``t = k * dt``). Returns ``len(forces) + 1`` positions, the first
     being ``state0.q``: the ``q`` series of :func:`simulate_joint` under the
     same forces, without a state object per step. ``state0`` is untouched.
-    ``spec`` must pass :func:`assets.check_joint`, raising as
-    :func:`assets.validate` does otherwise, so both steppers meet only the
-    joints they agree on. Runs the compiled stepper where it loads (see
-    the module doc).
+    ``spec`` is read back as a file's reader reads a joint, then must pass
+    :func:`assets.check_joint`, raising as :func:`assets.validate` does
+    otherwise, so both steppers meet only the joints they agree on. Runs
+    the compiled stepper where it loads (see the module doc).
     """
     forces = np.asarray(forces, dtype=float)
     if forces.ndim != 1:
         raise ValueError(f"forces must be one effort per step (1-D), got shape {forces.shape}")
     check_dt(dt)
+    _SHAPES[JointSpec].read_back(spec, "spec.")
     report = ValidationReport()
     check_joint(report, spec, "spec")
     raise_on_issues(report)

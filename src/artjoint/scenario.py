@@ -169,7 +169,7 @@ class Scenario:
 
     Construction, ``dataclasses.replace`` included, checks every invariant:
     first the file reader's checks, on the written form of each placement
-    (its ``assembly`` by type) and of every declared key but a ``None``
+    (its ``assembly`` as a file) and of every declared key but a ``None``
     ``env`` (``dt`` by :func:`dynamics.check_dt`); then unique slash-free
     assembly names, placed assemblies that pass :func:`assets.validate` and
     unit placement orientations (the assets' pose rule), a duration
@@ -190,11 +190,7 @@ class Scenario:
     _joints: dict[str, JointSpec] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        read = {  # the file reader's checks, on the written form of each placement and declared key
-            key: codec.read(codec.write(getattr(self, key)), key)
-            for key, codec in _READ_BACK.items()
-            if key != "env" or self.env is not None
-        }
+        read = _READ_BACK.read_back(self, skip=("env",) if self.env is None else ())  # the file reader's checks
         object.__setattr__(self, "initial", MappingProxyType(read["initial"]))
         by_name: dict[str, Placement] = {}
         for i, pl in enumerate(self.assemblies):
@@ -287,13 +283,6 @@ def _read_dt(value, loc: str) -> float:
     return value
 
 
-def _read_assembly(value, loc: str) -> Assembly:
-    """A placed assembly, checked by type: :func:`assets.validate` checks the rest."""
-    if not isinstance(value, Assembly):
-        raise AssetSyntaxError(f"expected a record of type Assembly, got {type(value).__name__}", loc)
-    return value
-
-
 def _read_initial(value, loc: str) -> dict[str, JointInit]:
     return {ref: _SHAPES[JointInit].read(entry, f"{loc}['{ref}']") for ref, entry in _require_dict(value, loc).items()}
 
@@ -332,16 +321,17 @@ _declare(
         "env": _record(EnvConfig),
     },
 )
-_declare(Placement, {"name": _STR, "assembly": _Codec(_read_assembly, _plain), "world_pose": _record(Pose)})
-_READ_BACK = {"assemblies": _list_of(_record(Placement)), **_SHAPES[Scenario].codecs}
+_ASSEMBLY = _Codec(lambda value, loc: assets_mod._assembly_at(value, loc, f"{loc}."), assets_mod.assembly_to_dict)
+_declare(Placement, {"name": _STR, "assembly": _ASSEMBLY, "world_pose": _record(Pose)})
+# what a Scenario built in code reads back: each placement and every declared key
+_READ_BACK = assets_mod._Shape(Scenario, {"assemblies": _list_of(_record(Placement)), **_SHAPES[Scenario].codecs})
 
 
 def _read_placement(value, loc: str, base: Path) -> Placement:
     data = _require_dict(value, loc)
     _check_keys(data, ("asset",), ("name", "world_pose"), loc)
     source = str(base / _as_str(data["asset"], f"{loc}.asset"))  # an absolute "asset" stays as it is
-    # built unvalidated: Scenario validates every placed assembly once
-    assembly = assets_mod.assembly_from_dict(_decode_json(_read_text(Path(source)), source), source)
+    assembly = assets_mod._read_asset(source)
     args = {"name": assembly.id, **_SHAPES[Placement].args(data, f"{loc}.")}
     return Placement(assembly=assembly, asset_path=source, **args)
 

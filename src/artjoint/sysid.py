@@ -83,13 +83,15 @@ class FitProblem:
     :func:`~artjoint.dynamics.check_dt` and every observed sample and
     force sample must be finite. ``channel`` defaults to the observed
     trajectory's single channel. Construction (``dataclasses.replace``
-    included) checks all this and derives ``dt``, a read-only copy of the
-    channel (``observed_q``) and ``force_samples``, ``forces(k * dt)`` for
-    ``k < len(observed) - 1``: the times simulate_joint samples.
+    included) reads back the declared keys (``forces`` unless a function)
+    and the template, keeping the read-back ``free``, ``bounds`` and
+    ``init``; then checks all this and derives ``dt``, a read-only copy of
+    the channel (``observed_q``) and ``force_samples``, ``forces(k * dt)``
+    for ``k < len(observed) - 1``: the times simulate_joint samples.
     """
 
     observed: Trajectory
-    forces: Callable[[float], float]  # or any object with a value_at(t) method
+    forces: Callable[[float], float]  # or a ConstantForce or PiecewiseForce
     spec_template: JointSpec
     free: Sequence[str]
     bounds: Mapping[str, tuple[float, float]]
@@ -105,11 +107,13 @@ class FitProblem:
     _threads: threading.local = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if hasattr(self.forces, "value_at"):
-            object.__setattr__(self, "forces", self.forces.value_at)
-        object.__setattr__(self, "free", tuple(self.free))
-        object.__setattr__(self, "bounds", types.MappingProxyType({name: tuple(pair) for name, pair in self.bounds.items()}))
-        object.__setattr__(self, "init", types.MappingProxyType(dict(self.init)))
+        if not isinstance(self.observed, Trajectory):
+            raise AssetSyntaxError(f"expected a Trajectory, got {type(self.observed).__name__}", "observed")
+        read = _READ_BACK.read_back(self, skip=("forces",) if callable(self.forces) else ())  # the file reader's checks
+        object.__setattr__(self, "forces", read["forces"].value_at if "forces" in read else self.forces)
+        object.__setattr__(self, "free", read["free"])
+        for key in ("bounds", "init"):
+            object.__setattr__(self, key, types.MappingProxyType(read[key]))
         if len(self.observed) < MIN_OBSERVED_SAMPLES:
             raise InsufficientDataError(
                 f"need at least {MIN_OBSERVED_SAMPLES} observed samples, got {len(self.observed)}"
@@ -513,11 +517,12 @@ def generate_synthetic(
 
 # every fitspec key but "asset", "joint", "overrides" and "observed", which
 # load_fitspec reads itself: paths resolve against the file, and the rest make
-# the template. Read only: a FitProblem keeps its forces as a function.
+# the template. A FitProblem built in code reads them and its template back.
 _declare(
     FitProblem,
     {"free": _list_of(_STR), "bounds": _map_of(_PAIR), "init": _map_of(_FLOAT), "forces": _FORCE_PROFILE, "channel": _STR, "s_open0": _BOOL},
 )
+_READ_BACK = assets._Shape(FitProblem, {**_SHAPES[FitProblem].codecs, "spec_template": assets._record(JointSpec)})
 
 
 def load_fitspec(path: "str | Path") -> FitProblem:

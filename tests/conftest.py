@@ -1,10 +1,12 @@
-"""Shared test helpers: bundled assemblies, a random-asset generator, and
-the acceptance-criteria reporting hook."""
+"""Shared test helpers: bundled assemblies, a random-asset generator, the
+one-field swap sweeps' paths and values, and the acceptance-criteria
+reporting hook."""
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -14,6 +16,51 @@ from artjoint import dynamics
 from artjoint import fixtures as fx
 from artjoint import kinematics, trajectory
 from artjoint.geometry import quat_from_axis_angle
+
+
+# the one-field swap sweeps' values: each swept field is swapped in code
+# for each of these
+SWAP_VALUES = (None, "x", 1.5, math.nan, math.inf, -1.0, 0, True, (), {}, (0.0, 1.0), {"type": "constant", "value": 1.0}, 5)
+
+
+class ProfileRefused(Exception):
+    """A force profile refused its own construction (``ValueError`` or
+    ``TypeError``): the swap built no scenario to check."""
+
+
+def swap_paths(value, path=()):
+    """The path to every nested field of ``value``: dataclass fields, tuple
+    items and mapping values, in order."""
+    if dataclasses.is_dataclass(value):
+        items = [(f.name, getattr(value, f.name)) for f in dataclasses.fields(value) if f.init and f.name != "asset_path"]
+    elif isinstance(value, tuple):
+        items = list(enumerate(value))
+    elif isinstance(value, Mapping):
+        items = list(value.items())
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from swap_paths(child, path + (key,))
+
+
+def swapped(value, path, new):
+    """``value`` with the field at ``path`` replaced by ``new``, rebuilt
+    outward with ``dataclasses.replace``."""
+    if not path:
+        return new
+    key, rest = path[0], path[1:]
+    if isinstance(value, tuple):
+        return value[:key] + (swapped(value[key], rest, new),) + value[key + 1 :]
+    if not dataclasses.is_dataclass(value):
+        return {**value, key: swapped(value[key], rest, new)}
+    child = swapped(getattr(value, key), rest, new)
+    try:
+        return dataclasses.replace(value, **{key: child})
+    except (ValueError, TypeError):
+        if isinstance(value, (aj.ConstantForce, aj.PiecewiseForce)):
+            raise ProfileRefused from None  # the profile's own checks
+        raise
 
 
 def load_assembly(name: str) -> aj.Assembly:

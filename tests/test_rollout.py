@@ -192,6 +192,26 @@ def test_rollout_rejects_a_joint_that_fails_its_checks_on_both_steppers(stepper)
         aj.rollout(spec, [0.0] * 3, 0.001, state0)
 
 
+@pytest.mark.parametrize(
+    "field, value, location, message",
+    [
+        ("damping_D", "x", "spec.damping_D", "expected a number, got str"),
+        ("axis", 5, "spec.axis", "expected an array, got int"),
+        ("stiffness", None, "spec.stiffness", "expected a record of type ConstantStiffness or StiffnessSchedule, got NoneType"),
+    ],
+    ids=["damping_D", "axis", "stiffness"],
+)
+def test_rollout_rejects_a_field_of_the_wrong_kind_on_both_steppers(stepper, field, value, location, message):
+    """A joint built in code with a field of the wrong kind used to raise a
+    bare ``TypeError`` or ``AttributeError`` from the checks or the
+    stepper; ``rollout`` reads it back first, as a file's reader would."""
+    spec = make_joint()
+    state0 = aj.initial_state(spec, q=0.25)
+    with pytest.raises(aj.AssetSyntaxError) as exc:
+        aj.rollout(dataclasses.replace(spec, **{field: value}), [0.0] * 3, 0.001, state0)
+    assert (exc.value.location, exc.value.message) == (location, message)
+
+
 def test_rollout_rejects_forces_that_are_not_one_per_step_on_both_steppers(stepper):
     """Given rows of forces, the compiled stepper would step through their
     first floats and the Python loop would fail on a row; ``rollout``

@@ -3,7 +3,7 @@
 import dataclasses
 import json
 import math
-from collections.abc import Mapping
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from artjoint import fixtures as fx
 from artjoint import scenario as scenario_mod
 from artjoint.geometry import quat_from_axis_angle
 
-from conftest import with_marker_point
+from conftest import SWAP_VALUES, ProfileRefused, swap_paths, swapped, with_marker_point
 
 
 def load(name):
@@ -297,8 +297,8 @@ def test_code_built_scenario_rejects_an_invalid_assembly(trashcan):
     ids=["damping_D", "marker"],
 )
 def test_code_built_scenario_rejects_a_non_finite_asset_number(drawer, change, path):
-    # either would run to NaN channels
-    with pytest.raises(aj.AssetValidationError, match=r"must be finite, got inf") as exc:
+    # either would run to NaN channels; the reader refuses it, as in a file
+    with pytest.raises(aj.AssetSyntaxError, match=r"must be finite, got inf") as exc:
         simple_scenario(change(drawer), duration=0.01, forces=[aj.ForceSchedule("drawer/slide", aj.ConstantForce(value=2.0))])
     assert str(exc.value).startswith(f"assemblies[0].assembly.{path}: ")
 
@@ -453,53 +453,8 @@ def test_a_record_given_as_a_dict_in_code_names_the_record_expected(code, record
 
 
 # the one-field swap sweep: each nested field of a bundled scenario (the
-# placed assemblies' internals and asset_path aside) swapped in code for each
-# of these values
-SWAP_VALUES = (None, "x", 1.5, NAN, INF, -1.0, 0, True, (), {}, (0.0, 1.0), {"type": "constant", "value": 1.0}, 5)
-
-
-class ProfileRefused(Exception):
-    """A force profile refused its own construction (``ValueError`` or
-    ``TypeError``): the swap built no scenario to check."""
-
-
-def swap_paths(value, path=()):
-    """The path to every nested field of ``value``: dataclass fields, tuple
-    items and mapping values, in order."""
-    if isinstance(value, aj.Assembly):
-        return
-    if dataclasses.is_dataclass(value):
-        items = [(f.name, getattr(value, f.name)) for f in dataclasses.fields(value) if f.init and f.name != "asset_path"]
-    elif isinstance(value, tuple):
-        items = list(enumerate(value))
-    elif isinstance(value, Mapping):
-        items = list(value.items())
-    else:
-        return
-    for key, child in items:
-        yield path + (key,)
-        yield from swap_paths(child, path + (key,))
-
-
-def swapped(value, path, new):
-    """``value`` with the field at ``path`` replaced by ``new``, rebuilt
-    outward with ``dataclasses.replace``."""
-    if not path:
-        return new
-    key, rest = path[0], path[1:]
-    if isinstance(value, tuple):
-        return value[:key] + (swapped(value[key], rest, new),) + value[key + 1 :]
-    if not dataclasses.is_dataclass(value):
-        return {**value, key: swapped(value[key], rest, new)}
-    child = swapped(getattr(value, key), rest, new)
-    try:
-        return dataclasses.replace(value, **{key: child})
-    except (ValueError, TypeError):
-        if isinstance(value, (aj.ConstantForce, aj.PiecewiseForce)):
-            raise ProfileRefused from None  # the profile's own checks
-        raise
-
-
+# placed assemblies' internals included, asset_path aside) swapped in code
+# for each of SWAP_VALUES
 @pytest.mark.parametrize("name", fx.SCENARIO_NAMES)
 def test_every_one_field_swap_in_code_runs_or_fails_with_an_artjoint_error(name):
     base = dataclasses.replace(load(name), duration=0.05)
@@ -516,12 +471,14 @@ def test_every_one_field_swap_in_code_runs_or_fails_with_an_artjoint_error(name)
                 continue
             built += 1
             try:
-                if scenario.env is None:
-                    aj.run(scenario)
-                else:
-                    env = aj.ManipulationEnv(scenario)
-                    env.reset()
-                    env.step(np.zeros(3))
+                with warnings.catch_warnings():  # a valid joint never makes forward kinematics clamp
+                    warnings.simplefilter("error", UserWarning)
+                    if scenario.env is None:
+                        aj.run(scenario)
+                    else:
+                        env = aj.ManipulationEnv(scenario)
+                        env.reset()
+                        env.step(np.zeros(3))
             except Exception as exc:
                 escaped.append((path, value, f"ran: {type(exc).__name__}: {exc}"))
     assert escaped == []

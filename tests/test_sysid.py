@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import artjoint as aj
 from artjoint import fixtures, sysid
 
-from conftest import make_joint
+from conftest import SWAP_VALUES, make_joint, swap_paths, swapped
 
 
 def pull(t):
@@ -126,10 +126,12 @@ def test_box_admitting_an_invalid_joint_rejected(slide):
 
 def test_box_with_an_infinite_end_rejected(slide):
     # a joint with infinite damping passes every comparison of check_joint
-    # but its finite-number rule, and would run to NaN
+    # but its finite-number rule, and would run to NaN; the reader refuses
+    # the end, as in a file
     observed = observed_for(slide)
-    with pytest.raises(ValueError, match=r"bounds for 'damping_D' admit an invalid joint: at damping_D = inf, number must be finite"):
+    with pytest.raises(aj.AssetSyntaxError, match=r"^bounds\.damping_D\[1\]: number must be finite, got inf$") as exc:
         problem_for(slide, observed, ["damping_D"], {"damping_D": (0.5, math.inf)}, {"damping_D": 2.6})
+    assert exc.value.location == "bounds.damping_D[1]"
 
 
 def test_box_invalid_only_at_a_corner_rejected(microwave):
@@ -753,6 +755,40 @@ def test_a_problem_equals_its_replace_with_a_copied_trajectory(drawer_sprung):
     assert dataclasses.replace(drawer_sprung, observed=observed) == drawer_sprung
     shorter = aj.Trajectory(times=observed.times[:100], channels={n: c[:100] for n, c in observed.channels.items()})
     assert dataclasses.replace(drawer_sprung, observed=shorter) != drawer_sprung
+
+
+def fit_swap_paths(problem):
+    """The one-field swap sweep's paths for a fit problem: each declared key,
+    the observed trajectory, each box end and start value, and every nested
+    field of the spec template."""
+    yield from ((key,) for key in ("free", "bounds", "init", "forces", "channel", "s_open0", "observed"))
+    for name in problem.free:
+        yield from (("bounds", name, 0), ("bounds", name, 1), ("init", name))
+    yield from (("spec_template",) + path for path in swap_paths(problem.spec_template))
+
+
+def test_every_one_field_swap_of_a_fit_problem_evaluates_or_fails_cleanly(drawer_sprung):
+    """Each swap builds a problem that evaluates its objective once, or
+    raises an ``ArtjointError`` or a ``ValueError`` (a problem it reads but
+    rejects), never a bare ``TypeError`` or ``AttributeError``."""
+    built, refused, escaped = 0, 0, []
+    for path in fit_swap_paths(drawer_sprung):
+        for value in SWAP_VALUES:
+            try:
+                problem = swapped(drawer_sprung, path, value)
+            except (aj.ArtjointError, ValueError):
+                refused += 1
+                continue
+            except Exception as exc:
+                escaped.append((path, value, f"built: {type(exc).__name__}: {exc}"))
+                continue
+            built += 1
+            try:
+                sysid.objective(problem, {name: problem.init[name] for name in problem.free})
+            except Exception as exc:
+                escaped.append((path, value, f"evaluated: {type(exc).__name__}: {exc}"))
+    assert escaped == []
+    assert built and refused
 
 
 def test_fit_reaches_the_truth_from_every_benchmark_start(drawer_sprung):
